@@ -17,26 +17,12 @@ import sys
 import numpy as np
 
 from usparse import (
-    build_backbone,
-    emd_run,
-    gdb_run,
+    RunConfig,
     generate_synthetic,
     graph_entropy,
-    ni_sparsify,
     sampled_k_discrepancy_mae,
-    ss_sparsify,
+    sparsify,
 )
-
-
-def sparsify(method, g, alpha, seed):
-    if method == "ni":
-        return ni_sparsify(g, alpha, seed=seed)[0]
-    if method == "ss":
-        return ss_sparsify(g, alpha, seed=seed)[0]
-    backbone = build_backbone(g, alpha, seed=seed)
-    if method == "emd":
-        return emd_run(g, backbone, h=0.05)[0]
-    return gdb_run(g, backbone, h=0.05)[0]
 
 
 def main(argv=None):
@@ -57,7 +43,7 @@ def main(argv=None):
         g = generate_synthetic(args.vertices, density, seed=args.seed)
         h_orig = graph_entropy(g)
         for method in methods:
-            out = sparsify(method, g, args.alpha, args.seed)
+            out, _ = sparsify(g, RunConfig(method=method, alpha=args.alpha, seed=args.seed))
             delta = g.degree_vector() - out.degree_vector()
             ks = sorted({1, 2, g.n // 2, g.n})
             cut_mae = float(

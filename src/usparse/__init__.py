@@ -10,6 +10,7 @@ from usparse.backbone import (
 )
 from usparse.benchmarks import ni_sparsify, ss_sparsify
 from usparse.config import RunConfig
+from usparse.dispatch import sparsify
 from usparse.emd import emd_run
 from usparse.evaluation import (
     QueryDistribution,
@@ -76,6 +77,7 @@ __all__ = [
     "sampled_k_discrepancy_mae",
     "save_graph",
     "solve_optimal_assignment",
+    "sparsify",
     "ss_sparsify",
     "target_edge_count",
     "variance_protocol",

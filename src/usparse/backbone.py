@@ -10,7 +10,8 @@ sampling alone and gives no connectivity guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice, tee
+from typing import Iterable, Iterator
 
 from usparse.graph import UncertainGraph, UnionFind, derive_rng
 
@@ -63,26 +64,31 @@ def max_spanning_forest(
     return forest
 
 
-def iterated_spanning_forests(
-    g: UncertainGraph, max_rounds: int | None = None
-) -> list[list[tuple[int, int]]]:
-    """Edge-disjoint maximum spanning forests, greedily peeled off the graph."""
+def iterated_spanning_forests(g: UncertainGraph) -> Iterator[list[tuple[int, int]]]:
+    """Edge-disjoint maximum spanning forests, peeled off the graph lazily."""
     remaining = {(u, v): p for u, v, p in g.edges}
-    forests = []
-    while remaining and (max_rounds is None or len(forests) < max_rounds):
+    while remaining:
         forest = max_spanning_forest(g.n, [(u, v, p) for (u, v), p in remaining.items()])
-        if not forest:
-            break
-        forests.append(forest)
+        yield forest
         for e in forest:
             del remaining[e]
-    return forests
 
 
-def default_alpha_prime(g: UncertainGraph, alpha: float) -> float:
-    """Spanning quota: min of 0.5*alpha and the first six forests' edge fraction."""
-    six = sum(len(f) for f in iterated_spanning_forests(g, max_rounds=6))
-    return min(0.5 * alpha, six / g.m)
+def default_alpha_prime(
+    g: UncertainGraph, alpha: float, forests: Iterable[list[tuple[int, int]]] | None = None
+) -> float:
+    """Spanning quota: min of 0.5*alpha and the first six forests' edge fraction.
+
+    Peels only as far as needed: once the forests so far cover 0.5*alpha of
+    the edges, six would too.  `forests` lets a caller share its own peel.
+    """
+    half = 0.5 * alpha
+    peeled = 0
+    for forest in islice(iterated_spanning_forests(g) if forests is None else forests, 6):
+        peeled += len(forest)
+        if peeled / g.m >= half:
+            break
+    return min(half, peeled / g.m)
 
 
 def _probability_topup(rng, candidates: list[tuple[tuple[int, int], float]], need: int):
@@ -145,8 +151,10 @@ def build_backbone(
         )
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
+    forests = iterated_spanning_forests(g)
     if alpha_prime is None:
-        alpha_prime = default_alpha_prime(g, alpha)
+        forests, peel = tee(forests)
+        alpha_prime = default_alpha_prime(g, alpha, peel)
     if alpha_prime > alpha:
         raise ValueError(f"alpha_prime={alpha_prime} exceeds alpha={alpha}")
 
@@ -156,9 +164,9 @@ def build_backbone(
     chosen: list[tuple[int, int]] = []
     remaining = dict(probs)
 
-    while len(chosen) < quota and len(chosen) < target and remaining:
-        forest = max_spanning_forest(g.n, [(u, v, p) for (u, v), p in remaining.items()])
-        if not forest:
+    while len(chosen) < quota and len(chosen) < target:
+        forest = next(forests, None)
+        if forest is None:
             break
         room = target - len(chosen)
         if len(forest) > room:

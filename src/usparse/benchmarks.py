@@ -97,29 +97,37 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
     return death_round, forests
 
 
-def ni_core(wg: WeightedGraph, epsilon: float, seed: int) -> WeightedGraph:
-    """Forest-round connectivity sampling: keep an edge dying at round r with
-    probability min(ln n / (epsilon^2 r), 1) and inflate its weight by the
-    inverse of that probability.
+def forest_round_sampler(wg: WeightedGraph, seed: int):
+    """Forest-round connectivity sampling, as a function of epsilon.
 
-    The per-edge uniforms are drawn once from the seed in canonical edge
-    order, so reruns at different epsilon reuse the same randomness and the
-    output size is monotone in epsilon.
+    sample(epsilon) keeps an edge dying at round r with probability
+    min(ln n / (epsilon^2 r), 1) and inflates its weight by the inverse of
+    that probability.  The forest rounds run once, and the per-edge uniforms
+    are drawn once from the seed in canonical edge order, so every epsilon
+    reuses the same randomness and the output size is monotone in epsilon.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     death_round, _ = contiguous_forest_rounds(wg)
-    rng = derive_rng(seed)
     ordered = sorted(death_round)
-    uniforms = dict(zip(ordered, rng.random(len(ordered))))
-    log_n = math.log(wg.n)
+    uniforms = dict(zip(ordered, derive_rng(seed).random(len(ordered))))
     weights = {(u, v): w for u, v, w in wg.edges}
-    kept = []
-    for e in ordered:
-        keep_p = min(log_n / (epsilon * epsilon * death_round[e]), 1.0)
-        if uniforms[e] < keep_p:
-            kept.append((e[0], e[1], weights[e] / keep_p))
-    return WeightedGraph(wg.n, tuple(kept))
+    log_n = math.log(wg.n)
+
+    def sample(epsilon: float) -> list[tuple[int, int, float]]:
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        kept = []
+        for e in ordered:
+            keep_p = min(log_n / (epsilon * epsilon * death_round[e]), 1.0)
+            if uniforms[e] < keep_p:
+                kept.append((e[0], e[1], weights[e] / keep_p))
+        return kept
+
+    return sample
+
+
+def ni_core(wg: WeightedGraph, epsilon: float, seed: int) -> WeightedGraph:
+    """One forest-round connectivity sample at epsilon (see forest_round_sampler)."""
+    return WeightedGraph(wg.n, tuple(forest_round_sampler(wg, seed)(epsilon)))
 
 
 def ni_sparsify(
@@ -142,24 +150,9 @@ def ni_sparsify(
     p_min = float(g.probabilities.min())
     n = g.n
 
-    # The forest process does not depend on epsilon and the uniforms are
-    # reused across calibration runs (exactly what rerunning ni_core with the
-    # same seed would do), so calibration is pure thresholding here.
-    death_round, _ = contiguous_forest_rounds(wg)
-    ordered = sorted(death_round)
-    uniforms = dict(zip(ordered, derive_rng(seed).random(len(ordered))))
-    weights = {(u, v): w for u, v, w in wg.edges}
-    log_n = math.log(n)
-
-    def sample(eps):
-        kept = []
-        for e in ordered:
-            keep_p = min(log_n / (eps * eps * death_round[e]), 1.0)
-            if uniforms[e] < keep_p:
-                kept.append((e[0], e[1], weights[e] / keep_p))
-        return kept
-
-    epsilon = math.sqrt(n * log_n**2 / (alpha * m))
+    # Calibration is pure thresholding: one forest pass, one set of uniforms.
+    sample = forest_round_sampler(wg, seed)
+    epsilon = math.sqrt(n * math.log(n) ** 2 / (alpha * m))
     steps = 0
     core_edges = sample(epsilon)
     if len(core_edges) > target:

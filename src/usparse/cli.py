@@ -11,23 +11,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
-from usparse import backbone as backbone_mod
-from usparse import benchmarks, evaluation, lp
-from usparse.config import RunConfig
-from usparse.emd import emd_run
-from usparse.gdb import Rule, gdb_run
+from usparse import evaluation
+from usparse.config import BACKBONES, METHODS, MODES, RunConfig
+from usparse.dispatch import sparsify
 from usparse.graph import (
-    DiscrepancyMode,
     GraphFormatError,
-    UncertainGraph,
-    derive_rng,
     exact_query_probability,
     generate_synthetic,
     graph_entropy,
@@ -36,12 +30,8 @@ from usparse.graph import (
     save_graph,
 )
 
-
-def _worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("USPARSE_THREADS", "1")))
-    except ValueError:
-        return 1
+CONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+QUERIES = tuple(kind.value for kind in evaluation.QueryKind)
 
 
 def _log(message: str) -> None:
@@ -101,23 +91,18 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gdb_rule(config: RunConfig) -> Rule:
-    k = config.rule_cardinality()
-    if k is None:
-        return Rule("cut-all")
-    if k == 1:
-        return Rule("degree-rel" if config.mode == "rel" else "degree-abs")
-    if config.mode == "rel":
-        raise ValueError("cut rules with k>1 are defined for absolute discrepancies only")
-    return Rule("cut-k", k)
-
-
-def _make_backbone(g, config: RunConfig):
-    if config.backbone == "random":
-        return backbone_mod.random_backbone(g, config.alpha, seed=config.seed)
-    return backbone_mod.build_backbone(
-        g, config.alpha, alpha_prime=config.alpha_prime, seed=config.seed
-    )
+def _quality(g, out) -> dict:
+    """Degree and entropy figures of one sparsified graph against its original."""
+    delta = g.degree_vector() - out.degree_vector()
+    entropy_before = graph_entropy(g)
+    entropy_after = graph_entropy(out)
+    return {
+        "degree_objective": float(np.dot(delta, delta)),
+        "degree_mae": float(np.mean(np.abs(delta))),
+        "entropy_before": entropy_before,
+        "entropy_after": entropy_after,
+        "relative_entropy": (entropy_after / entropy_before) if entropy_before > 0 else None,
+    }
 
 
 def run_sparsify(config: RunConfig) -> dict:
@@ -125,50 +110,15 @@ def run_sparsify(config: RunConfig) -> dict:
     config.validate()
     g = load_graph(config.input)
     started = time.perf_counter()
-    if config.method == "ni":
-        theta = config.theta if config.theta is not None else benchmarks.DEFAULT_THETA
-        out, info = benchmarks.ni_sparsify(g, config.alpha, theta=theta, seed=config.seed)
-    elif config.method == "ss":
-        out, info = benchmarks.ss_sparsify(g, config.alpha, seed=config.seed)
-    else:
-        bb = _make_backbone(g, config)
-        if config.method == "lp":
-            out, info = lp.lp_sparsify(g, bb)
-        elif config.method == "emd":
-            mode = DiscrepancyMode.RELATIVE if config.mode == "rel" else DiscrepancyMode.ABSOLUTE
-            out, info = emd_run(
-                g,
-                bb,
-                h=config.h,
-                mode=mode,
-                tau=config.tau,
-                max_iters=config.max_iters,
-                max_sweeps=config.max_sweeps,
-            )
-        else:
-            out, info = gdb_run(
-                g,
-                bb,
-                h=config.h,
-                rule=_gdb_rule(config),
-                tau=config.tau,
-                max_sweeps=config.max_sweeps,
-            )
+    out, info = sparsify(g, config)
     elapsed = time.perf_counter() - started
     save_graph(out, config.output)
-    delta = g.degree_vector() - out.degree_vector()
-    entropy_before = graph_entropy(g)
-    entropy_after = graph_entropy(out)
     manifest = {
         "config": config.to_dict(),
         "vertices": g.n,
         "edges_original": g.m,
         "edges_sparsified": out.m,
-        "degree_objective": float(np.dot(delta, delta)),
-        "degree_mae": float(np.mean(np.abs(delta))),
-        "entropy_before": entropy_before,
-        "entropy_after": entropy_after,
-        "relative_entropy": (entropy_after / entropy_before) if entropy_before > 0 else None,
+        **_quality(g, out),
         "method_info": info,
     }
     _write_json(_manifest_path(config.output), manifest)
@@ -183,26 +133,15 @@ def _manifest_path(output_path: str) -> str:
 def cmd_sparsify(args) -> int:
     if args.from_manifest:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            config = RunConfig.from_dict(json.load(fh)["config"])
+            payload = json.load(fh)
+        stored = payload.get("config") if isinstance(payload, dict) else None
+        if not isinstance(stored, dict):
+            raise ValueError(f"{args.from_manifest}: manifest has no 'config' object")
+        config = RunConfig.from_dict(stored)
     else:
         if args.method is None or args.alpha is None:
             raise ValueError("sparsify requires --method and --alpha (or --from-manifest)")
-        config = RunConfig(
-            input=args.input,
-            output=args.output,
-            method=args.method,
-            alpha=args.alpha,
-            alpha_prime=args.alpha_prime,
-            backbone=args.backbone,
-            mode=args.mode,
-            rule=args.rule,
-            h=args.h,
-            tau=args.tau,
-            theta=args.theta,
-            seed=args.seed,
-            max_sweeps=args.max_sweeps,
-            max_iters=args.max_iters,
-        )
+        config = RunConfig(**{name: getattr(args, name) for name in CONFIG_DEFAULTS})
     run_sparsify(config)
     return 0
 
@@ -310,14 +249,14 @@ def _cut_mae_profile(g, sparsified, n_cuts, seed):
 
 def _compare_cell(g, config, queries, args):
     """One (method, alpha) cell of the sweep; returns one row per query."""
-    manifest = run_sparsify(config)
-    sparsified = load_graph(config.output, allow_zero=True)
+    sparsified, _ = sparsify(g, config)
+    quality = _quality(g, sparsified)
     base = {
         "method": config.method,
         "alpha": config.alpha,
-        "mae_degree": manifest["degree_mae"],
+        "mae_degree": quality["degree_mae"],
         "mae_cut_sampled": _cut_mae_profile(g, sparsified, args.cut_samples, config.seed),
-        "relative_entropy": manifest["relative_entropy"],
+        "relative_entropy": quality["relative_entropy"],
     }
     rows = []
     for query in queries:
@@ -344,55 +283,24 @@ def cmd_compare(args) -> int:
     queries = [q.strip() for q in args.queries.split(",") if q.strip()]
     for q in queries:
         evaluation.QueryKind(q)
-    out_dir = os.path.dirname(os.path.abspath(args.output))
-    cells = []
+    rows = []
     for method in methods:
         for alpha in alphas:
-            cell_out = os.path.join(out_dir, f".compare_{method}_{alpha:g}.el")
-            cells.append(
-                RunConfig(
-                    input=args.input,
-                    output=cell_out,
-                    method=method,
-                    alpha=alpha,
-                    backbone=args.backbone,
-                    mode=args.mode,
-                    h=args.h,
-                    seed=args.seed,
-                )
+            config = RunConfig(
+                method=method, alpha=alpha, backbone=args.backbone,
+                mode=args.mode, h=args.h, seed=args.seed,
             )
-
-    def run_cell(config):
-        try:
-            return _compare_cell(g, config, queries, args)
-        except Exception as exc:  # failures recorded per cell, sweep continues
-            return [
-                {
-                    "method": config.method,
-                    "alpha": config.alpha,
-                    "query": query,
-                    "mae_degree": "",
-                    "mae_cut_sampled": "",
-                    "relative_entropy": "",
-                    "mean_emd": "",
-                    "relative_variance": "",
-                    "error": str(exc),
-                }
-                for query in queries
-            ]
-
-    workers = _worker_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(run_cell, cells))
-    else:
-        per_cell = [run_cell(c) for c in cells]
+            try:
+                rows += _compare_cell(g, config, queries, args)
+            except (ValueError, RuntimeError) as exc:  # domain errors: recorded, sweep goes on
+                blank = dict.fromkeys(COMPARE_FIELDS, "")
+                rows += [{**blank, "method": method, "alpha": alpha, "query": query,
+                          "error": str(exc)} for query in queries]
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARE_FIELDS)
         writer.writeheader()
-        for rows in per_cell:
-            writer.writerows(rows)
-    _log(f"compare: {len(cells)} cells x {len(queries)} queries -> {args.output}")
+        writer.writerows(rows)
+    _log(f"compare: {len(methods) * len(alphas)} cells x {len(queries)} queries -> {args.output}")
     return 0
 
 
@@ -432,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="usparse", description="Uncertain-graph sparsification toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = CONFIG_DEFAULTS
 
     p_gen = sub.add_parser("generate", help="synthesize a random connected uncertain graph")
     p_gen.add_argument("-n", "--vertices", type=int, required=True)
@@ -446,23 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp = sub.add_parser("sparsify", help="sparsify a graph with one method")
     p_sp.add_argument("-i", "--input", required=True)
     p_sp.add_argument("-o", "--output", required=True)
-    p_sp.add_argument("-m", "--method", choices=("gdb", "emd", "lp", "ni", "ss"))
+    p_sp.add_argument("-m", "--method", choices=METHODS)
     p_sp.add_argument("-a", "--alpha", type=float, help="fraction of edges to keep")
-    p_sp.add_argument("--alpha-prime", type=float, default=None,
+    p_sp.add_argument("--alpha-prime", type=float, default=defaults["alpha_prime"],
                       help="spanning-forest quota (defaults per the method)")
-    p_sp.add_argument("--backbone", choices=("spanning", "random"), default="spanning")
-    p_sp.add_argument("--mode", choices=("abs", "rel"), default="abs")
-    p_sp.add_argument("-k", "--rule", default="1",
+    p_sp.add_argument("--backbone", choices=BACKBONES, default=defaults["backbone"])
+    p_sp.add_argument("--mode", choices=MODES, default=defaults["mode"])
+    p_sp.add_argument("-k", "--rule", default=defaults["rule"],
                       help="cut cardinality to preserve: integer or 'all'")
-    p_sp.add_argument("--h", type=float, default=0.05,
+    p_sp.add_argument("--h", type=float, default=defaults["h"],
                       help="entropy step damping in [0,1]")
-    p_sp.add_argument("--tau", type=float, default=None,
+    p_sp.add_argument("--tau", type=float, default=defaults["tau"],
                       help="absolute convergence threshold on the objective")
-    p_sp.add_argument("--theta", type=float, default=None,
+    p_sp.add_argument("--theta", type=float, default=defaults["theta"],
                       help="epsilon calibration factor (ni only)")
-    p_sp.add_argument("--max-sweeps", type=int, default=100)
-    p_sp.add_argument("--max-iters", type=int, default=50)
-    p_sp.add_argument("--seed", type=int, default=0)
+    p_sp.add_argument("--max-sweeps", type=int, default=defaults["max_sweeps"])
+    p_sp.add_argument("--max-iters", type=int, default=defaults["max_iters"])
+    p_sp.add_argument("--seed", type=int, default=defaults["seed"])
     p_sp.add_argument("--from-manifest", default=None,
                       help="re-run the exact configuration stored in a manifest")
     p_sp.set_defaults(func=cmd_sparsify)
@@ -470,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = sub.add_parser("eval", help="compare a sparsified graph against its original")
     p_ev.add_argument("-i", "--input", required=True, help="original graph")
     p_ev.add_argument("-s", "--sparsified", required=True)
-    p_ev.add_argument("-q", "--query", choices=("pr", "sp", "rl", "cc"), required=True)
+    p_ev.add_argument("-q", "--query", choices=QUERIES, required=True)
     p_ev.add_argument("--samples", type=int, default=evaluation.DEFAULT_N_SAMPLES)
     p_ev.add_argument("--runs", type=int, default=evaluation.DEFAULT_N_RUNS)
     p_ev.add_argument("--pairs", type=int, default=evaluation.DEFAULT_N_PAIRS)
@@ -482,18 +391,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="sweep methods x alphas x queries into one CSV")
     p_cmp.add_argument("-i", "--input", required=True)
-    p_cmp.add_argument("--methods", required=True, help="comma-separated subset of gdb,emd,lp,ni,ss")
+    p_cmp.add_argument("--methods", required=True,
+                       help=f"comma-separated subset of {','.join(METHODS)}")
     p_cmp.add_argument("--alphas", required=True, help="comma-separated ratios")
-    p_cmp.add_argument("--queries", required=True, help="comma-separated subset of pr,sp,rl,cc")
-    p_cmp.add_argument("--backbone", choices=("spanning", "random"), default="spanning")
-    p_cmp.add_argument("--mode", choices=("abs", "rel"), default="abs")
-    p_cmp.add_argument("--h", type=float, default=0.05)
+    p_cmp.add_argument("--queries", required=True,
+                       help=f"comma-separated subset of {','.join(QUERIES)}")
+    p_cmp.add_argument("--backbone", choices=BACKBONES, default=defaults["backbone"])
+    p_cmp.add_argument("--mode", choices=MODES, default=defaults["mode"])
+    p_cmp.add_argument("--h", type=float, default=defaults["h"])
     p_cmp.add_argument("--samples", type=int, default=evaluation.DEFAULT_N_SAMPLES)
     p_cmp.add_argument("--runs", type=int, default=evaluation.DEFAULT_N_RUNS)
     p_cmp.add_argument("--pairs", type=int, default=evaluation.DEFAULT_N_PAIRS)
     p_cmp.add_argument("--cut-samples", type=int, default=200,
                        help="sampled cuts per cardinality for the cut MAE column")
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--seed", type=int, default=defaults["seed"])
     p_cmp.add_argument("-o", "--output", required=True, help="consolidated CSV path")
     p_cmp.set_defaults(func=cmd_compare)
 

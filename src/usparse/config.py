@@ -2,31 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
+
+from usparse.emd import DEFAULT_MAX_ITERS
+from usparse.gdb import DEFAULT_H, DEFAULT_MAX_SWEEPS
 
 METHODS = ("gdb", "emd", "lp", "ni", "ss")
 BACKBONES = ("spanning", "random")
 MODES = ("abs", "rel")
+# Accepted JSON types per field annotation; bool is rejected separately.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 @dataclass
 class RunConfig:
     """Everything needed to reproduce one sparsification run byte-for-byte."""
 
-    input: str
-    output: str
     method: str
     alpha: float
+    input: str = ""  # read and written by the CLI; usparse.sparsify ignores both
+    output: str = ""
     alpha_prime: float | None = None
     backbone: str = "spanning"
     mode: str = "abs"
     rule: str = "1"  # cut cardinality as an integer string, or "all"
-    h: float = 0.05
+    h: float = DEFAULT_H
     tau: float | None = None
     theta: float | None = None
     seed: int = 0
-    max_sweeps: int = 100
-    max_iters: int = 50
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
+    max_iters: int = DEFAULT_MAX_ITERS
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -70,8 +75,23 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        """Build from a manifest's config, type-checking every field it names.
+
+        An int is accepted for a float field, a bool for no numeric field, and
+        None only where the field is optional.
+        """
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in data:
+                if f.default is MISSING:
+                    raise ValueError(f"config field {f.name!r} is missing")
+                continue
+            value = data[f.name]
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         return cls(**data)

@@ -20,7 +20,9 @@ from usparse.gdb import (
     Rule,
     SparsifierState,
     apply_step,
+    degree_norms,
     degree_objective,
+    degree_step,
     descend,
 )
 from usparse.graph import DiscrepancyMode, UncertainGraph
@@ -82,8 +84,7 @@ def insertion_gain(state: SparsifierState, idx: int, candidate_p: float) -> floa
 def _candidate_probability(state, idx, norms, h):
     # Rule-optimal clamped (and entropy-gated) probability for an excluded edge.
     u, v, _ = state.g.edges[idx]
-    nu, nv = norms[u], norms[v]
-    step = (nv * state.vertex_disc[u] + nu * state.vertex_disc[v]) / (nu + nv)
+    step = degree_step(state.vertex_disc[u], state.vertex_disc[v], norms[u], norms[v])
     return apply_step(0.0, step, h)
 
 
@@ -101,11 +102,7 @@ def e_phase(
     The backbone size is invariant across every step.
     """
     g = state.g
-    if mode is DiscrepancyMode.RELATIVE:
-        d = g.degree_vector()
-        norms = [x if x > 0.0 else 1.0 for x in d.tolist()]
-    else:
-        norms = [1.0] * g.n
+    norms = degree_norms(g, mode).tolist()
     disc = state.vertex_disc
     heap = VertexHeap(disc)
     swaps = 0

@@ -99,16 +99,16 @@ def cut_rule_coefficients(n: int, k: int) -> tuple[float, float]:
     return c_deg, c_gap
 
 
-def degree_normalizer(g: UncertainGraph, u: int, mode: DiscrepancyMode) -> float:
-    """Per-vertex weight in the update rule: 1, or the original expected degree.
+def degree_norms(g: UncertainGraph, mode: DiscrepancyMode) -> np.ndarray:
+    """Per-vertex weights of the degree rules: 1, or the original expected degree.
 
     Relative mode divides by the original expected degree; vertices with zero
     expected degree fall back to 1 so the rule stays defined.
     """
     if mode is DiscrepancyMode.ABSOLUTE:
-        return 1.0
-    d = float(g.degree_vector()[u])
-    return d if d > 0.0 else 1.0
+        return np.ones(g.n)
+    d = g.degree_vector()
+    return np.where(d > 0.0, d, 1.0)
 
 
 def degree_step(delta_u: float, delta_v: float, norm_u: float = 1.0, norm_v: float = 1.0) -> float:
@@ -116,9 +116,8 @@ def degree_step(delta_u: float, delta_v: float, norm_u: float = 1.0, norm_v: flo
     return (norm_v * delta_u + norm_u * delta_v) / (norm_u + norm_v)
 
 
-def cut_step(delta_u: float, delta_v: float, disjoint_gap: float, n: int, k: int) -> float:
-    """Optimal unclamped step for the k-cut rule (analytic, no cut enumeration)."""
-    c_deg, c_gap = cut_rule_coefficients(n, k)
+def cut_step(delta_u: float, delta_v: float, disjoint_gap: float, c_deg: float, c_gap: float) -> float:
+    """Optimal unclamped step for the k-cut rule, given cut_rule_coefficients(n, k)."""
     return c_deg * (delta_u + delta_v) + c_gap * disjoint_gap
 
 
@@ -271,19 +270,13 @@ def degree_objective_between(g: UncertainGraph, g2: UncertainGraph, mode=Discrep
     """Sum of squared degree discrepancies between a graph and its sparsified form."""
     if g.n != g2.n:
         raise ValueError("graphs must share the same vertex set")
-    delta = g.degree_vector() - g2.degree_vector()
-    if mode is DiscrepancyMode.RELATIVE:
-        d = g.degree_vector()
-        delta = delta / np.where(d > 0.0, d, 1.0)
+    delta = (g.degree_vector() - g2.degree_vector()) / degree_norms(g, mode)
     return float(np.dot(delta, delta))
 
 
-def degree_objective(state: SparsifierState, mode=DiscrepancyMode.ABSOLUTE, from_scratch: bool = True) -> float:
-    """Objective for degree rules; from_scratch recomputes discrepancies first."""
-    disc = state._scratch_disc() if from_scratch else np.asarray(state.vertex_disc)
-    if mode is DiscrepancyMode.RELATIVE:
-        d = state.g.degree_vector()
-        disc = disc / np.where(d > 0.0, d, 1.0)
+def degree_objective(state: SparsifierState, mode=DiscrepancyMode.ABSOLUTE) -> float:
+    """Objective for degree rules, from discrepancies recomputed from scratch."""
+    disc = state._scratch_disc() / degree_norms(state.g, mode)
     return float(np.dot(disc, disc))
 
 
@@ -320,7 +313,7 @@ def _convergence_objective(state: SparsifierState, rule: Rule) -> float:
     # Cut rules also track the exact degree objective as the progress signal;
     # the sampled cut objective is reporting-only.
     mode = rule.mode if rule.kind.startswith("degree") else DiscrepancyMode.ABSOLUTE
-    return degree_objective(state, mode, from_scratch=True)
+    return degree_objective(state, mode)
 
 
 def sweep(state: SparsifierState, rule: Rule, h: float) -> int:
@@ -328,31 +321,19 @@ def sweep(state: SparsifierState, rule: Rule, h: float) -> int:
     g = state.g
     disc = state.vertex_disc
     probs = state.probs
-    orig = state.orig
     changed = 0
-    if rule.kind == "degree-abs":
-        norms = None
-    elif rule.kind == "degree-rel":
-        d = g.degree_vector()
-        norms = np.where(d > 0.0, d, 1.0).tolist()
     if rule.kind == "cut-k":
         c_deg, c_gap = cut_rule_coefficients(state.n, rule.k)
+    elif rule.kind != "cut-all":
+        norms = degree_norms(g, rule.mode).tolist()
     for idx in state.backbone_indices():
         u, v, _ = g.edges[idx]
-        du = disc[u]
-        dv = disc[v]
-        if rule.kind == "degree-abs":
-            step = (du + dv) / 2.0
-        elif rule.kind == "degree-rel":
-            nu = norms[u]
-            nv = norms[v]
-            step = (nv * du + nu * dv) / (nu + nv)
-        elif rule.kind == "cut-k":
-            own = orig[idx] - probs[idx]
-            gap = state.global_mass_gap - du - dv + own
-            step = c_deg * (du + dv) + c_gap * gap
-        else:  # cut-all
+        if rule.kind == "cut-k":
+            step = cut_step(disc[u], disc[v], state.disjoint_mass_gap(idx), c_deg, c_gap)
+        elif rule.kind == "cut-all":
             step = cut_all_step(state, idx)
+        else:
+            step = degree_step(disc[u], disc[v], norms[u], norms[v])
         new_p = apply_step(probs[idx], step, h)
         if new_p != probs[idx]:
             state.set_prob(idx, new_p)

@@ -580,15 +580,19 @@ def load_graph(path, allow_zero: bool = False) -> UncertainGraph:
     try:
         return UncertainGraph(n, [(u, v, p) for _, u, v, p in edges], allow_zero=allow_zero)
     except ValueError as exc:
-        # Re-validate edge by edge to recover the offending line number.
-        partial = []
-        for lineno, u, v, p in edges:
-            partial.append((u, v, p))
+        if not edges:
+            raise GraphFormatError(f"{path}: {exc}") from exc
+        # Validation runs in input order, so a prefix fails exactly when it
+        # holds the first bad edge: bisect for the shortest failing prefix.
+        lo, hi = 0, len(edges)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                UncertainGraph(n, partial, allow_zero=allow_zero)
-            except ValueError as inner:
-                raise GraphFormatError(f"{path}: line {lineno}: {inner}") from exc
-        raise GraphFormatError(f"{path}: {exc}") from exc
+                UncertainGraph(n, [(u, v, p) for _, u, v, p in edges[:mid]], allow_zero=allow_zero)
+                lo = mid
+            except ValueError:
+                hi = mid
+        raise GraphFormatError(f"{path}: line {edges[hi - 1][0]}: {exc}") from exc
 
 
 def save_graph(g: UncertainGraph, path) -> None:

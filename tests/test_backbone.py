@@ -44,7 +44,7 @@ class TestMaxSpanningForest:
 class TestIteratedForests:
     def test_forests_are_edge_disjoint(self):
         g = generate_synthetic(20, 0.4, seed=3)
-        forests = iterated_spanning_forests(g)
+        forests = list(iterated_spanning_forests(g))
         seen = set()
         for f in forests:
             for e in f:
@@ -54,7 +54,7 @@ class TestIteratedForests:
 
     def test_tree_exhausts_in_one_round(self):
         g = UncertainGraph(4, [(0, 1, 0.2), (1, 2, 0.4), (2, 3, 0.9)])
-        forests = iterated_spanning_forests(g)
+        forests = list(iterated_spanning_forests(g))
         assert len(forests) == 1 and len(forests[0]) == 3
 
 
@@ -97,6 +97,29 @@ class TestDefaultAlphaPrime:
 
 
 class TestBuildBackbone:
+    def test_default_alpha_prime_shares_the_forest_peel(self, monkeypatch):
+        import usparse.backbone as backbone_mod
+
+        g = generate_synthetic(40, 0.5, seed=2)  # at least ten forests deep
+        calls = []
+        original = backbone_mod.max_spanning_forest
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(backbone_mod, "max_spanning_forest", counting)
+        for alpha in (0.2, 0.5):
+            calls.clear()
+            shared = build_backbone(g, alpha, seed=4)
+            with_default = len(calls)
+            alpha_prime = default_alpha_prime(g, alpha)
+            calls.clear()
+            explicit = build_backbone(g, alpha, alpha_prime=alpha_prime, seed=4)
+            # a separate six-forest peel used to come on top of the quota loop
+            assert with_default == len(calls) < 6 + len(calls)
+            assert shared.edges == explicit.edges
+
     def test_alpha_at_floor_gives_one_spanning_tree(self):
         g = generate_synthetic(25, 0.3, seed=1)
         alpha = (g.n - 1) / g.m

@@ -71,6 +71,20 @@ class TestSparsify:
         assert main(["sparsify", "-i", "ignored", "-o", "ignored", "--from-manifest", str(manifest)]) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("damage", ["alpha_as_string", "no_config", "no_method"])
+    def test_bad_manifest_is_domain_error(self, graph_file, tmp_path, damage):
+        _, out = run_sparsify(graph_file, tmp_path, "gdb", name="m.el")
+        manifest = tmp_path / "m.el.manifest.json"
+        payload = json.loads(manifest.read_text())
+        if damage == "alpha_as_string":
+            payload["config"]["alpha"] = "0.3"
+        elif damage == "no_config":
+            del payload["config"]
+        else:
+            del payload["config"]["method"]
+        manifest.write_text(json.dumps(payload))
+        assert main(["sparsify", "-i", "x", "-o", "y", "--from-manifest", str(manifest)]) == 1
+
     def test_emd_rejects_cut_rule(self, graph_file, tmp_path):
         code, _ = run_sparsify(graph_file, tmp_path, "emd", extra=["-k", "2"])
         assert code == 1
@@ -149,6 +163,20 @@ class TestCompare:
         assert len(rows) == 2 * 2 * 2
         assert all(r["error"] == "" for r in rows)
         assert {r["method"] for r in rows} == {"gdb", "ss"}
+        # cells stay in memory: the sweep writes nothing but its CSV
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.el", "sweep.csv"]
+
+    def test_programming_error_escapes(self, graph_file, tmp_path, monkeypatch):
+        import usparse.dispatch
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(usparse.dispatch, "gdb_run", broken)
+        with pytest.raises(TypeError, match="injected"):
+            main(["compare", "-i", str(graph_file), "--methods", "gdb", "--alphas", "0.4",
+                  "--queries", "rl", "--samples", "5", "--runs", "2", "--pairs", "4",
+                  "--cut-samples", "5", "-o", str(tmp_path / "sweep.csv")])
 
     def test_failed_cell_recorded_sweep_continues(self, graph_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -164,21 +192,6 @@ class TestCompare:
         assert len(rows) == 2
         failed = [r for r in rows if r["alpha"] == "0.01"]
         assert failed and failed[0]["error"] != ""
-
-    def test_thread_cap_does_not_change_output(self, graph_file, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("USPARSE_THREADS", threads)
-            out = tmp_path / f"sweep_{threads}.csv"
-            code = main([
-                "compare", "-i", str(graph_file),
-                "--methods", "gdb,ni", "--alphas", "0.4", "--queries", "rl",
-                "--samples", "15", "--runs", "2", "--pairs", "6", "--cut-samples", "10",
-                "-o", str(out),
-            ])
-            assert code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
 
 class TestOracle:

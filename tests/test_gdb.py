@@ -17,7 +17,7 @@ from usparse.gdb import (
     cut_all_step,
     cut_rule_coefficients,
     cut_step,
-    degree_normalizer,
+    degree_norms,
     degree_objective,
     degree_objective_between,
     degree_step,
@@ -52,15 +52,15 @@ class TestRule:
 class TestNormalizer:
     def test_absolute_is_one(self):
         g = UncertainGraph(3, [(0, 1, 0.5)])
-        assert degree_normalizer(g, 0, DiscrepancyMode.ABSOLUTE) == 1.0
+        assert degree_norms(g, DiscrepancyMode.ABSOLUTE)[0] == 1.0
 
     def test_relative_is_expected_degree(self):
         g = UncertainGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 0.5)])
-        assert degree_normalizer(g, 0, DiscrepancyMode.RELATIVE) == pytest.approx(2.0)
+        assert degree_norms(g, DiscrepancyMode.RELATIVE)[0] == pytest.approx(2.0)
 
     def test_relative_isolated_falls_back_to_one(self):
         g = UncertainGraph(3, [(0, 1, 0.5)])
-        assert degree_normalizer(g, 2, DiscrepancyMode.RELATIVE) == 1.0
+        assert degree_norms(g, DiscrepancyMode.RELATIVE)[2] == 1.0
 
 
 class TestDegreeStep:
@@ -106,7 +106,7 @@ class TestCutStep:
         for _ in range(200):
             du, dv, gap = rng.normal(size=3)
             n = int(rng.integers(4, 50))
-            assert cut_step(du, dv, gap, n, 1) == degree_step(du, dv, 1.0, 1.0)
+            assert cut_step(du, dv, gap, *cut_rule_coefficients(n, 1)) == degree_step(du, dv, 1.0, 1.0)
 
     def test_k2_closed_form(self):
         # (n-2)(du+dv) + 4*gap, all over 2n-2
@@ -115,7 +115,8 @@ class TestCutStep:
             du, dv, gap = rng.normal(size=3)
             n = int(rng.integers(4, 60))
             expected = ((n - 2) * (du + dv) + 4 * gap) / (2 * n - 2)
-            assert cut_step(du, dv, gap, n, 2) == pytest.approx(expected, abs=1e-12)
+            got = cut_step(du, dv, gap, *cut_rule_coefficients(n, 2))
+            assert got == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_exact_rational_oracle(self, k):
@@ -134,12 +135,12 @@ class TestCutStep:
         for _ in range(100):
             du, dv, gap = (float(x) for x in rng.normal(size=3))
             n = int(rng.integers(5, 40))
-            got = cut_step(du, dv, gap, n, k)
+            got = cut_step(du, dv, gap, *cut_rule_coefficients(n, k))
             assert got == pytest.approx(float(oracle(du, dv, gap, n, k)), abs=1e-12)
 
     def test_small_n_rejected_for_k2(self):
         with pytest.raises(ValueError, match="at least 4"):
-            cut_step(0.1, 0.1, 0.0, 3, 2)
+            cut_rule_coefficients(3, 2)
 
     def test_coefficients_huge_n_do_not_overflow(self):
         c_deg, c_gap = cut_rule_coefficients(5000, 2500)

@@ -387,6 +387,25 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match="line 1"):
             load_graph(path)
 
+    def test_bad_last_line_of_large_file_reported_in_log_time(self, tmp_path, monkeypatch):
+        import usparse.graph as graph_mod
+
+        m = 20_000
+        lines = [f"{i} {i + 1} 0.5" for i in range(m - 1)] + ["1 0 0.5"]
+        path = tmp_path / "big.el"
+        path.write_text("\n".join(lines) + "\n")
+        built = []
+
+        class CountingGraph(UncertainGraph):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(graph_mod, "UncertainGraph", CountingGraph)
+        with pytest.raises(GraphFormatError, match=f"line {m}: duplicate edge \\(0, 1\\)"):
+            load_graph(path)
+        assert len(built) <= 2 * math.log2(m) + 2
+
     def test_zero_probability_only_for_sparsified(self, tmp_path):
         path = tmp_path / "g.el"
         path.write_text("0 1 0.0\n1 2 0.5\n")

@@ -1,0 +1,32 @@
+"""Smoke tests: each experiment script runs end to end on a small graph."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, argv, rows",
+    [
+        ("density_sweep", ["--densities", "0.4", "--methods", "gdb,emd,lp,ni,ss",
+                           "--alpha", "0.4", "--cut-samples", "5"], 5),
+        ("h_sensitivity", ["--density", "0.4", "--alphas", "0.3,0.5", "--hs", "0,1"], 4),
+    ],
+)
+def test_script_writes_csv(name, argv, rows, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert load_script(name).main(["--vertices", "20", "--seed", "3", *argv, "-o", str(out)]) == 0
+    written = list(csv.DictReader(open(out)))
+    assert len(written) == rows
+    assert f"wrote {rows} rows" in capsys.readouterr().out
