@@ -159,8 +159,8 @@ def run_eval(g, sparsified, kind, n_samples, n_runs, n_pairs, seed, with_varianc
     """Evaluate one query; returns (csv rows, summary dict)."""
     units = evaluation.default_units(g, kind, n_pairs=n_pairs, seed=seed)
     report = evaluation.emd_report(g, sparsified, kind, units, n_samples=n_samples, seed=seed)
-    means_orig = evaluation.mc_point_estimates(g, kind, units, n_samples, seed)
-    means_sparse = evaluation.mc_point_estimates(sparsified, kind, units, n_samples, seed)
+    means_orig = evaluation.distribution_means(report.left)
+    means_sparse = evaluation.distribution_means(report.right)
     rows = [
         {
             "unit": _unit_id(unit),

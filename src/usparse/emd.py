@@ -62,15 +62,20 @@ class VertexHeap:
         return -self._heap[0][0]
 
 
-def gain_value(delta_u: float, delta_v: float, candidate_p: float) -> float:
+def gain_value(
+    delta_u: float, delta_v: float, candidate_p: float, norm_u: float = 1.0, norm_v: float = 1.0
+) -> float:
     """Objective improvement from inserting an edge at candidate_p.
 
     delta_u and delta_v are the endpoint discrepancies with the edge absent;
     inserting mass w shrinks both by w, improving the squared objective by
-    delta^2 - (delta - w)^2 per endpoint.
+    (delta^2 - (delta - w)^2) / norm^2 per endpoint, with the norms of
+    degree_norms (1 in absolute mode).
     """
     w = candidate_p
-    return (delta_u**2 - (delta_u - w) ** 2) + (delta_v**2 - (delta_v - w) ** 2)
+    gain_u = (delta_u**2 - (delta_u - w) ** 2) / norm_u**2
+    gain_v = (delta_v**2 - (delta_v - w) ** 2) / norm_v**2
+    return gain_u + gain_v
 
 
 def insertion_gain(state: SparsifierState, idx: int, candidate_p: float) -> float:
@@ -114,13 +119,13 @@ def e_phase(
         top = heap.top()
 
         # (-gain, keep-preference, canonical pair) ordering picks the winner.
-        best = (-gain_value(disc[u], disc[v], prior), 0, (u, v), idx, prior)
+        best = (-gain_value(disc[u], disc[v], prior, norms[u], norms[v]), 0, (u, v), idx, prior)
         for _, eidx in g.neighbors(top):
             if state.in_backbone[eidx]:
                 continue
             a, b, _ = g.edges[eidx]
             w = _candidate_probability(state, eidx, norms, h)
-            entry = (-gain_value(disc[a], disc[b], w), 1, (a, b), eidx, w)
+            entry = (-gain_value(disc[a], disc[b], w, norms[a], norms[b]), 1, (a, b), eidx, w)
             if entry < best:
                 best = entry
         _, _, (a, b), chosen, w = best

@@ -156,17 +156,28 @@ def validate_units(g: UncertainGraph, kind: QueryKind, units) -> list:
 
 def default_units(g: UncertainGraph, kind: QueryKind, n_pairs: int = DEFAULT_N_PAIRS,
                   seed: int = 0) -> list:
-    """All vertices for vertex queries; seeded random distinct pairs otherwise."""
+    """All vertices for vertex queries; seeded random distinct pairs otherwise.
+
+    Pairs are drawn in order and a pair whose unordered form was already drawn
+    is skipped.  Asking for at least every pair returns them all, in canonical
+    order.
+    """
     if not kind.pairwise:
         return list(range(g.n))
+    if n_pairs >= g.n * (g.n - 1) // 2:
+        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
     rng = derive_rng(seed, 0xA11)
     pairs = []
-    for _ in range(n_pairs):
+    seen = set()
+    while len(pairs) < n_pairs:
         u = int(rng.integers(0, g.n))
         v = int(rng.integers(0, g.n - 1))
         if v >= u:
             v += 1
-        pairs.append((u, v))
+        unordered = (min(u, v), max(u, v))
+        if unordered not in seen:
+            seen.add(unordered)
+            pairs.append((u, v))
     return pairs
 
 
@@ -226,9 +237,17 @@ def relative_entropy(g: UncertainGraph, g2: UncertainGraph) -> float:
 
 @dataclass
 class EmdReport:
+    """Per-unit distances, plus the per-unit distributions they were read from.
+
+    `left` and `right` map each unit to its QueryDistribution on the first and
+    the second graph; they stay empty when the report is built by hand.
+    """
+
     kind: QueryKind
     per_unit: dict
     skipped_units: list = field(default_factory=list)
+    left: dict = field(default_factory=dict)
+    right: dict = field(default_factory=dict)
 
     @property
     def mean(self) -> float:
@@ -269,7 +288,12 @@ def emd_report(
             skipped.append(unit)
         else:
             per_unit[unit] = earth_movers_distance(left[unit], right[unit])
-    return EmdReport(kind, per_unit, skipped)
+    return EmdReport(kind, per_unit, skipped, left, right)
+
+
+def distribution_means(dists: dict) -> dict:
+    """Mean of each unit's distribution; NaN where the distribution is empty."""
+    return {unit: (math.nan if d.empty else d.mean()) for unit, d in dists.items()}
 
 
 def mc_point_estimates(
@@ -285,10 +309,7 @@ def mc_point_estimates(
     Shortest path averages over the worlds where the pair is connected and
     gives NaN when there are none; reliability is a plain frequency.
     """
-    dists = mc_distributions(g, kind, units, n_samples, seed, key=key)
-    return {
-        unit: (math.nan if d.empty else d.mean()) for unit, d in dists.items()
-    }
+    return distribution_means(mc_distributions(g, kind, units, n_samples, seed, key=key))
 
 
 def variance_protocol(

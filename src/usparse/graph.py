@@ -387,12 +387,6 @@ def sample_world(g: UncertainGraph, rng: np.random.Generator) -> DeterministicWo
     return DeterministicWorld(g.n, edges)
 
 
-def sample_worlds(g: UncertainGraph, n_samples: int, seed: int):
-    """Yield n_samples worlds, one per (seed, index)-derived generator."""
-    for i in range(n_samples):
-        yield sample_world(g, derive_rng(seed, i))
-
-
 def _world_from_mask(g: UncertainGraph, mask: int) -> DeterministicWorld:
     edges = [(u, v) for i, (u, v, _) in enumerate(g.edges) if mask >> i & 1]
     return DeterministicWorld(g.n, edges)

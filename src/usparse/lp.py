@@ -1,16 +1,21 @@
-"""Exact optimal probability assignment on a backbone, via linear programming.
+"""Exact optimal probability assignment on a backbone, via maximum flow.
 
 Maximizing the total assigned probability subject to per-vertex expected
 degree caps is equivalent to minimizing the total absolute degree discrepancy
-(an optimal assignment never over-shoots a degree).  The solver is a small
-dense bounded-variable revised simplex with Bland's rule, which is plenty at
-desk scale and produces the duals needed for an optimality certificate.  The
-open probability interval (0,1] is relaxed to [0,1]; an edge solved at zero
-is reported as retained with zero mass, as elsewhere in the package.
+(an optimal assignment never over-shoots a degree).  That LP is a fractional
+b-matching, and it equals half the maximum flow on the bipartite double cover:
+the source feeds each left copy L_v at capacity d_v, each backbone edge uv
+gives arcs L_u->R_v and L_v->R_u at capacity 1, and each right copy R_v drains
+to the sink at capacity d_v.  An edge's probability is the mean of its two
+arc flows.  The minimum cut read off the final residual graph certifies
+optimality.  The open probability interval (0,1] is relaxed to [0,1]; an edge
+solved at zero is reported as retained with zero mass, as elsewhere in the
+package.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,184 +23,125 @@ import numpy as np
 from usparse.backbone import BackboneGraph
 from usparse.graph import UncertainGraph
 
-MAX_LP_EDGES = 2000  # desk-scale guard; the solver is dense
-DEFAULT_TOL = 1e-9
+RESIDUAL_TOL = 1e-12  # residual capacity at or below this counts as saturated
 CERTIFICATE_TOL = 1e-7
 
 
 @dataclass
-class SimplexResult:
-    x: np.ndarray
+class LpResult:
     objective: float
-    duals: np.ndarray
-    reduced_costs: np.ndarray
-    iterations: int
     certificate_gap: float
 
 
-class SimplexError(RuntimeError):
+class CertificateError(RuntimeError):
     pass
 
 
-def simplex_max_bounded(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    upper: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 50_000,
-) -> SimplexResult:
-    """Maximize c.x subject to A x <= b, 0 <= x <= upper (b must be >= 0).
+def max_flow(n_nodes: int, arcs, source: int, sink: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dinic's maximum flow over float capacities.
 
-    Slack variables give the trivially feasible starting basis.  Entering
-    variables follow Bland's rule (smallest eligible index) for anti-cycling;
-    the ratio test allows bound flips.  The explicit basis inverse is
-    refreshed periodically to bound numerical drift.
+    arcs is a sequence of (tail, head, capacity) with capacity >= 0.  Each
+    phase builds BFS levels on the residual graph, then saturates it with
+    augmenting paths found by an iterative DFS over the level graph.  Returns
+    the flow on each arc and a boolean mask of the nodes reachable from the
+    source in the final residual graph: the source side of a minimum cut.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    nr, nx = A.shape
-    if b.shape != (nr,) or c.shape != (nx,) or upper.shape != (nx,):
-        raise ValueError("dimension mismatch between c, A, b and bounds")
-    if np.any(b < -tol):
-        raise ValueError("b must be non-negative for the slack starting basis")
+    # Residual arc 2i is arc i; 2i+1 is its reverse, whose capacity is the flow.
+    head = []
+    cap = []
+    out = [[] for _ in range(n_nodes)]
+    for i, (u, v, c) in enumerate(arcs):
+        if not c >= 0.0:
+            raise ValueError(f"arc {i} has negative or undefined capacity {c}")
+        out[u].append(2 * i)
+        out[v].append(2 * i + 1)
+        head += (v, u)
+        cap += (float(c), 0.0)
 
-    ncols = nx + nr
-    cols_c = np.concatenate([c, np.zeros(nr)])
-    bounds_hi = np.concatenate([upper, np.full(nr, np.inf)])
+    def bfs_levels():
+        level = [-1] * n_nodes
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for a in out[u]:
+                v = head[a]
+                if level[v] < 0 and cap[a] > RESIDUAL_TOL:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
 
-    def column(j):
-        if j < nx:
-            return A[:, j]
-        e = np.zeros(nr)
-        e[j - nx] = 1.0
-        return e
-
-    full_A = np.hstack([A, np.eye(nr)])
-
-    basis = np.arange(nx, nx + nr)
-    in_basis = np.zeros(ncols, dtype=bool)
-    in_basis[basis] = True
-    at_upper = np.zeros(ncols, dtype=bool)
-    binv = np.eye(nr)
-    xb = b.copy()
-
-    def refactorize():
-        nonlocal binv, xb
-        binv = np.linalg.inv(full_A[:, basis])
-        rhs = b - full_A[:, at_upper & ~in_basis] @ bounds_hi[at_upper & ~in_basis]
-        xb = binv @ rhs
-
-    iterations = 0
-    since_refactor = 0
-    while True:
-        if iterations >= max_iter:
-            raise SimplexError(f"simplex iteration cap {max_iter} exceeded")
-        y = cols_c[basis] @ binv
-        z = cols_c - y @ full_A
-        eligible = (~in_basis) & (
-            ((~at_upper) & (z > tol)) | (at_upper & (z < -tol))
-        )
-        candidates = np.flatnonzero(eligible)
-        if candidates.size == 0:
-            break
-        j = int(candidates[0])  # Bland: smallest index
-        direction = binv @ column(j)
-        from_upper = bool(at_upper[j])
-        # With t the (non-negative) move of the entering variable, basics
-        # change by -t*direction when entering rises, +t*direction when it falls.
-        eff = direction if not from_upper else -direction
-        lows = xb / np.where(eff > tol, eff, np.nan)
-        highs = (bounds_hi[basis] - xb) / np.where(eff < -tol, -eff, np.nan)
-        t_candidates = np.where(eff > tol, lows, np.where(eff < -tol, highs, np.inf))
-        t_candidates = np.where(np.isnan(t_candidates), np.inf, t_candidates)
-        t_basic = float(np.min(t_candidates)) if nr else np.inf
-        span = bounds_hi[j]
-        t = min(t_basic, span)
-        if not np.isfinite(t):
-            raise SimplexError("unbounded direction; problem data is inconsistent")
-        if span <= t_basic + tol and np.isfinite(span):
-            # bound flip: the entering variable crosses to its other bound
-            xb = xb - span * eff
-            at_upper[j] = not at_upper[j]
-        else:
-            blockers = np.flatnonzero(t_candidates <= t + tol)
-            r = int(blockers[np.argmin(basis[blockers])])  # Bland on leaving
-            leaving = int(basis[r])
-            xb = xb - t * eff
-            leave_at_upper = eff[r] < 0
-            at_upper[leaving] = bool(leave_at_upper)
-            in_basis[leaving] = False
-            basis[r] = j
-            in_basis[j] = True
-            at_upper[j] = False
-            xb[r] = (bounds_hi[j] - t) if from_upper else t
-            pivot = direction[r]
-            binv[r, :] /= pivot
-            for i in range(nr):
-                if i != r and direction[i] != 0.0:
-                    binv[i, :] -= direction[i] * binv[r, :]
-        iterations += 1
-        since_refactor += 1
-        if since_refactor >= 64:
-            refactorize()
-            since_refactor = 0
-
-    refactorize()
-    x_full = np.where(at_upper, np.where(np.isfinite(bounds_hi), bounds_hi, 0.0), 0.0)
-    x_full[basis] = xb
-    x = x_full[:nx]
-    y = cols_c[basis] @ binv
-    z = cols_c - y @ full_A
-    objective = float(c @ x)
-    # weak-duality gap of (y, max(z,0)) against the primal value
-    w = np.maximum(z[:nx], 0.0)
-    dual_obj = float(y @ b + w @ upper)
-    gap = abs(dual_obj - objective)
-    return SimplexResult(
-        x=x,
-        objective=objective,
-        duals=y,
-        reduced_costs=z[:nx],
-        iterations=iterations,
-        certificate_gap=gap,
-    )
+    level = bfs_levels()
+    while level[sink] >= 0:
+        current = [0] * n_nodes  # next arc to try at each node
+        path = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                path.clear()
+                u = source
+                continue
+            arcs_u = out[u]
+            i = current[u]
+            while i < len(arcs_u):
+                a = arcs_u[i]
+                if cap[a] > RESIDUAL_TOL and level[head[a]] == level[u] + 1:
+                    break
+                i += 1
+            current[u] = i
+            if i < len(arcs_u):
+                path.append(arcs_u[i])
+                u = head[arcs_u[i]]
+            elif path:  # dead end: retreat and skip the arc that led here
+                u = head[path.pop() ^ 1]
+                current[u] += 1
+            else:
+                break  # the level graph is blocked
+        level = bfs_levels()
+    flow = np.array(cap[1::2])
+    return flow, np.array(level) >= 0
 
 
 def solve_optimal_assignment(
     g: UncertainGraph, backbone: BackboneGraph
-) -> tuple[np.ndarray, SimplexResult]:
+) -> tuple[np.ndarray, LpResult]:
     """Probabilities on the backbone edges maximizing total mass under degree caps.
 
     Returns the per-edge assignment (aligned with backbone.edges) and the
-    solver result.  Raises if the optimality certificate is worse than 1e-7
-    or the instance exceeds the desk-scale size cap.
+    solver result.  Raises if the minimum cut exceeds the flow value by
+    CERTIFICATE_TOL or more, or if the assignment is infeasible.
     """
-    mb = backbone.m
-    if mb > MAX_LP_EDGES:
-        raise ValueError(f"LP assignment is desk-scale only: {mb} edges exceeds {MAX_LP_EDGES}")
     if backbone.vertex_count != g.n:
         raise ValueError("dimension mismatch: backbone and graph vertex counts differ")
     known = {(u, v) for u, v, _ in g.edges}
     for e in backbone.edges:
         if e not in known:
             raise ValueError(f"backbone edge {e} does not exist in the graph")
-    A = np.zeros((g.n, mb))
-    for j, (u, v) in enumerate(backbone.edges):
-        A[u, j] = 1.0
-        A[v, j] = 1.0
+    n, mb = g.n, backbone.m
     d = g.degree_vector()
-    result = simplex_max_bounded(np.ones(mb), A, d, np.ones(mb))
-    if result.certificate_gap >= CERTIFICATE_TOL:
-        raise SimplexError(
-            f"optimality certificate failed: gap {result.certificate_gap:.3e}"
-        )
-    feas = A @ result.x - d
-    if np.any(feas > 1e-9) or np.any(result.x < -1e-9) or np.any(result.x > 1 + 1e-9):
-        raise SimplexError("solution violates feasibility beyond tolerance")
-    return np.clip(result.x, 0.0, 1.0), result
+    source, sink = 2 * n, 2 * n + 1
+    arcs = [(source, v, d[v]) for v in range(n)]
+    for u, v in backbone.edges:
+        arcs += ((u, n + v, 1.0), (v, n + u, 1.0))
+    arcs += [(n + v, sink, d[v]) for v in range(n)]
+    flow, source_side = max_flow(2 * n + 2, arcs, source, sink)
+
+    value = float(flow[:n].sum())
+    cut = sum(c for u, v, c in arcs if source_side[u] and not source_side[v])
+    gap = abs(cut - value)
+    if gap >= CERTIFICATE_TOL:
+        raise CertificateError(f"optimality certificate failed: gap {gap:.3e}")
+    x = (flow[n:n + 2 * mb:2] + flow[n + 1:n + 2 * mb:2]) / 2.0
+    u_idx = np.array([u for u, _ in backbone.edges], dtype=int)
+    v_idx = np.array([v for _, v in backbone.edges], dtype=int)
+    load = np.bincount(u_idx, x, minlength=n) + np.bincount(v_idx, x, minlength=n)
+    if np.any(load - d > 1e-9) or np.any(x < -1e-9) or np.any(x > 1 + 1e-9):
+        raise CertificateError("solution violates feasibility beyond tolerance")
+    return np.clip(x, 0.0, 1.0), LpResult(objective=value / 2.0, certificate_gap=gap)
 
 
 def lp_mae(g: UncertainGraph, assignment: np.ndarray, backbone: BackboneGraph) -> float:
@@ -214,7 +160,6 @@ def lp_sparsify(g: UncertainGraph, backbone: BackboneGraph) -> tuple[UncertainGr
     out = UncertainGraph(g.n, edges, allow_zero=True)
     info = {
         "objective": result.objective,
-        "iterations": result.iterations,
         "certificate_gap": result.certificate_gap,
         "mae": lp_mae(g, assignment, backbone),
     }

@@ -129,6 +129,20 @@ class TestEval:
         assert summary["units_evaluated"] + summary["units_skipped"] == 12
         assert summary["relative_variance"] is None or summary["relative_variance"] >= 0
 
+    def test_each_world_sampled_once(self, graph_file, tmp_path, monkeypatch):
+        # the report's distributions give the means: S worlds per graph, plus
+        # S per graph for each of the R variance runs
+        from usparse import cli, evaluation
+
+        _, out = run_sparsify(graph_file, tmp_path, "gdb")
+        g, sparsified = load_graph(graph_file), load_graph(out, allow_zero=True)
+        calls = []
+        original = evaluation.sample_world
+        monkeypatch.setattr(evaluation, "sample_world", lambda *a: calls.append(1) or original(*a))
+        n_samples, n_runs = 7, 3
+        cli.run_eval(g, sparsified, evaluation.QueryKind.RELIABILITY, n_samples, n_runs, 5, 2)
+        assert len(calls) == 2 * n_samples * (1 + n_runs)
+
     def test_vertex_count_mismatch(self, graph_file, tmp_path):
         other = tmp_path / "other.el"
         assert main(["generate", "-n", "30", "-d", "0.3", "-o", str(other)]) == 0

@@ -11,6 +11,7 @@ from usparse.gdb import (
     Rule,
     SparsifierState,
     apply_step,
+    degree_norms,
     degree_objective,
     degree_objective_between,
     degree_step,
@@ -75,6 +76,25 @@ class TestGain:
                 with_edge = degree_objective(state)
                 state.exclude(idx)
                 assert insertion_gain(state, idx, w) == pytest.approx(
+                    without - with_edge, abs=1e-12
+                )
+
+    def test_weighted_gain_matches_relative_objective_difference(self):
+        g = UncertainGraph(
+            5, [(0, 1, 0.6), (0, 2, 0.5), (1, 2, 0.4), (2, 3, 0.7), (3, 4, 0.8)]
+        )
+        rel = DiscrepancyMode.RELATIVE
+        norms = degree_norms(g, rel)
+        state = SparsifierState(g, [(0, 1), (2, 3), (3, 4)])
+        for idx in (1, 2):
+            u, v, _ = g.edges[idx]
+            du, dv = state.vertex_disc[u], state.vertex_disc[v]
+            for w in (0.2, 0.5, 0.9):
+                without = degree_objective(state, rel)
+                state.include(idx, w)
+                with_edge = degree_objective(state, rel)
+                state.exclude(idx)
+                assert gain_value(du, dv, w, norms[u], norms[v]) == pytest.approx(
                     without - with_edge, abs=1e-12
                 )
 
@@ -150,6 +170,21 @@ class TestEmdRun:
         g = generate_synthetic(30, 0.4, seed=6)
         backbone = build_backbone(g, 0.35, seed=6)
         _, info = emd_run(g, backbone, h=0.05)
+        hist = info["objective_history"]
+        assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
+
+    def test_objective_monotone_per_iteration_relative(self):
+        g = generate_synthetic(30, 0.4, seed=6)
+        backbone = build_backbone(g, 0.35, seed=6)
+        _, info = emd_run(g, backbone, h=0.05, mode=DiscrepancyMode.RELATIVE)
+        hist = info["objective_history"]
+        assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_relative_objective_never_rises(self, seed):
+        g = generate_synthetic(60, 0.2, seed=seed)
+        backbone = build_backbone(g, 0.3, seed=seed)
+        _, info = emd_run(g, backbone, mode=DiscrepancyMode.RELATIVE)
         hist = info["objective_history"]
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 

@@ -164,9 +164,16 @@ class TestMcDistributions:
     def test_default_units(self):
         g = generate_synthetic(10, 0.4, seed=1)
         assert default_units(g, QueryKind.PAGERANK) == list(range(10))
+        # 50 pairs asked of a 10-vertex graph, which has only 45: all of them
         pairs = default_units(g, QueryKind.RELIABILITY, n_pairs=50, seed=1)
-        assert len(pairs) == 50
+        assert pairs == [(u, v) for u in range(10) for v in range(u + 1, 10)]
+
+    def test_default_units_are_distinct_pairs(self):
+        g = generate_synthetic(100, 0.05, seed=1)
+        pairs = default_units(g, QueryKind.RELIABILITY, n_pairs=1000, seed=3)
+        assert len(pairs) == 1000
         assert all(u != v for u, v in pairs)
+        assert len({(min(u, v), max(u, v)) for u, v in pairs}) == 1000
 
 
 class TestEarthMoversDistance:

@@ -1,5 +1,6 @@
-"""Tests for the bounded-variable simplex and the optimal assignment oracle."""
+"""Tests for the max-flow solver and the optimal assignment oracle."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -8,58 +9,89 @@ from usparse.backbone import BackboneGraph, build_backbone
 from usparse.gdb import gdb_run
 from usparse.graph import UncertainGraph, derive_rng, generate_synthetic
 from usparse.lp import (
-    SimplexError,
     lp_mae,
     lp_sparsify,
-    simplex_max_bounded,
+    max_flow,
     solve_optimal_assignment,
 )
 
 
-def scipy_reference(c, A, b, upper):
-    res = linprog(-np.asarray(c), A_ub=A, b_ub=b, bounds=[(0, u) for u in upper], method="highs")
+def scipy_reference(g, backbone):
+    A = np.zeros((g.n, backbone.m))
+    for j, (u, v) in enumerate(backbone.edges):
+        A[u, j] = 1.0
+        A[v, j] = 1.0
+    res = linprog(
+        -np.ones(backbone.m), A_ub=A, b_ub=g.degree_vector(), bounds=(0, 1), method="highs"
+    )
     assert res.success
     return -res.fun
 
 
-class TestSimplex:
-    def test_tiny_known_lp(self):
-        # max x0 + x1 s.t. x0 + x1 <= 1.5, each in [0, 1]
-        res = simplex_max_bounded(
-            np.ones(2), np.array([[1.0, 1.0]]), np.array([1.5]), np.ones(2)
-        )
-        assert res.objective == pytest.approx(1.5, abs=1e-9)
-        assert res.certificate_gap < 1e-9
+def cut_capacity(arcs, source_side):
+    return sum(c for u, v, c in arcs if source_side[u] and not source_side[v])
 
-    def test_upper_bounds_bind(self):
-        # constraint is slack; both variables cap at their upper bound
-        res = simplex_max_bounded(
-            np.ones(2), np.array([[1.0, 1.0]]), np.array([10.0]), np.array([0.3, 0.4])
-        )
-        assert res.objective == pytest.approx(0.7, abs=1e-9)
 
-    def test_degenerate_rhs(self):
-        # a zero row bound forces the incident variable to zero
-        A = np.array([[1.0, 0.0], [1.0, 1.0]])
-        res = simplex_max_bounded(np.ones(2), A, np.array([0.0, 1.0]), np.ones(2))
-        assert res.objective == pytest.approx(1.0, abs=1e-9)
-        assert res.x[0] == pytest.approx(0.0, abs=1e-9)
+def checked_flow_value(n_nodes, arcs, source, sink, flow):
+    """Flow value out of the source, after asserting capacity and conservation."""
+    caps = np.array([c for _, _, c in arcs])
+    assert np.all(flow >= 0.0) and np.all(flow <= caps + 1e-12)
+    net = np.zeros(n_nodes)
+    for (u, v, _), f in zip(arcs, flow):
+        net[u] -= f
+        net[v] += f
+    inner = [w for w in range(n_nodes) if w not in (source, sink)]
+    assert np.allclose(net[inner], 0.0, atol=1e-9)
+    return float(-net[source])
+
+
+class TestMaxFlow:
+    def test_tiny_known_network(self):
+        # two unit paths, one narrowed to 0.5 at its last arc
+        arcs = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 0.5)]
+        flow, side = max_flow(4, arcs, 0, 3)
+        assert checked_flow_value(4, arcs, 0, 3, flow) == pytest.approx(1.5, abs=1e-12)
+        assert cut_capacity(arcs, side) == pytest.approx(1.5, abs=1e-12)
+
+    def test_binding_unit_cap(self):
+        # ample capacity into and out of a unit middle arc: the unit arc is the cut
+        arcs = [(0, 1, 5.0), (1, 2, 1.0), (2, 3, 5.0)]
+        flow, side = max_flow(4, arcs, 0, 3)
+        assert flow.tolist() == [1.0, 1.0, 1.0]
+        assert side.tolist() == [True, True, False, False]
+
+    def test_zero_capacity_vertex(self):
+        # vertex 1 receives nothing, so its outgoing arc carries nothing
+        arcs = [(0, 1, 0.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
+        flow, side = max_flow(4, arcs, 0, 3)
+        assert flow.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert not side[1]
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            max_flow(2, [(0, 1, -1.0)], 0, 1)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_random_instances_match_scipy(self, seed):
+    def test_random_digraphs_match_networkx(self, seed):
         rng = derive_rng(seed)
-        nr, nx = int(rng.integers(3, 12)), int(rng.integers(3, 20))
-        A = (rng.random((nr, nx)) < 0.4) * rng.random((nr, nx))
-        b = rng.random(nr) * 3
-        c = rng.random(nx)
-        upper = np.ones(nx)
-        res = simplex_max_bounded(c, A, b, upper)
-        assert res.objective == pytest.approx(scipy_reference(c, A, b, upper), abs=1e-7)
-        assert res.certificate_gap < 1e-7
-
-    def test_negative_rhs_rejected(self):
-        with pytest.raises(ValueError):
-            simplex_max_bounded(np.ones(1), np.array([[1.0]]), np.array([-1.0]), np.ones(1))
+        n_nodes = int(rng.integers(4, 16))
+        arcs = []
+        for u in range(n_nodes):
+            for v in range(n_nodes):
+                if u != v and rng.random() < 0.35:
+                    cap = 0.0 if rng.random() < 0.15 else float(rng.random() * 3)
+                    arcs.append((u, v, cap))
+        source, sink = 0, n_nodes - 1
+        flow, side = max_flow(n_nodes, arcs, source, sink)
+        value = checked_flow_value(n_nodes, arcs, source, sink, flow)
+        reference = nx.DiGraph()
+        reference.add_nodes_from(range(n_nodes))
+        for u, v, c in arcs:
+            reference.add_edge(u, v, capacity=c)
+        expected = nx.maximum_flow_value(reference, source, sink)
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert side[source] and not side[sink]
+        assert cut_capacity(arcs, side) == pytest.approx(value, abs=1e-9)
 
 
 class TestOptimalAssignment:
@@ -93,12 +125,7 @@ class TestOptimalAssignment:
         g = generate_synthetic(18, 0.45, seed=seed)
         backbone = build_backbone(g, 0.45, seed=seed)
         _, result = solve_optimal_assignment(g, backbone)
-        A = np.zeros((g.n, backbone.m))
-        for j, (u, v) in enumerate(backbone.edges):
-            A[u, j] = 1.0
-            A[v, j] = 1.0
-        expected = scipy_reference(np.ones(backbone.m), A, g.degree_vector(), np.ones(backbone.m))
-        assert result.objective == pytest.approx(expected, abs=1e-7)
+        assert result.objective == pytest.approx(scipy_reference(g, backbone), abs=1e-7)
 
     def test_dominates_descent_on_l1(self):
         # the LP minimizes the total absolute degree discrepancy exactly, so
@@ -112,17 +139,26 @@ class TestOptimalAssignment:
             gdb_err = float(np.mean(np.abs(g.degree_vector() - out.degree_vector())))
             assert gdb_err >= lp_err - 1e-7
 
-    def test_size_cap(self):
-        g = generate_synthetic(80, 0.8, seed=2)
-        backbone = BackboneGraph(g.n, tuple((u, v) for u, v, _ in g.edges), source="spanning")
+    def test_large_backbone_matches_scipy(self):
+        # above the 2,000 edges a dense solver used to refuse
+        g = generate_synthetic(100, 0.5, seed=2)
+        backbone = build_backbone(g, 0.85, seed=2)
         assert backbone.m > 2000
-        with pytest.raises(ValueError, match="desk-scale"):
-            solve_optimal_assignment(g, backbone)
+        assignment, result = solve_optimal_assignment(g, backbone)
+        assert result.certificate_gap < 1e-7
+        assert result.objective == pytest.approx(scipy_reference(g, backbone), abs=1e-7)
+        assert lp_mae(g, assignment, backbone) > 0.0
 
     def test_unknown_backbone_edge_rejected(self):
         g = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.5)])
         backbone = BackboneGraph(4, ((0, 3),), source="random")
         with pytest.raises(ValueError, match="does not exist"):
+            solve_optimal_assignment(g, backbone)
+
+    def test_vertex_count_mismatch_rejected(self):
+        g = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.5)])
+        backbone = BackboneGraph(5, ((0, 1),), source="random")
+        with pytest.raises(ValueError, match="vertex counts"):
             solve_optimal_assignment(g, backbone)
 
 
@@ -135,6 +171,7 @@ class TestLpSparsify:
         assert tuple((u, v) for u, v, _ in out.edges) == backbone.edges
         assert info["certificate_gap"] < 1e-7
         assert info["mae"] >= 0.0
+        assert set(info) == {"objective", "certificate_gap", "mae"}
 
     def test_deterministic(self):
         g = generate_synthetic(15, 0.5, seed=4)
