@@ -14,15 +14,7 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
-from usparse import (
-    RunConfig,
-    generate_synthetic,
-    graph_entropy,
-    sampled_k_discrepancy_mae,
-    sparsify,
-)
+from usparse import RunConfig, cut_mae_profile, generate_synthetic, quality, sparsify
 
 
 def main(argv=None):
@@ -41,24 +33,17 @@ def main(argv=None):
     rows = []
     for density in densities:
         g = generate_synthetic(args.vertices, density, seed=args.seed)
-        h_orig = graph_entropy(g)
         for method in methods:
             out, _ = sparsify(g, RunConfig(method=method, alpha=args.alpha, seed=args.seed))
-            delta = g.degree_vector() - out.degree_vector()
-            ks = sorted({1, 2, g.n // 2, g.n})
-            cut_mae = float(
-                np.mean(
-                    [sampled_k_discrepancy_mae(g, out, k, args.cut_samples, args.seed) for k in ks]
-                )
-            )
+            scores = quality(g, out)
             rows.append(
                 {
                     "density": density,
                     "method": method,
                     "edges": g.m,
-                    "mae_degree": float(np.mean(np.abs(delta))),
-                    "mae_cut_sampled": cut_mae,
-                    "relative_entropy": graph_entropy(out) / h_orig,
+                    "mae_degree": scores["degree_mae"],
+                    "mae_cut_sampled": cut_mae_profile(g, out, args.cut_samples, args.seed),
+                    "relative_entropy": scores["relative_entropy"],
                 }
             )
             print(f"density={density:g} {method}: degree MAE {rows[-1]['mae_degree']:.4g}, "

@@ -15,9 +15,7 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
-from usparse import build_backbone, gdb_run, generate_synthetic, graph_entropy
+from usparse import build_backbone, gdb_run, generate_synthetic, quality
 
 
 def main(argv=None):
@@ -31,19 +29,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     g = generate_synthetic(args.vertices, args.density, seed=args.seed)
-    h_orig = graph_entropy(g)
     rows = []
     for alpha in (float(a) for a in args.alphas.split(",")):
         backbone = build_backbone(g, alpha, seed=args.seed)
         for h in (float(x) for x in args.hs.split(",")):
             out, info = gdb_run(g, backbone, h=h)
-            delta = g.degree_vector() - out.degree_vector()
+            scores = quality(g, out)
             rows.append(
                 {
                     "alpha": alpha,
                     "h": h,
-                    "mae_degree": float(np.mean(np.abs(delta))),
-                    "relative_entropy": graph_entropy(out) / h_orig,
+                    "mae_degree": scores["degree_mae"],
+                    "relative_entropy": scores["relative_entropy"],
                     "sweeps": info["sweeps"],
                 }
             )

@@ -15,9 +15,11 @@ from usparse.emd import emd_run
 from usparse.evaluation import (
     QueryDistribution,
     QueryKind,
+    cut_mae_profile,
     earth_movers_distance,
     emd_report,
     mc_distributions,
+    quality,
     relative_entropy,
     variance_protocol,
 )
@@ -39,7 +41,7 @@ from usparse.graph import (
     sampled_k_discrepancy_mae,
     save_graph,
 )
-from usparse.lp import lp_mae, lp_sparsify, solve_optimal_assignment
+from usparse.lp import lp_sparsify, solve_optimal_assignment
 
 __all__ = [
     "BackboneGraph",
@@ -52,6 +54,7 @@ __all__ = [
     "RunConfig",
     "UncertainGraph",
     "build_backbone",
+    "cut_mae_profile",
     "default_alpha_prime",
     "degree_objective_between",
     "derive_rng",
@@ -66,11 +69,11 @@ __all__ = [
     "generate_synthetic",
     "graph_entropy",
     "load_graph",
-    "lp_mae",
     "lp_sparsify",
     "max_spanning_forest",
     "mc_distributions",
     "ni_sparsify",
+    "quality",
     "random_backbone",
     "relative_entropy",
     "sample_world",

@@ -125,11 +125,6 @@ def forest_round_sampler(wg: WeightedGraph, seed: int):
     return sample
 
 
-def ni_core(wg: WeightedGraph, epsilon: float, seed: int) -> WeightedGraph:
-    """One forest-round connectivity sample at epsilon (see forest_round_sampler)."""
-    return WeightedGraph(wg.n, tuple(forest_round_sampler(wg, seed)(epsilon)))
-
-
 def ni_sparsify(
     g: UncertainGraph, alpha: float, theta: float = DEFAULT_THETA, seed: int = 0
 ) -> tuple[UncertainGraph, dict]:

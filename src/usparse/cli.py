@@ -24,9 +24,7 @@ from usparse.graph import (
     GraphFormatError,
     exact_query_probability,
     generate_synthetic,
-    graph_entropy,
     load_graph,
-    sampled_k_discrepancy_mae,
     save_graph,
 )
 
@@ -91,20 +89,6 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _quality(g, out) -> dict:
-    """Degree and entropy figures of one sparsified graph against its original."""
-    delta = g.degree_vector() - out.degree_vector()
-    entropy_before = graph_entropy(g)
-    entropy_after = graph_entropy(out)
-    return {
-        "degree_objective": float(np.dot(delta, delta)),
-        "degree_mae": float(np.mean(np.abs(delta))),
-        "entropy_before": entropy_before,
-        "entropy_after": entropy_after,
-        "relative_entropy": (entropy_after / entropy_before) if entropy_before > 0 else None,
-    }
-
-
 def run_sparsify(config: RunConfig) -> dict:
     """Execute one sparsification run; returns the manifest payload."""
     config.validate()
@@ -118,7 +102,7 @@ def run_sparsify(config: RunConfig) -> dict:
         "vertices": g.n,
         "edges_original": g.m,
         "edges_sparsified": out.m,
-        **_quality(g, out),
+        **evaluation.quality(g, out),
         "method_info": info,
     }
     _write_json(_manifest_path(config.output), manifest)
@@ -240,22 +224,16 @@ COMPARE_FIELDS = [
 ]
 
 
-def _cut_mae_profile(g, sparsified, n_cuts, seed):
-    """Average of sampled-cut MAEs over a small ladder of cut cardinalities."""
-    ks = sorted({1, 2, max(1, g.n // 4), max(1, g.n // 2), max(1, (3 * g.n) // 4), g.n})
-    values = [sampled_k_discrepancy_mae(g, sparsified, k, n_cuts, seed) for k in ks]
-    return float(np.mean(values))
-
-
 def _compare_cell(g, config, queries, args):
     """One (method, alpha) cell of the sweep; returns one row per query."""
     sparsified, _ = sparsify(g, config)
-    quality = _quality(g, sparsified)
+    quality = evaluation.quality(g, sparsified)
+    cut_mae = evaluation.cut_mae_profile(g, sparsified, args.cut_samples, config.seed)
     base = {
         "method": config.method,
         "alpha": config.alpha,
         "mae_degree": quality["degree_mae"],
-        "mae_cut_sampled": _cut_mae_profile(g, sparsified, args.cut_samples, config.seed),
+        "mae_cut_sampled": cut_mae,
         "relative_entropy": quality["relative_entropy"],
     }
     rows = []

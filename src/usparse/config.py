@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from usparse.emd import DEFAULT_MAX_ITERS
-from usparse.gdb import DEFAULT_H, DEFAULT_MAX_SWEEPS
+from usparse.gdb import DEFAULT_H, DEFAULT_MAX_SWEEPS, Rule
+from usparse.graph import DiscrepancyMode
 
 METHODS = ("gdb", "emd", "lp", "ni", "ss")
 BACKBONES = ("spanning", "random")
-MODES = ("abs", "rel")
+MODES = tuple(mode.value for mode in DiscrepancyMode)
 # Accepted JSON types per field annotation; bool is rejected separately.
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
@@ -50,25 +51,21 @@ class RunConfig:
             raise ValueError("tau must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative 64-bit integer")
-        if self.rule != "all":
-            try:
-                k = int(self.rule)
-            except ValueError:
-                raise ValueError(f"rule must be an integer or 'all', got {self.rule!r}")
-            if k < 1:
-                raise ValueError("rule cardinality must be at least 1")
-        if self.method == "emd" and self.rule != "1":
-            raise ValueError("the emd method only preserves degrees: rule k>1 is not allowed")
-        if self.method in ("lp", "ni", "ss") and self.rule != "1":
+        rule = self.objective()
+        if self.method != "gdb" and rule.k != 1:
             raise ValueError(f"method {self.method!r} does not take a cut rule")
+        if self.method in ("lp", "ni", "ss") and rule.mode is not DiscrepancyMode.ABSOLUTE:
+            raise ValueError(f"method {self.method!r} does not take a discrepancy mode")
         if self.theta is not None and self.method != "ni":
             raise ValueError("theta only applies to the ni method")
-        if self.method in ("ni", "ss") and self.mode != "abs":
-            raise ValueError(f"method {self.method!r} does not take a discrepancy mode")
 
-    def rule_cardinality(self) -> int | None:
-        """k as an integer, or None for the all-cuts rule."""
-        return None if self.rule == "all" else int(self.rule)
+    def objective(self) -> Rule:
+        """The Rule a gdb or emd run minimizes, parsed from rule and mode."""
+        try:
+            k = None if self.rule == "all" else int(self.rule)
+        except ValueError:
+            raise ValueError(f"rule must be an integer or 'all', got {self.rule!r}") from None
+        return Rule(k, DiscrepancyMode(self.mode))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,20 +6,9 @@ from usparse.backbone import build_backbone, random_backbone
 from usparse.benchmarks import DEFAULT_THETA, ni_sparsify, ss_sparsify
 from usparse.config import RunConfig
 from usparse.emd import emd_run
-from usparse.gdb import Rule, gdb_run
-from usparse.graph import DiscrepancyMode, UncertainGraph
+from usparse.gdb import gdb_run
+from usparse.graph import UncertainGraph
 from usparse.lp import lp_sparsify
-
-
-def _gdb_rule(config: RunConfig) -> Rule:
-    k = config.rule_cardinality()
-    if k is None:
-        return Rule("cut-all")
-    if k == 1:
-        return Rule("degree-rel" if config.mode == "rel" else "degree-abs")
-    if config.mode == "rel":
-        raise ValueError("cut rules with k>1 are defined for absolute discrepancies only")
-    return Rule("cut-k", k)
 
 
 def _make_backbone(g: UncertainGraph, config: RunConfig):
@@ -43,11 +32,10 @@ def sparsify(g: UncertainGraph, config: RunConfig) -> tuple[UncertainGraph, dict
     bb = _make_backbone(g, config)
     if config.method == "lp":
         return lp_sparsify(g, bb)
+    rule = config.objective()
     if config.method == "emd":
         return emd_run(
-            g, bb, h=config.h, mode=DiscrepancyMode(config.mode), tau=config.tau,
+            g, bb, h=config.h, mode=rule.mode, tau=config.tau,
             max_iters=config.max_iters, max_sweeps=config.max_sweeps,
         )
-    return gdb_run(
-        g, bb, h=config.h, rule=_gdb_rule(config), tau=config.tau, max_sweeps=config.max_sweeps
-    )
+    return gdb_run(g, bb, h=config.h, rule=rule, tau=config.tau, max_sweeps=config.max_sweeps)

@@ -78,14 +78,6 @@ def gain_value(
     return gain_u + gain_v
 
 
-def insertion_gain(state: SparsifierState, idx: int, candidate_p: float) -> float:
-    """Gain of inserting the currently excluded edge idx at candidate_p."""
-    if state.in_backbone[idx]:
-        raise ValueError("gain is defined for edges currently outside the backbone")
-    u, v, _ = state.g.edges[idx]
-    return gain_value(state.vertex_disc[u], state.vertex_disc[v], candidate_p)
-
-
 def _candidate_probability(state, idx, norms, h):
     # Rule-optimal clamped (and entropy-gated) probability for an excluded edge.
     u, v, _ = state.g.edges[idx]
@@ -154,7 +146,7 @@ def emd_run(
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("h must lie in [0, 1]")
-    rule = Rule("degree-rel" if mode is DiscrepancyMode.RELATIVE else "degree-abs")
+    rule = Rule(1, mode)
     state = SparsifierState(g, backbone.edges)
     previous = degree_objective(state, mode)
     tau_eff = tau if tau is not None else DEFAULT_TAU_FRACTION * previous

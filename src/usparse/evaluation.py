@@ -25,6 +25,7 @@ from usparse.graph import (
     derive_rng,
     graph_entropy,
     sample_world,
+    sampled_k_discrepancy_mae,
 )
 
 DEFAULT_N_SAMPLES = 500
@@ -233,6 +234,27 @@ def relative_entropy(g: UncertainGraph, g2: UncertainGraph) -> float:
     if h <= 0.0:
         raise ValueError("original graph has zero entropy")
     return graph_entropy(g2) / h
+
+
+def quality(g: UncertainGraph, out: UncertainGraph) -> dict:
+    """Degree and entropy figures of one sparsified graph against its original."""
+    delta = g.degree_vector() - out.degree_vector()
+    entropy_before = graph_entropy(g)
+    entropy_after = graph_entropy(out)
+    return {
+        "degree_objective": float(np.dot(delta, delta)),
+        "degree_mae": float(np.mean(np.abs(delta))),
+        "entropy_before": entropy_before,
+        "entropy_after": entropy_after,
+        "relative_entropy": (entropy_after / entropy_before) if entropy_before > 0 else None,
+    }
+
+
+def cut_mae_profile(g: UncertainGraph, out: UncertainGraph, n_cuts: int, seed: int) -> float:
+    """Average of sampled-cut MAEs over a small ladder of cut cardinalities."""
+    ks = sorted({1, 2, max(1, g.n // 4), max(1, g.n // 2), max(1, (3 * g.n) // 4), g.n})
+    values = [sampled_k_discrepancy_mae(g, out, k, n_cuts, seed) for k in ks]
+    return float(np.mean(values))
 
 
 @dataclass

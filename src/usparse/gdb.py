@@ -34,38 +34,20 @@ DEFAULT_TAU_FRACTION = 1e-6
 
 @dataclass(frozen=True)
 class Rule:
-    """Which discrepancies a run minimizes.
+    """Which discrepancies a run minimizes: cuts of up to k vertices.
 
-    kind is one of "degree-abs", "degree-rel", "cut-k" (with k >= 1) or
-    "cut-all"; cut-k with k=1 coincides exactly with degree-abs.
+    k=1 is the degree rule, k>=2 the k-cut rule and k=None the all-cuts
+    rule.  Only the degree rule has a relative mode; cut rules are absolute.
     """
 
-    kind: str
-    k: int = 1
-
-    KINDS = ("degree-abs", "degree-rel", "cut-k", "cut-all")
+    k: int | None = 1
+    mode: DiscrepancyMode = DiscrepancyMode.ABSOLUTE
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "cut-k" and self.k < 1:
-            raise ValueError("cut-k requires k >= 1")
-
-    @property
-    def mode(self) -> DiscrepancyMode:
-        return DiscrepancyMode.RELATIVE if self.kind == "degree-rel" else DiscrepancyMode.ABSOLUTE
-
-    @classmethod
-    def parse(cls, text: str) -> "Rule":
-        """Parse CLI syntax: degree-abs | degree-rel | cut-k:<int> | cut-all."""
-        if text in ("degree-abs", "degree-rel", "cut-all"):
-            return cls(text)
-        if text.startswith("cut-k:"):
-            return cls("cut-k", int(text.split(":", 1)[1]))
-        raise ValueError(f"cannot parse rule {text!r}")
-
-    def __str__(self):
-        return f"cut-k:{self.k}" if self.kind == "cut-k" else self.kind
+        if self.k is not None and self.k < 1:
+            raise ValueError("rule cardinality must be at least 1")
+        if self.k != 1 and self.mode is not DiscrepancyMode.ABSOLUTE:
+            raise ValueError("cut rules (k>1 or all) are defined for absolute discrepancies only")
 
 
 def binomial_prefix_sum(n: int, k: int) -> int:
@@ -309,31 +291,25 @@ def sampled_cut_objective(
     return total
 
 
-def _convergence_objective(state: SparsifierState, rule: Rule) -> float:
-    # Cut rules also track the exact degree objective as the progress signal;
-    # the sampled cut objective is reporting-only.
-    mode = rule.mode if rule.kind.startswith("degree") else DiscrepancyMode.ABSOLUTE
-    return degree_objective(state, mode)
-
-
 def sweep(state: SparsifierState, rule: Rule, h: float) -> int:
     """One full pass over the backbone in canonical order; returns updates made."""
     g = state.g
     disc = state.vertex_disc
     probs = state.probs
     changed = 0
-    if rule.kind == "cut-k":
-        c_deg, c_gap = cut_rule_coefficients(state.n, rule.k)
-    elif rule.kind != "cut-all":
+    k = rule.k
+    if k == 1:
         norms = degree_norms(g, rule.mode).tolist()
+    elif k is not None:
+        c_deg, c_gap = cut_rule_coefficients(state.n, k)
     for idx in state.backbone_indices():
         u, v, _ = g.edges[idx]
-        if rule.kind == "cut-k":
-            step = cut_step(disc[u], disc[v], state.disjoint_mass_gap(idx), c_deg, c_gap)
-        elif rule.kind == "cut-all":
+        if k == 1:
+            step = degree_step(disc[u], disc[v], norms[u], norms[v])
+        elif k is None:
             step = cut_all_step(state, idx)
         else:
-            step = degree_step(disc[u], disc[v], norms[u], norms[v])
+            step = cut_step(disc[u], disc[v], state.disjoint_mass_gap(idx), c_deg, c_gap)
         new_p = apply_step(probs[idx], step, h)
         if new_p != probs[idx]:
             state.set_prob(idx, new_p)
@@ -358,7 +334,9 @@ def descend(
         raise ValueError("h must lie in [0, 1]")
     if tau is not None and tau < 0.0:
         raise ValueError("tau must be positive")
-    previous = _convergence_objective(state, rule)
+    # Cut rules are absolute, so they track the exact absolute degree objective
+    # as the progress signal; the sampled cut objective is reporting-only.
+    previous = degree_objective(state, rule.mode)
     history = [previous]
     tau_eff = tau if tau is not None else DEFAULT_TAU_FRACTION * previous
     sweeps = 0
@@ -366,7 +344,7 @@ def descend(
         sweep(state, rule, h)
         sweeps += 1
         state.resync()
-        current = _convergence_objective(state, rule)
+        current = degree_objective(state, rule.mode)
         history.append(current)
         if abs(previous - current) <= tau_eff:
             break
@@ -384,7 +362,7 @@ def gdb_run(
     g: UncertainGraph,
     backbone: BackboneGraph,
     h: float = DEFAULT_H,
-    rule: Rule = Rule("degree-abs"),
+    rule: Rule = Rule(),
     tau: float | None = None,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> tuple[UncertainGraph, dict]:

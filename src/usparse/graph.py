@@ -84,7 +84,7 @@ class UncertainGraph:
     threads for reading.
     """
 
-    __slots__ = ("n", "edges", "_us", "_vs", "_ps", "_adj", "_incident", "_degrees")
+    __slots__ = ("n", "edges", "_us", "_vs", "_ps", "_adj", "_degrees")
 
     def __init__(
         self,
@@ -122,7 +122,6 @@ class UncertainGraph:
         self._vs = None
         self._ps = None
         self._adj = None
-        self._incident = None
         self._degrees = None
 
     @property
@@ -152,16 +151,6 @@ class UncertainGraph:
     @property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for u, v, _ in self.edges)
-
-    def incident_edges(self, u: int) -> list[int]:
-        """Indices (into self.edges) of the edges touching vertex u."""
-        if self._incident is None:
-            inc = [[] for _ in range(self.n)]
-            for i, (a, b, _) in enumerate(self.edges):
-                inc[a].append(i)
-                inc[b].append(i)
-            self._incident = inc
-        return self._incident[u]
 
     def neighbors(self, u: int) -> list[tuple[int, int]]:
         """(neighbor, edge index) pairs for vertex u."""

@@ -144,15 +144,6 @@ def solve_optimal_assignment(
     return np.clip(x, 0.0, 1.0), LpResult(objective=value / 2.0, certificate_gap=gap)
 
 
-def lp_mae(g: UncertainGraph, assignment: np.ndarray, backbone: BackboneGraph) -> float:
-    """Mean absolute degree discrepancy of an assignment, over all vertices."""
-    d_new = np.zeros(g.n)
-    for j, (u, v) in enumerate(backbone.edges):
-        d_new[u] += assignment[j]
-        d_new[v] += assignment[j]
-    return float(np.mean(np.abs(g.degree_vector() - d_new)))
-
-
 def lp_sparsify(g: UncertainGraph, backbone: BackboneGraph) -> tuple[UncertainGraph, dict]:
     """Sparsified graph carrying the LP-optimal probabilities on the backbone."""
     assignment, result = solve_optimal_assignment(g, backbone)
@@ -161,6 +152,5 @@ def lp_sparsify(g: UncertainGraph, backbone: BackboneGraph) -> tuple[UncertainGr
     info = {
         "objective": result.objective,
         "certificate_gap": result.certificate_gap,
-        "mae": lp_mae(g, assignment, backbone),
     }
     return out, info

@@ -10,7 +10,7 @@ from usparse.benchmarks import (
     CalibrationError,
     WeightedGraph,
     contiguous_forest_rounds,
-    ni_core,
+    forest_round_sampler,
     ni_sparsify,
     ss_core,
     ss_sparsify,
@@ -97,27 +97,27 @@ class TestNiCore:
     def test_tiny_epsilon_keeps_everything_at_original_weight(self):
         g = generate_synthetic(12, 0.4, seed=1)
         wg = to_ni_weights(g)
-        out = ni_core(wg, epsilon=1e-6, seed=3)
-        assert sorted((u, v) for u, v, _ in out.edges) == sorted((u, v) for u, v, _ in wg.edges)
+        out = forest_round_sampler(wg, 3)(1e-6)
+        assert sorted((u, v) for u, v, _ in out) == sorted((u, v) for u, v, _ in wg.edges)
         original = {(u, v): w for u, v, w in wg.edges}
-        assert all(w == original[(u, v)] for u, v, w in out.edges)
+        assert all(w == original[(u, v)] for u, v, w in out)
 
     def test_single_tree_sampled_at_round_one_probability(self):
         wg = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
         eps = 2.0
         keep_p = min(math.log(4) / eps**2, 1.0)
         uniforms = derive_rng(11).random(3)
-        out = ni_core(wg, epsilon=eps, seed=11)
+        out = forest_round_sampler(wg, 11)(eps)
         expected = [e for e, u in zip(sorted((u, v) for u, v, _ in wg.edges), uniforms) if u < keep_p]
-        assert sorted((u, v) for u, v, _ in out.edges) == expected
+        assert sorted((u, v) for u, v, _ in out) == expected
 
     def test_kept_weight_is_original_over_keep_probability(self):
         wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
         eps = 1.0
-        out = ni_core(wg, epsilon=eps, seed=0)
+        out = forest_round_sampler(wg, 0)(eps)
         death, _ = contiguous_forest_rounds(wg)
         original = {(0, 1): 1, (0, 2): 2, (1, 2): 1}
-        for u, v, w in out.edges:
+        for u, v, w in out:
             keep_p = min(math.log(3) / (eps**2 * death[(u, v)]), 1.0)
             assert w == pytest.approx(original[(u, v)] / keep_p)
 

@@ -89,6 +89,26 @@ class TestSparsify:
         code, _ = run_sparsify(graph_file, tmp_path, "emd", extra=["-k", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("method, extra", [
+        ("gdb", ["-k", "all", "--mode", "rel"]),
+        ("gdb", ["-k", "2", "--mode", "rel"]),
+        ("lp", ["--mode", "rel"]),
+    ])
+    def test_ignored_mode_is_refused(self, graph_file, tmp_path, method, extra):
+        code, out = run_sparsify(graph_file, tmp_path, method, extra=extra)
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.el"]
+
+    def test_hand_edited_mode_refused_on_replay(self, graph_file, tmp_path):
+        _, out = run_sparsify(graph_file, tmp_path, "lp", name="lp.el")
+        manifest = tmp_path / "lp.el.manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["config"]["mode"] = "rel"
+        manifest.write_text(json.dumps(payload))
+        out.unlink()
+        assert main(["sparsify", "-i", "x", "-o", "y", "--from-manifest", str(manifest)]) == 1
+        assert not out.exists()
+
     def test_theta_only_for_ni(self, graph_file, tmp_path):
         code, _ = run_sparsify(graph_file, tmp_path, "gdb", extra=["--theta", "1.2"])
         assert code == 1
@@ -207,6 +227,21 @@ class TestCompare:
         failed = [r for r in rows if r["alpha"] == "0.01"]
         assert failed and failed[0]["error"] != ""
 
+    def test_relative_mode_fails_only_absolute_methods(self, graph_file, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "compare", "-i", str(graph_file),
+            "--methods", "gdb,lp", "--alphas", "0.4", "--queries", "rl,cc", "--mode", "rel",
+            "--samples", "10", "--runs", "2", "--pairs", "5", "--cut-samples", "5",
+            "-o", str(out),
+        ])
+        assert code == 0
+        rows = list(csv.DictReader(open(out)))
+        assert [(r["method"], r["error"] != "") for r in rows] == [
+            ("gdb", False), ("gdb", False), ("lp", True), ("lp", True)
+        ]
+        assert "discrepancy mode" in rows[2]["error"]
+
 
 class TestOracle:
     def test_connected_probability(self, tmp_path, capsys):
@@ -249,6 +284,8 @@ class TestRunConfig:
             RunConfig(input="a", output="b", method="gdb", alpha=0.3, h=2.0),
             RunConfig(input="a", output="b", method="gdb", alpha=0.3, seed=-1),
             RunConfig(input="a", output="b", method="ni", alpha=0.3, mode="rel"),
+            RunConfig(input="a", output="b", method="gdb", alpha=0.3, rule="all", mode="rel"),
+            RunConfig(input="a", output="b", method="lp", alpha=0.3, mode="rel"),
         ]
         for config in bad:
             with pytest.raises(ValueError):

@@ -34,19 +34,19 @@ def full_backbone(g):
 
 
 class TestRule:
-    def test_parse_round_trip(self):
-        for text in ("degree-abs", "degree-rel", "cut-k:3", "cut-all"):
-            assert str(Rule.parse(text)) == text
+    def test_default_is_absolute_degree_rule(self):
+        assert Rule() == Rule(1, DiscrepancyMode.ABSOLUTE)
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            Rule.parse("cut-k:zero")
-        with pytest.raises(ValueError):
-            Rule.parse("banana")
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_cardinality_below_one(self, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            Rule(k)
 
-    def test_mode(self):
-        assert Rule.parse("degree-rel").mode is DiscrepancyMode.RELATIVE
-        assert Rule.parse("cut-k:2").mode is DiscrepancyMode.ABSOLUTE
+    @pytest.mark.parametrize("k", [2, 5, None])
+    def test_cut_rules_are_absolute_only(self, k):
+        with pytest.raises(ValueError, match="absolute"):
+            Rule(k, DiscrepancyMode.RELATIVE)
+        assert Rule(k).mode is DiscrepancyMode.ABSOLUTE
 
 
 class TestNormalizer:
@@ -269,7 +269,7 @@ class TestCutAllStep:
             state.orig[j] - state.probs[j] for j in state.backbone_indices() if j != 0
         )
         before = state.probs[0]
-        sweep(state, Rule("cut-all"), h=1.0)  # first visited edge is index 0
+        sweep(state, Rule(None), h=1.0)  # first visited edge is index 0
         # the first update moved edge 0 by exactly the pre-update gap (unclamped,
         # and entropy at 0.5 would decrease when moving toward 0.5 from 0.4 + 0.1)
         assert state.probs[0] == pytest.approx(before + gap_excl, abs=1e-12)
@@ -332,7 +332,7 @@ class TestGdbRun:
         idx = state.edge_index[(0, 3)]
         assert state.vertex_disc[0] == pytest.approx(0.6)
         assert state.vertex_disc[3] == pytest.approx(0.0)
-        sweep(state, Rule("degree-abs"), h=1.0)
+        sweep(state, Rule(), h=1.0)
         assert state.probs[idx] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
@@ -373,31 +373,24 @@ class TestGdbRun:
                 # any change taken at h=0 cannot have raised entropy
                 assert edge_entropy(p) <= edge_entropy(original[(u, v)]) + 1e-12
 
-    def test_cut1_matches_degree_abs_run(self):
-        g = generate_synthetic(20, 0.5, seed=10)
-        backbone = build_backbone(g, 0.4, seed=10)
-        out_deg, _ = gdb_run(g, backbone, h=0.05)
-        out_cut, _ = gdb_run(g, backbone, h=0.05, rule=Rule("cut-k", 1))
-        assert out_deg.edges == out_cut.edges
-
     def test_relative_mode_terminates_and_improves(self):
         g = generate_synthetic(30, 0.4, seed=13)
         backbone = build_backbone(g, 0.4, seed=13)
-        _, info = gdb_run(g, backbone, h=0.05, rule=Rule("degree-rel"))
+        _, info = gdb_run(g, backbone, h=0.05, rule=Rule(1, DiscrepancyMode.RELATIVE))
         assert info["objective_final"] <= info["objective_initial"] + 1e-9
 
     def test_cut_all_from_cold_start_is_fixed_point(self):
         # retained-edge gaps start at zero, so the cut-all rule makes no change
         g = generate_synthetic(15, 0.5, seed=14)
         backbone = build_backbone(g, 0.5, seed=14)
-        out, _ = gdb_run(g, backbone, h=1.0, rule=Rule("cut-all"))
+        out, _ = gdb_run(g, backbone, h=1.0, rule=Rule(None))
         original = {(u, v): p for u, v, p in g.edges}
         assert all(p == original[(u, v)] for u, v, p in out.edges)
 
     def test_cut2_run_respects_contracts(self):
         g = generate_synthetic(25, 0.5, seed=15)
         backbone = build_backbone(g, 0.4, seed=15)
-        out, info = gdb_run(g, backbone, h=0.05, rule=Rule("cut-k", 2))
+        out, info = gdb_run(g, backbone, h=0.05, rule=Rule(2))
         assert tuple((u, v) for u, v, _ in out.edges) == backbone.edges
         assert all(0.0 <= p <= 1.0 for _, _, p in out.edges)
         assert info["sweeps"] >= 1
