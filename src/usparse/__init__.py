@@ -23,7 +23,7 @@ from usparse.evaluation import (
     relative_entropy,
     variance_protocol,
 )
-from usparse.gdb import Rule, degree_objective_between, gdb_run
+from usparse.gdb import Rule, gdb_run
 from usparse.graph import (
     DeterministicWorld,
     DiscrepancyMode,
@@ -56,7 +56,6 @@ __all__ = [
     "build_backbone",
     "cut_mae_profile",
     "default_alpha_prime",
-    "degree_objective_between",
     "derive_rng",
     "earth_movers_distance",
     "edge_entropy",

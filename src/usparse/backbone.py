@@ -32,15 +32,6 @@ class BackboneGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    def is_connected(self) -> bool:
-        uf = UnionFind(self.vertex_count)
-        for u, v in self.edges:
-            uf.union(u, v)
-        return uf.components <= 1
-
 
 def target_edge_count(m: int, alpha: float) -> int:
     """round-half-to-even of alpha*m, the exact size every sparsifier must emit."""

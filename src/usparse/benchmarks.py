@@ -68,8 +68,11 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
     Round r builds a spanning forest that must retain every still-alive edge
     of round r-1's forest (contiguity), extended maximally by descending
     residual weight with canonical tie-break.  Forest members lose one unit
-    of weight per round; an edge dies when its residual hits zero.  Returns
-    (edge -> death round, list of forests per round).
+    of weight per round; an edge dies when its residual hits zero.  A round
+    in which no edge dies leaves the alive set unchanged, so the next round
+    rebuilds the same forest: each forest is built once and held until its
+    lightest member dies, which bounds the forests by m.  Returns
+    (edge -> death round, [(forest, rounds it is held), ...]).
     """
     residual = {(u, v): int(w) for u, v, w in wg.edges}
     alive = set(residual)
@@ -78,7 +81,6 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
     forests = []
     r = 0
     while alive:
-        r += 1
         uf = UnionFind(wg.n)
         forest = []
         for e in sorted(prev_forest & alive):
@@ -87,13 +89,15 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
         for e in sorted(alive - prev_forest, key=lambda e: (-residual[e], e)):
             if uf.union(*e):
                 forest.append(e)
-        for e in sorted(forest):
-            residual[e] -= 1
+        repeats = min(residual[e] for e in forest)
+        r += repeats
+        for e in forest:
+            residual[e] -= repeats
             if residual[e] == 0:
                 death_round[e] = r
                 alive.discard(e)
         prev_forest = set(forest)
-        forests.append(sorted(forest))
+        forests.append((sorted(forest), repeats))
     return death_round, forests
 
 

@@ -296,6 +296,8 @@ def cmd_oracle(args) -> int:
         if args.source is None or args.target is None:
             raise ValueError("reachable query needs --source and --target")
         s, t = args.source, args.target
+        if not (0 <= s < g.n and 0 <= t < g.n):
+            raise ValueError(f"--source {s} and --target {t} must lie in [0, {g.n})")
         value = exact_query_probability(g, lambda w: w.reachable(s, t))
         payload = {"query": "reachable", "source": s, "target": t, "probability": value}
     payload["edges"] = g.m

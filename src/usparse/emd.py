@@ -57,24 +57,24 @@ class VertexHeap:
             raise IndexError("heap is empty")
         return heap[0][1]
 
-    def top_key(self) -> float:
-        self.top()
-        return -self._heap[0][0]
-
 
 def gain_value(
-    delta_u: float, delta_v: float, candidate_p: float, norm_u: float = 1.0, norm_v: float = 1.0
+    delta_u: float,
+    delta_v: float,
+    candidate_p: float,
+    sq_norm_u: float = 1.0,
+    sq_norm_v: float = 1.0,
 ) -> float:
     """Objective improvement from inserting an edge at candidate_p.
 
     delta_u and delta_v are the endpoint discrepancies with the edge absent;
     inserting mass w shrinks both by w, improving the squared objective by
-    (delta^2 - (delta - w)^2) / norm^2 per endpoint, with the norms of
-    degree_norms (1 in absolute mode).
+    (delta^2 - (delta - w)^2) / norm^2 per endpoint, where sq_norm is the
+    square of the endpoint's degree_norms entry (1 in absolute mode).
     """
     w = candidate_p
-    gain_u = (delta_u**2 - (delta_u - w) ** 2) / norm_u**2
-    gain_v = (delta_v**2 - (delta_v - w) ** 2) / norm_v**2
+    gain_u = (delta_u**2 - (delta_u - w) ** 2) / sq_norm_u
+    gain_v = (delta_v**2 - (delta_v - w) ** 2) / sq_norm_v
     return gain_u + gain_v
 
 
@@ -100,6 +100,7 @@ def e_phase(
     """
     g = state.g
     norms = degree_norms(g, mode).tolist()
+    sq_norms = [norm**2 for norm in norms]
     disc = state.vertex_disc
     heap = VertexHeap(disc)
     swaps = 0
@@ -111,13 +112,15 @@ def e_phase(
         top = heap.top()
 
         # (-gain, keep-preference, canonical pair) ordering picks the winner.
-        best = (-gain_value(disc[u], disc[v], prior, norms[u], norms[v]), 0, (u, v), idx, prior)
+        gain = gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v])
+        best = (-gain, 0, (u, v), idx, prior)
         for _, eidx in g.neighbors(top):
             if state.in_backbone[eidx]:
                 continue
             a, b, _ = g.edges[eidx]
             w = _candidate_probability(state, eidx, norms, h)
-            entry = (-gain_value(disc[a], disc[b], w, norms[a], norms[b]), 1, (a, b), eidx, w)
+            gain = gain_value(disc[a], disc[b], w, sq_norms[a], sq_norms[b])
+            entry = (-gain, 1, (a, b), eidx, w)
             if entry < best:
                 best = entry
         _, _, (a, b), chosen, w = best

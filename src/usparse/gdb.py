@@ -17,14 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from usparse.backbone import BackboneGraph
-from usparse.graph import (
-    DiscrepancyMode,
-    UncertainGraph,
-    derive_rng,
-    edge_entropy,
-    expected_cut_size,
-    sample_k_subset,
-)
+from usparse.graph import DiscrepancyMode, UncertainGraph, edge_entropy
 
 DEFAULT_H = 0.05
 DEFAULT_MAX_SWEEPS = 100
@@ -248,47 +241,10 @@ class SparsifierState:
         return UncertainGraph(self.n, edges, allow_zero=True)
 
 
-def degree_objective_between(g: UncertainGraph, g2: UncertainGraph, mode=DiscrepancyMode.ABSOLUTE) -> float:
-    """Sum of squared degree discrepancies between a graph and its sparsified form."""
-    if g.n != g2.n:
-        raise ValueError("graphs must share the same vertex set")
-    delta = (g.degree_vector() - g2.degree_vector()) / degree_norms(g, mode)
-    return float(np.dot(delta, delta))
-
-
 def degree_objective(state: SparsifierState, mode=DiscrepancyMode.ABSOLUTE) -> float:
     """Objective for degree rules, from discrepancies recomputed from scratch."""
     disc = state._scratch_disc() / degree_norms(state.g, mode)
     return float(np.dot(disc, disc))
-
-
-def sampled_cut_objective(
-    g: UncertainGraph, g2: UncertainGraph, k: int, n_samples: int, seed: int
-) -> float:
-    """Seeded Monte-Carlo estimate of the cut objective up to cardinality k.
-
-    For each size i <= k, samples subsets uniformly and scales the mean
-    squared discrepancy by C(n, i), an unbiased estimate of the stratum sum.
-    Exponential stratum counts make this a desk-scale diagnostic only.
-    """
-    if g.n != g2.n:
-        raise ValueError("graphs must share the same vertex set")
-    if not 1 <= k <= g.n:
-        raise ValueError("k out of range")
-    rng = derive_rng(seed)
-    total = 0.0
-    for size in range(1, k + 1):
-        acc = 0.0
-        for _ in range(n_samples):
-            subset = sample_k_subset(rng, g.n, size)
-            delta = expected_cut_size(g, subset) - expected_cut_size(g2, subset)
-            acc += delta * delta
-        try:
-            stratum = float(math.comb(g.n, size))
-        except OverflowError:
-            return math.inf
-        total += stratum * acc / n_samples
-    return total
 
 
 def sweep(state: SparsifierState, rule: Rule, h: float) -> int:
@@ -335,7 +291,7 @@ def descend(
     if tau is not None and tau < 0.0:
         raise ValueError("tau must be positive")
     # Cut rules are absolute, so they track the exact absolute degree objective
-    # as the progress signal; the sampled cut objective is reporting-only.
+    # as the progress signal.
     previous = degree_objective(state, rule.mode)
     history = [previous]
     tau_eff = tau if tau is not None else DEFAULT_TAU_FRACTION * previous

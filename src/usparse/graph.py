@@ -207,29 +207,11 @@ class DeterministicWorld:
         return [uf.find(x) for x in range(self.n)]
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        uf = UnionFind(self.n)
-        for u, v in self.edges:
-            uf.union(u, v)
-        return uf.components == 1
+        return len(set(self.component_labels())) <= 1
 
     def reachable(self, source: int, target: int) -> bool:
-        if source == target:
-            return True
-        adj = self.adjacency()
-        seen = [False] * self.n
-        seen[source] = True
-        stack = [source]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y == target:
-                    return True
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return False
+        labels = self.component_labels()
+        return labels[source] == labels[target]
 
     def hop_distances(self, source: int) -> list[float]:
         """BFS hop counts from source; unreachable vertices get math.inf."""
@@ -408,48 +390,6 @@ def exact_query_probability(
                 comp += (prob - t) + total
             total = t
     return total + comp
-
-
-def mc_predicate_frequency(
-    g: UncertainGraph,
-    predicate: Callable[[DeterministicWorld], bool],
-    n_samples: int,
-    seed: int,
-    block: int = 8192,
-) -> float:
-    """Monte-Carlo frequency of a world predicate over n_samples worlds.
-
-    Sampling is blocked for speed; block b draws from the (seed, b)-derived
-    generator, so the estimate is deterministic and worker-independent.  For
-    graphs with at most 60 edges the predicate is memoized per edge mask.
-    """
-    m = g.m
-    ps = g.probabilities
-    hits = 0
-    if m <= 60:
-        weights = (np.int64(1) << np.arange(m, dtype=np.int64)) if m else None
-        memo: dict[int, bool] = {}
-        for b, start in enumerate(range(0, n_samples, block)):
-            size = min(block, n_samples - start)
-            rng = derive_rng(seed, b)
-            bits = rng.random((size, m)) < ps if m else np.zeros((size, 0), bool)
-            masks = bits @ weights if m else np.zeros(size, dtype=np.int64)
-            uniq, counts = np.unique(masks, return_counts=True)
-            for mask, count in zip(uniq.tolist(), counts.tolist()):
-                sat = memo.get(mask)
-                if sat is None:
-                    sat = bool(predicate(_world_from_mask(g, mask)))
-                    memo[mask] = sat
-                if sat:
-                    hits += count
-    else:
-        for b, start in enumerate(range(0, n_samples, block)):
-            size = min(block, n_samples - start)
-            rng = derive_rng(seed, b)
-            for _ in range(size):
-                if predicate(sample_world(g, rng)):
-                    hits += 1
-    return hits / n_samples
 
 
 # ---------------------------------------------------------------------------

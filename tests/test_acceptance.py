@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from usparse import evaluation
 from usparse.backbone import build_backbone, target_edge_count
 from usparse.benchmarks import (
     WeightedGraph,
@@ -41,7 +42,7 @@ from usparse.graph import (
     exact_query_probability,
     generate_synthetic,
     load_graph,
-    mc_predicate_frequency,
+    sample_world,
 )
 from usparse.lp import lp_sparsify
 
@@ -139,9 +140,20 @@ def test_criterion_06_entropy_reduction(suite_n100, gdb_h_runs, emd_runs):
     report(6, "relative entropy below 1 in every h=0.05 run", time.perf_counter() - started)
 
 
-def test_criterion_07_monte_carlo_matches_exact_oracle():
+def test_criterion_07_monte_carlo_matches_exact_oracle(monkeypatch):
     started = time.perf_counter()
     n_samples = 100_000
+    # Both estimates read the evaluation sampler's worlds: reliability is the
+    # mean of mc_distributions, and connectivity is counted on the very worlds
+    # it draws, world i being sample_world(g, derive_rng(seed, i)).
+    connected = []
+
+    def recording_sample_world(g, rng):
+        world = sample_world(g, rng)
+        connected.append(world.is_connected())
+        return world
+
+    monkeypatch.setattr(evaluation, "sample_world", recording_sample_world)
     for seed in range(10):
         rng = derive_rng(seed, 777)
         n = int(rng.integers(5, 8))
@@ -151,13 +163,21 @@ def test_criterion_07_monte_carlo_matches_exact_oracle():
         g = UncertainGraph(
             n, [(pairs[i][0], pairs[i][1], 0.15 + 0.8 * float(rng.random())) for i in idx]
         )
-        target = g.n - 1
-        for predicate in (lambda w: w.reachable(0, target), lambda w: w.is_connected()):
+        pair = (0, g.n - 1)
+        connected.clear()
+        reliability = evaluation.mc_distributions(
+            g, QueryKind.RELIABILITY, [pair], n_samples, seed=seed + 31
+        )
+        assert len(connected) == n_samples
+        for predicate, freq in (
+            (lambda w: w.reachable(*pair), reliability[pair].mean()),
+            (lambda w: w.is_connected(), sum(connected) / n_samples),
+        ):
             exact = exact_query_probability(g, predicate)
-            freq = mc_predicate_frequency(g, predicate, n_samples, seed=seed + 31)
             sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / n_samples)
             assert abs(freq - exact) <= 5.0 * sigma + 1e-12
-    report(7, "reliability and connectivity estimates within 5 sigma of exact", time.perf_counter() - started)
+    report(7, "evaluation-sampler reliability and connectivity within 5 sigma of exact",
+           time.perf_counter() - started)
 
 
 def test_criterion_08_cardinality_contract_all_methods():
@@ -212,7 +232,7 @@ def test_criterion_10_forest_trace_and_inverse_transform():
     started = time.perf_counter()
     wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
     death, forests = contiguous_forest_rounds(wg)
-    assert forests == [[(0, 1), (0, 2)], [(0, 2), (1, 2)]]
+    assert forests == [([(0, 1), (0, 2)], 1), ([(0, 2), (1, 2)], 1)]
     assert death == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
     p_min = 0.2
     assert min(3 * p_min, 1.0) == pytest.approx(0.6, abs=1e-15)

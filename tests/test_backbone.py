@@ -15,7 +15,7 @@ from usparse.backbone import (
     random_backbone,
     target_edge_count,
 )
-from usparse.graph import UncertainGraph, generate_synthetic
+from usparse.graph import DeterministicWorld, UncertainGraph, generate_synthetic
 
 
 def complete_graph(n, p=0.5):
@@ -125,22 +125,22 @@ class TestBuildBackbone:
         alpha = (g.n - 1) / g.m
         b = build_backbone(g, alpha, seed=0)
         assert b.m == g.n - 1
-        assert b.is_connected()
+        assert DeterministicWorld(b.vertex_count, b.edges).is_connected()
         tree = max_spanning_forest(g.n, list(g.edges))
         assert sorted(b.edges) == sorted(tree)
 
     def test_alpha_one_keeps_everything(self):
         g = generate_synthetic(15, 0.5, seed=2)
         b = build_backbone(g, 1.0, seed=0)
-        assert b.edge_set() == {(u, v) for u, v, _ in g.edges}
+        assert set(b.edges) == {(u, v) for u, v, _ in g.edges}
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.77])
     def test_exact_cardinality_and_connected(self, alpha):
         g = generate_synthetic(50, 0.35, seed=7)
         b = build_backbone(g, alpha, seed=4)
         assert b.m == target_edge_count(g.m, alpha)
-        assert b.is_connected()
-        assert b.edge_set() <= {(u, v) for u, v, _ in g.edges}
+        assert DeterministicWorld(b.vertex_count, b.edges).is_connected()
+        assert set(b.edges) <= {(u, v) for u, v, _ in g.edges}
 
     def test_alpha_below_floor_rejected(self):
         g = generate_synthetic(40, 0.1, seed=1)
@@ -171,7 +171,7 @@ class TestRandomBackbone:
     def test_alpha_one_keeps_everything(self):
         g = generate_synthetic(12, 0.6, seed=2)
         b = random_backbone(g, 1.0, seed=0)
-        assert b.edge_set() == {(u, v) for u, v, _ in g.edges}
+        assert set(b.edges) == {(u, v) for u, v, _ in g.edges}
 
     def test_exact_cardinality(self):
         g = generate_synthetic(40, 0.3, seed=6)
@@ -198,4 +198,4 @@ def test_backbone_size_property(seed, alpha):
     g = generate_synthetic(24, 0.5, seed=seed % 7)
     b = build_backbone(g, alpha, seed=seed)
     assert b.m == target_edge_count(g.m, alpha)
-    assert b.is_connected()
+    assert DeterministicWorld(b.vertex_count, b.edges).is_connected()

@@ -19,7 +19,7 @@ from usparse.benchmarks import (
     weighted_distances,
     _solve_stretch_parameter,
 )
-from usparse.graph import UncertainGraph, derive_rng, generate_synthetic
+from usparse.graph import UncertainGraph, UnionFind, derive_rng, generate_synthetic
 
 
 class TestNiWeights:
@@ -47,19 +47,51 @@ class TestNiWeights:
             to_ni_weights(UncertainGraph(3, []))
 
 
+def per_round(forests):
+    """The per-round trace: each forest listed once for every round it is held."""
+    return [forest for forest, repeats in forests for _ in range(repeats)]
+
+
+def one_round_at_a_time(wg):
+    """Independent oracle: every round rebuilt, one unit of weight per round."""
+    residual = {(u, v): w for u, v, w in wg.edges}
+    prev, death, trace, r = [], {}, [], 0
+    while residual:
+        r += 1
+        uf = UnionFind(wg.n)
+        kept = [e for e in sorted(prev) if e in residual and uf.union(*e)]
+        rest = sorted((e for e in residual if e not in prev), key=lambda e: (-residual[e], e))
+        forest = sorted(kept + [e for e in rest if uf.union(*e)])
+        for e in forest:
+            residual[e] -= 1
+            if residual[e] == 0:
+                death[e] = r
+                del residual[e]
+        prev = forest
+        trace.append(forest)
+    return death, trace
+
+
 class TestForestRounds:
     def test_three_edge_hand_trace(self):
         # triangle weights [1, 2, 1]: round 1 takes (0,2) [residual 2] and
         # (0,1); (0,1) dies.  Round 2 must retain (0,2) and adds (1,2); both die.
         wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
         death, forests = contiguous_forest_rounds(wg)
-        assert forests == [[(0, 1), (0, 2)], [(0, 2), (1, 2)]]
+        assert forests == [([(0, 1), (0, 2)], 1), ([(0, 2), (1, 2)], 1)]
         assert death == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
+
+    def test_forest_held_until_its_lightest_member_dies(self):
+        # a path is its own forest every round: built once, held 3 rounds
+        wg = WeightedGraph(3, ((0, 1, 3), (1, 2, 5)))
+        death, forests = contiguous_forest_rounds(wg)
+        assert forests == [([(0, 1), (1, 2)], 3), ([(1, 2)], 2)]
+        assert death == {(0, 1): 3, (1, 2): 5}
 
     def test_edge_with_weight_w_spans_w_rounds(self):
         wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 3), (1, 2, 1)))
         death, forests = contiguous_forest_rounds(wg)
-        rounds_02 = [r for r, f in enumerate(forests, start=1) if (0, 2) in f]
+        rounds_02 = [r for r, f in enumerate(per_round(forests), start=1) if (0, 2) in f]
         assert len(rounds_02) == 3 and death[(0, 2)] == rounds_02[-1]
 
     def test_single_tree_all_die_round_one(self):
@@ -76,7 +108,7 @@ class TestForestRounds:
         )
         death, forests = contiguous_forest_rounds(wg)
         appearances = defaultdict(list)
-        for r, forest in enumerate(forests, start=1):
+        for r, forest in enumerate(per_round(forests), start=1):
             for e in forest:
                 appearances[e].append(r)
         for e, rounds in appearances.items():
@@ -88,9 +120,29 @@ class TestForestRounds:
         g = generate_synthetic(12, 0.4, seed=9)
         wg = WeightedGraph(g.n, tuple((u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges))
         death, forests = contiguous_forest_rounds(wg)
-        for r in range(1, len(forests)):
-            survivors = {e for e in forests[r - 1] if death[e] > r}
-            assert survivors <= set(forests[r])
+        trace = per_round(forests)
+        for r in range(1, len(trace)):
+            survivors = {e for e in trace[r - 1] if death[e] > r}
+            assert survivors <= set(trace[r])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_one_round_at_a_time(self, seed):
+        g = generate_synthetic(14, 0.4, seed=seed)
+        wg = to_ni_weights(g)
+        death, forests = contiguous_forest_rounds(wg)
+        assert (death, per_round(forests)) == one_round_at_a_time(wg)
+
+    def test_tiny_p_min_builds_at_most_m_forests(self):
+        # weights reach 1e9 and the last edge dies in round 2.7e9, so one
+        # Kruskal pass per round would never finish
+        g = generate_synthetic(30, 0.3, seed=5)
+        edges = [(u, v, 1e-9 if i == 0 else p) for i, (u, v, p) in enumerate(g.edges)]
+        g = UncertainGraph(g.n, edges)
+        wg = to_ni_weights(g)
+        death, forests = contiguous_forest_rounds(wg)
+        assert len(forests) <= g.m
+        assert sum(repeats for _, repeats in forests) == max(death.values()) > 10**9
+        assert ni_sparsify(g, 0.3, seed=1)[0].m == target_edge_count(g.m, 0.3)
 
 
 class TestNiCore:

@@ -257,6 +257,15 @@ class TestOracle:
         assert main(["oracle", "-i", str(path), "-q", "reachable"]) == 1
         assert main(["oracle", "-i", str(path), "-q", "reachable", "--source", "0", "--target", "1"]) == 0
 
+    @pytest.mark.parametrize("source, target", [("-1", "4"), ("0", "9")])
+    def test_out_of_range_endpoints_rejected(self, tmp_path, capsys, source, target):
+        path = tmp_path / "path.el"
+        path.write_text("# n=5\n0 1 0.9\n1 2 0.9\n2 3 0.9\n3 4 0.9\n")
+        argv = ["oracle", "-i", str(path), "-q", "reachable", "--source", source, "--target", target]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must lie in [0, 5)" in captured.err
+
     def test_too_many_edges_rejected(self, tmp_path):
         path = tmp_path / "big.el"
         assert main(["generate", "-n", "10", "-d", "0.6", "-o", str(path)]) == 0

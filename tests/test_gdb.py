@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from usparse.backbone import BackboneGraph, build_backbone
+from usparse.evaluation import quality
 from usparse.gdb import (
     Rule,
     SparsifierState,
@@ -19,11 +20,9 @@ from usparse.gdb import (
     cut_step,
     degree_norms,
     degree_objective,
-    degree_objective_between,
     degree_step,
     descend,
     gdb_run,
-    sampled_cut_objective,
     sweep,
 )
 from usparse.graph import DiscrepancyMode, UncertainGraph, derive_rng, generate_synthetic
@@ -285,32 +284,7 @@ class TestObjective:
         g = UncertainGraph(2, [(0, 1, 0.5)])
         g2 = UncertainGraph(2, [(0, 1, 0.35)], allow_zero=True)
         # both vertices have delta 0.15: objective = 2 * 0.15^2 = 0.045
-        assert degree_objective_between(g, g2) == pytest.approx(0.045, abs=1e-12)
-
-    def test_sampled_cut_objective_within_mc_bound_of_exhaustive(self):
-        from itertools import combinations
-
-        from usparse.graph import expected_cut_size
-
-        g = generate_synthetic(5, 0.9, seed=4)
-        backbone = build_backbone(g, 0.7, seed=1)
-        g2, _ = gdb_run(g, backbone, h=1.0)
-        k = 2
-        values = []
-        for size in range(1, k + 1):
-            values.append(
-                [
-                    (expected_cut_size(g, s) - expected_cut_size(g2, s)) ** 2
-                    for s in combinations(range(5), size)
-                ]
-            )
-        exact = sum(sum(v) for v in values)
-        estimates = [sampled_cut_objective(g, g2, k, 400, seed=s) for s in range(8)]
-        # stratified estimator: bound via per-stratum CLT, summed generously
-        bound = sum(
-            math.comb(5, i + 1) * 5 * np.std(v) / math.sqrt(400) for i, v in enumerate(values)
-        )
-        assert abs(np.mean(estimates) - exact) <= bound + 1e-9
+        assert quality(g, g2)["degree_objective"] == pytest.approx(0.045, abs=1e-12)
 
 
 class TestGdbRun:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usparse.evaluation import QueryKind, mc_distributions
 from usparse.graph import (
     DeterministicWorld,
     DiscrepancyMode,
@@ -21,12 +22,17 @@ from usparse.graph import (
     generate_synthetic,
     graph_entropy,
     load_graph,
-    mc_predicate_frequency,
     sample_k_subset,
     sample_world,
     sampled_k_discrepancy_mae,
     save_graph,
 )
+
+
+def world_frequency(g, predicate, n_samples, seed):
+    """Share of the evaluation sampler's worlds 0..n_samples-1 where predicate holds."""
+    hits = sum(bool(predicate(sample_world(g, derive_rng(seed, i)))) for i in range(n_samples))
+    return hits / n_samples
 
 
 def triangle(p=0.5):
@@ -250,7 +256,7 @@ class TestWorlds:
 
     def test_tiny_probability_world_mostly_empty(self):
         g = UncertainGraph(2, [(0, 1, 0.000001)])
-        freq = mc_predicate_frequency(g, lambda w: w.m == 0, 100_000, seed=5)
+        freq = world_frequency(g, lambda w: w.m == 0, 100_000, seed=5)
         # binomial 5-sigma band around q = (1 - 1e-6)
         q = 1.0 - 1e-6
         assert abs(freq - q) <= 5 * math.sqrt(q * (1 - q) / 100_000) + 1e-9
@@ -258,7 +264,7 @@ class TestWorlds:
     def test_inclusion_frequency_binomial_bound(self):
         g = UncertainGraph(2, [(0, 1, 0.3)])
         n = 100_000
-        freq = mc_predicate_frequency(g, lambda w: w.m == 1, n, seed=17)
+        freq = world_frequency(g, lambda w: w.m == 1, n, seed=17)
         assert abs(freq - 0.3) <= 5 * math.sqrt(0.3 * 0.7 / n)
 
     def test_sampling_deterministic_given_seed(self):
@@ -303,10 +309,10 @@ class TestExactOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mc_within_five_sigma_of_exact(self, seed):
         g = random_graph(7, 10, seed=seed, low=0.2, high=0.9)
-        predicate = lambda w: w.reachable(0, g.n - 1)
-        q = exact_query_probability(g, predicate)
+        pair = (0, g.n - 1)
+        q = exact_query_probability(g, lambda w: w.reachable(*pair))
         n = 100_000
-        freq = mc_predicate_frequency(g, predicate, n, seed=seed + 100)
+        freq = mc_distributions(g, QueryKind.RELIABILITY, [pair], n, seed=seed + 100)[pair].mean()
         assert abs(freq - q) <= 5 * math.sqrt(q * (1 - q) / n) + 1e-12
 
 
