@@ -20,7 +20,6 @@ from usparse.evaluation import (
     emd_report,
     mc_distributions,
     quality,
-    relative_entropy,
     variance_protocol,
 )
 from usparse.gdb import Rule, gdb_run
@@ -33,7 +32,6 @@ from usparse.graph import (
     edge_entropy,
     exact_query_probability,
     expected_cut_size,
-    expected_degree,
     generate_synthetic,
     graph_entropy,
     load_graph,
@@ -63,7 +61,6 @@ __all__ = [
     "emd_run",
     "exact_query_probability",
     "expected_cut_size",
-    "expected_degree",
     "gdb_run",
     "generate_synthetic",
     "graph_entropy",
@@ -74,7 +71,6 @@ __all__ = [
     "ni_sparsify",
     "quality",
     "random_backbone",
-    "relative_entropy",
     "sample_world",
     "sampled_k_discrepancy_mae",
     "save_graph",

@@ -38,6 +38,21 @@ def target_edge_count(m: int, alpha: float) -> int:
     return int(round(alpha * m))
 
 
+def spanning_forest(n: int, ordered_pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Kruskal over a fixed edge order: keep each edge that joins two components.
+
+    Stops once one component is left, since no later edge can join two.
+    """
+    uf = UnionFind(n)
+    forest = []
+    for e in ordered_pairs:
+        if uf.union(*e):
+            forest.append(e)
+            if uf.components == 1:
+                break
+    return forest
+
+
 def max_spanning_forest(
     n: int, weighted_edges: Iterable[tuple[int, int, float]]
 ) -> list[tuple[int, int]]:
@@ -47,22 +62,21 @@ def max_spanning_forest(
     is deterministic.  Works on disconnected inputs (returns a forest).
     """
     ordered = sorted(weighted_edges, key=lambda e: (-e[2], e[0], e[1]))
-    uf = UnionFind(n)
-    forest = []
-    for u, v, _ in ordered:
-        if uf.union(u, v):
-            forest.append((u, v))
-    return forest
+    return spanning_forest(n, [(u, v) for u, v, _ in ordered])
 
 
 def iterated_spanning_forests(g: UncertainGraph) -> Iterator[list[tuple[int, int]]]:
-    """Edge-disjoint maximum spanning forests, peeled off the graph lazily."""
-    remaining = {(u, v): p for u, v, p in g.edges}
+    """Edge-disjoint maximum spanning forests, peeled off the graph lazily.
+
+    The edges are sorted once; the survivors of each peel keep that order,
+    so every forest is one Kruskal pass and comes out most probable first.
+    """
+    remaining = [(u, v) for u, v, _ in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1]))]
     while remaining:
-        forest = max_spanning_forest(g.n, [(u, v, p) for (u, v), p in remaining.items()])
+        forest = spanning_forest(g.n, remaining)
         yield forest
-        for e in forest:
-            del remaining[e]
+        taken = set(forest)
+        remaining = [e for e in remaining if e not in taken]
 
 
 def default_alpha_prime(
@@ -82,37 +96,36 @@ def default_alpha_prime(
     return min(half, peeled / g.m)
 
 
-def _probability_topup(rng, candidates: list[tuple[tuple[int, int], float]], need: int):
-    """Admit `need` edges by repeated probability-weighted passes.
+def _probability_topup(rng, g: UncertainGraph, taken, need: int) -> list[tuple[int, int, float]]:
+    """Admit `need` edges of g outside `taken` by probability-weighted passes.
 
     Each pass visits the remaining candidates in canonical order and admits
-    each with its own probability.  After MAX_TOPUP_PASSES empty-handed
-    passes the most probable remaining edges are admitted outright, so the
-    loop terminates even when all probabilities are tiny.
+    each with its own probability; one vector of uniforms is drawn per pass.
+    After MAX_TOPUP_PASSES empty-handed passes the most probable remaining
+    edges are admitted outright, so the loop terminates even when all
+    probabilities are tiny.  Returns the admitted (u, v, p) triples.
     """
     admitted = []
-    pool = sorted(candidates, key=lambda c: c[0])
+    pool = [e for e in g.edges if (e[0], e[1]) not in taken]
     passes_without_progress = 0
     while len(admitted) < need:
         if not pool:
             raise ValueError("not enough candidate edges to reach the target size")
-        progressed = False
         kept = []
-        for edge, p in pool:
-            if len(admitted) < need and rng.random() < p:
-                admitted.append(edge)
-                progressed = True
+        before = len(admitted)
+        for e, r in zip(pool, rng.random(len(pool)).tolist()):
+            if len(admitted) < need and r < e[2]:
+                admitted.append(e)
             else:
-                kept.append((edge, p))
+                kept.append(e)
         pool = kept
-        if progressed:
+        if len(admitted) > before:
             passes_without_progress = 0
         else:
             passes_without_progress += 1
             if passes_without_progress >= MAX_TOPUP_PASSES:
-                pool.sort(key=lambda c: (-c[1], c[0]))
-                take = need - len(admitted)
-                admitted.extend(edge for edge, _ in pool[:take])
+                pool.sort(key=lambda e: (-e[2], e[0], e[1]))
+                admitted.extend(pool[: need - len(admitted)])
                 break
     return admitted
 
@@ -125,11 +138,11 @@ def build_backbone(
 ) -> BackboneGraph:
     """Spanning backbone with exactly round(alpha*|E|) edges.
 
-    Phase one layers maximum spanning forests until alpha_prime*|E| edges are
-    collected (|E| is always the original edge count).  Phase two admits the
-    remaining edges by probability-weighted passes up to the target.  If a
-    forest would push past the target, only its highest-probability edges are
-    kept so the size contract still holds.
+    Phase one layers maximum spanning forests until a fraction alpha_prime of
+    the edges is collected (|E| is always the original edge count).  Phase
+    two admits the remaining edges by probability-weighted passes up to the
+    target.  If a forest would push past the target, only its
+    highest-probability edges are kept so the size contract still holds.
     """
     m = g.m
     if m == 0:
@@ -150,26 +163,16 @@ def build_backbone(
         raise ValueError(f"alpha_prime={alpha_prime} exceeds alpha={alpha}")
 
     target = target_edge_count(m, alpha)
-    quota = alpha_prime * m
-    probs = {(u, v): p for u, v, p in g.edges}
     chosen: list[tuple[int, int]] = []
-    remaining = dict(probs)
-
-    while len(chosen) < quota and len(chosen) < target:
+    # The quota is compared as a fraction, the unit default_alpha_prime uses.
+    while len(chosen) / m < alpha_prime and len(chosen) < target:
         forest = next(forests, None)
         if forest is None:
             break
-        room = target - len(chosen)
-        if len(forest) > room:
-            forest = sorted(forest, key=lambda e: (-probs[e], e))[:room]
-        chosen.extend(forest)
-        for e in forest:
-            del remaining[e]
+        chosen.extend(forest[: target - len(chosen)])
 
-    need = target - len(chosen)
-    if need > 0:
-        rng = derive_rng(seed)
-        chosen.extend(_probability_topup(rng, list(remaining.items()), need))
+    topup = _probability_topup(derive_rng(seed), g, set(chosen), target - len(chosen))
+    chosen.extend((u, v) for u, v, _ in topup)
     return BackboneGraph(g.n, tuple(sorted(chosen)), source="spanning")
 
 
@@ -178,6 +181,5 @@ def random_backbone(g: UncertainGraph, alpha: float, seed: int = 0) -> BackboneG
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     target = target_edge_count(g.m, alpha)
-    rng = derive_rng(seed)
-    chosen = _probability_topup(rng, [((u, v), p) for u, v, p in g.edges], target)
-    return BackboneGraph(g.n, tuple(sorted(chosen)), source="random")
+    chosen = _probability_topup(derive_rng(seed), g, set(), target)
+    return BackboneGraph(g.n, tuple(sorted((u, v) for u, v, _ in chosen)), source="random")

@@ -16,8 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from usparse.backbone import _probability_topup, max_spanning_forest, target_edge_count
-from usparse.graph import UncertainGraph, UnionFind, derive_rng
+from usparse.backbone import (
+    _probability_topup,
+    max_spanning_forest,
+    spanning_forest,
+    target_edge_count,
+)
+from usparse.graph import UncertainGraph, derive_rng
 
 MAX_CALIBRATION_STEPS = 100
 DEFAULT_THETA = 1.1
@@ -81,14 +86,11 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
     forests = []
     r = 0
     while alive:
-        uf = UnionFind(wg.n)
-        forest = []
-        for e in sorted(prev_forest & alive):
-            if uf.union(*e):
-                forest.append(e)
-        for e in sorted(alive - prev_forest, key=lambda e: (-residual[e], e)):
-            if uf.union(*e):
-                forest.append(e)
+        forest = spanning_forest(
+            wg.n,
+            sorted(prev_forest & alive)
+            + sorted(alive - prev_forest, key=lambda e: (-residual[e], e)),
+        )
         repeats = min(residual[e] for e in forest)
         r += repeats
         for e in forest:
@@ -169,22 +171,16 @@ def ni_sparsify(
             if len(trial) > target:
                 break
             epsilon, core_edges = trial_eps, trial
-    core = WeightedGraph(g.n, tuple(core_edges))
-    prob = {(u, v): p for u, v, p in g.edges}
-    edges = [(u, v, min(w * p_min, 1.0)) for u, v, w in core.edges]
-    kept = {(u, v) for u, v, _ in core.edges}
+    edges = [(u, v, min(w * p_min, 1.0)) for u, v, w in core_edges]
     deficit = target - len(edges)
-    if deficit > 0:
-        pool = [((u, v), p) for (u, v), p in prob.items() if (u, v) not in kept]
-        rng = derive_rng(seed, 1)
-        for u, v in _probability_topup(rng, pool, deficit):
-            edges.append((u, v, prob[(u, v)]))
+    kept = {(u, v) for u, v, _ in core_edges}
+    edges.extend(_probability_topup(derive_rng(seed, 1), g, kept, deficit))
     out = UncertainGraph(g.n, edges)
     info = {
         "epsilon": epsilon,
         "calibration_steps": steps,
-        "core_edges": core.m,
-        "topped_up": max(deficit, 0),
+        "core_edges": len(core_edges),
+        "topped_up": deficit,
     }
     return out, info
 
@@ -320,32 +316,19 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
         attempts += 1
         t += 1
         spanner = ss_core(wg, t, seed)
-    trimmed = 0
-    if len(spanner) > target:
+    trimmed = max(len(spanner) - target, 0)
+    if trimmed:
         keep = set(max_spanning_forest(g.n, [(u, v, prob[(u, v)]) for u, v in spanner]))
-        loose = sorted(
-            (e for e in spanner if e not in keep), key=lambda e: (prob[e], e)
-        )
-        removable = len(spanner) - target
-        drop = set(loose[:removable])
-        if len(drop) < removable:
-            forest_sorted = sorted(keep, key=lambda e: (prob[e], e))
-            drop |= set(forest_sorted[: removable - len(drop)])
-        spanner = frozenset(e for e in spanner if e not in drop)
-        trimmed = len(drop)
+        spanner = frozenset(sorted(spanner, key=lambda e: (e in keep, prob[e], e))[trimmed:])
     edges = [(u, v, prob[(u, v)]) for u, v in sorted(spanner)]
     deficit = target - len(edges)
-    if deficit > 0:
-        pool = [((u, v), p) for (u, v), p in prob.items() if (u, v) not in spanner]
-        rng = derive_rng(seed, 1)
-        for u, v in _probability_topup(rng, pool, deficit):
-            edges.append((u, v, prob[(u, v)]))
+    edges.extend(_probability_topup(derive_rng(seed, 1), g, spanner, deficit))
     out = UncertainGraph(g.n, edges)
     info = {
         "t": t,
         "attempts": attempts,
         "spanner_edges": len(spanner),
-        "topped_up": max(deficit, 0),
+        "topped_up": deficit,
         "trimmed": trimmed,
     }
     return out, info

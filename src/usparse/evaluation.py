@@ -228,14 +228,6 @@ def earth_movers_distance(f1: QueryDistribution, f2: QueryDistribution) -> float
     return float(np.sum(diffs * np.diff(xs)))
 
 
-def relative_entropy(g: UncertainGraph, g2: UncertainGraph) -> float:
-    """Entropy of the sparsified graph as a fraction of the original's."""
-    h = graph_entropy(g)
-    if h <= 0.0:
-        raise ValueError("original graph has zero entropy")
-    return graph_entropy(g2) / h
-
-
 def quality(g: UncertainGraph, out: UncertainGraph) -> dict:
     """Degree and entropy figures of one sparsified graph against its original."""
     delta = g.degree_vector() - out.degree_vector()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from enum import Enum
+from itertools import compress
 from typing import Callable, Iterable
 
 import numpy as np
@@ -84,7 +85,7 @@ class UncertainGraph:
     threads for reading.
     """
 
-    __slots__ = ("n", "edges", "_us", "_vs", "_ps", "_adj", "_degrees")
+    __slots__ = ("n", "edges", "_us", "_vs", "_ps", "_adj", "_degrees", "_pairs")
 
     def __init__(
         self,
@@ -123,6 +124,7 @@ class UncertainGraph:
         self._ps = None
         self._adj = None
         self._degrees = None
+        self._pairs = None
 
     @property
     def m(self) -> int:
@@ -150,7 +152,9 @@ class UncertainGraph:
 
     @property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, v, _ in self.edges)
+        if self._pairs is None:
+            self._pairs = tuple((u, v) for u, v, _ in self.edges)
+        return self._pairs
 
     def neighbors(self, u: int) -> list[tuple[int, int]]:
         """(neighbor, edge index) pairs for vertex u."""
@@ -183,7 +187,7 @@ class DeterministicWorld:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = int(n)
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
+        self.edges = tuple(edges)
         self._adj = None
 
     @property
@@ -254,13 +258,6 @@ def graph_entropy(g: UncertainGraph) -> float:
     return float(-(np.sum(inner * np.log2(inner)) + np.sum(q * np.log2(q)))) + 0.0
 
 
-def expected_degree(g: UncertainGraph, u: int) -> float:
-    """Sum of probabilities over the edges incident to u."""
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range for n={g.n}")
-    return float(g.degree_vector()[u])
-
-
 def expected_cut_size(g: UncertainGraph, members: Iterable[int]) -> float:
     """Sum of probabilities of edges with exactly one endpoint in the set."""
     inside = np.zeros(g.n, dtype=bool)
@@ -273,29 +270,6 @@ def expected_cut_size(g: UncertainGraph, members: Iterable[int]) -> float:
     us, vs = g.endpoint_arrays
     crossing = inside[us] ^ inside[vs]
     return float(g.probabilities[crossing].sum())
-
-
-def discrepancy(
-    g: UncertainGraph,
-    g2: UncertainGraph,
-    members: Iterable[int],
-    mode: DiscrepancyMode = DiscrepancyMode.ABSOLUTE,
-) -> float:
-    """Cut-size discrepancy of a vertex set between a graph and its sparsified version.
-
-    Absolute mode returns C(S) - C'(S); relative mode divides by C(S) and is
-    undefined when the original cut size is zero.
-    """
-    if g.n != g2.n:
-        raise ValueError("graphs must share the same vertex set")
-    members = list(members)
-    original = expected_cut_size(g, members)
-    delta = original - expected_cut_size(g2, members)
-    if mode is DiscrepancyMode.ABSOLUTE:
-        return delta
-    if original <= 0.0:
-        raise ValueError("undefined relative discrepancy: original cut size is zero")
-    return delta / original
 
 
 def sample_k_subset(rng: np.random.Generator, n: int, k: int) -> list[int]:
@@ -354,13 +328,11 @@ def sample_world(g: UncertainGraph, rng: np.random.Generator) -> DeterministicWo
     """Materialize each edge independently with its probability."""
     ps = g.probabilities
     mask = rng.random(len(ps)) < ps
-    edges = [(u, v) for keep, (u, v, _) in zip(mask, g.edges) if keep]
-    return DeterministicWorld(g.n, edges)
+    return DeterministicWorld(g.n, compress(g.edge_pairs, mask.tolist()))
 
 
 def _world_from_mask(g: UncertainGraph, mask: int) -> DeterministicWorld:
-    edges = [(u, v) for i, (u, v, _) in enumerate(g.edges) if mask >> i & 1]
-    return DeterministicWorld(g.n, edges)
+    return DeterministicWorld(g.n, [e for i, e in enumerate(g.edge_pairs) if mask >> i & 1])
 
 
 def exact_query_probability(

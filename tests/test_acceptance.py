@@ -32,7 +32,6 @@ from usparse.evaluation import (
     QueryKind,
     earth_movers_distance,
     quality,
-    relative_entropy,
     variance_protocol,
 )
 from usparse.gdb import cut_rule_coefficients, cut_step, degree_step, gdb_run
@@ -134,9 +133,9 @@ def test_criterion_05_emd_improves_on_gdb(suite_n100, gdb_h_runs, emd_runs):
 def test_criterion_06_entropy_reduction(suite_n100, gdb_h_runs, emd_runs):
     started = time.perf_counter()
     for (g, _), (out, _) in zip(suite_n100, gdb_h_runs[0.05]):
-        assert relative_entropy(g, out) < 1.0
+        assert quality(g, out)["relative_entropy"] < 1.0
     for (g, _), (out, _) in zip(suite_n100, emd_runs):
-        assert relative_entropy(g, out) < 1.0
+        assert quality(g, out)["relative_entropy"] < 1.0
     report(6, "relative entropy below 1 in every h=0.05 run", time.perf_counter() - started)
 
 

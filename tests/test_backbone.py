@@ -6,20 +6,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import usparse.backbone as backbone_mod
 from usparse.backbone import (
+    MAX_TOPUP_PASSES,
     BackboneGraph,
+    _probability_topup,
     build_backbone,
     default_alpha_prime,
     iterated_spanning_forests,
     max_spanning_forest,
     random_backbone,
+    spanning_forest,
     target_edge_count,
 )
-from usparse.graph import DeterministicWorld, UncertainGraph, generate_synthetic
+from usparse.graph import DeterministicWorld, UncertainGraph, derive_rng, generate_synthetic
 
 
 def complete_graph(n, p=0.5):
     return UncertainGraph(n, [(u, v, p) for u, v in combinations(range(n), 2)])
+
+
+def count_peeled_forests(monkeypatch):
+    """Record the size of every forest the backbone's peel yields."""
+    peeled = []
+    original = backbone_mod.iterated_spanning_forests
+
+    def counting(g):
+        for forest in original(g):
+            peeled.append(len(forest))
+            yield forest
+
+    monkeypatch.setattr(backbone_mod, "iterated_spanning_forests", counting)
+    return peeled
+
+
+def resorting_peel(g):
+    """Oracle peel: a fresh maximum spanning forest of the remaining edges each time."""
+    remaining = list(g.edges)
+    while remaining:
+        forest = max_spanning_forest(g.n, remaining)
+        yield forest
+        taken = set(forest)
+        remaining = [e for e in remaining if (e[0], e[1]) not in taken]
+
+
+def scalar_topup(rng, g, taken, need):
+    """Oracle top-up: one scalar draw per candidate, none once `need` is met."""
+    admitted = []
+    pool = [e for e in g.edges if (e[0], e[1]) not in taken]
+    idle = 0
+    while len(admitted) < need:
+        kept = []
+        before = len(admitted)
+        for e in pool:
+            if len(admitted) < need and rng.random() < e[2]:
+                admitted.append(e)
+            else:
+                kept.append(e)
+        pool = kept
+        if len(admitted) > before:
+            idle = 0
+        else:
+            idle += 1
+            if idle >= MAX_TOPUP_PASSES:
+                pool.sort(key=lambda e: (-e[2], e[0], e[1]))
+                admitted.extend(pool[: need - len(admitted)])
+                break
+    return admitted
 
 
 class TestMaxSpanningForest:
@@ -41,6 +94,19 @@ class TestMaxSpanningForest:
         assert sorted(max_spanning_forest(4, edges)) == [(0, 1), (2, 3)]
 
 
+class TestSpanningForest:
+    def test_stops_reading_once_spanning(self):
+        read = []
+
+        def pairs():
+            for e in [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]:
+                read.append(e)
+                yield e
+
+        assert spanning_forest(4, pairs()) == [(0, 1), (1, 2), (2, 3)]
+        assert read == [(0, 1), (1, 2), (0, 2), (2, 3)]
+
+
 class TestIteratedForests:
     def test_forests_are_edge_disjoint(self):
         g = generate_synthetic(20, 0.4, seed=3)
@@ -56,6 +122,30 @@ class TestIteratedForests:
         g = UncertainGraph(4, [(0, 1, 0.2), (1, 2, 0.4), (2, 3, 0.9)])
         forests = list(iterated_spanning_forests(g))
         assert len(forests) == 1 and len(forests[0]) == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_resorting_peel_on_random_graphs(self, seed):
+        g = generate_synthetic(30, 0.3, seed=seed)
+        assert list(iterated_spanning_forests(g)) == list(resorting_peel(g))
+
+    def test_matches_resorting_peel_on_ties(self):
+        g = complete_graph(12, p=0.5)
+        assert list(iterated_spanning_forests(g)) == list(resorting_peel(g))
+
+    def test_matches_resorting_peel_on_disconnected_graph(self):
+        a = generate_synthetic(10, 0.5, seed=1)
+        b = generate_synthetic(8, 0.6, seed=2)
+        edges = list(a.edges) + [(u + 10, v + 10, p) for u, v, p in b.edges]
+        g = UncertainGraph(20, edges)  # two components and two isolated vertices
+        forests = list(iterated_spanning_forests(g))
+        assert forests == list(resorting_peel(g))
+        assert len(forests[0]) == 20 - 4
+
+    def test_forests_come_out_most_probable_first(self):
+        g = generate_synthetic(25, 0.4, seed=8)
+        prob = {(u, v): p for u, v, p in g.edges}
+        for forest in iterated_spanning_forests(g):
+            assert forest == sorted(forest, key=lambda e: (-prob[e], e))
 
 
 class TestDefaultAlphaPrime:
@@ -96,29 +186,56 @@ class TestDefaultAlphaPrime:
         assert default_alpha_prime(g, 0.4) > 0.0
 
 
+class TestProbabilityTopup:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scale", [1.0, 0.05])  # 0.05: several passes first
+    def test_matches_scalar_draws_when_need_is_met_mid_pass(self, seed, scale):
+        g = generate_synthetic(20, 0.4, seed=seed)
+        g = UncertainGraph(g.n, [(u, v, p * scale) for u, v, p in g.edges])
+        taken = {(u, v) for u, v, _ in g.edges[::3]}
+        for need in (1, 5, 17):
+            got = _probability_topup(derive_rng(seed), g, taken, need)
+            assert got == scalar_topup(derive_rng(seed), g, taken, need)
+            assert len(got) == need and not {(u, v) for u, v, _ in got} & taken
+
+    def test_matches_scalar_draws_through_the_pass_limit(self):
+        g = UncertainGraph(5, [(u, v, 1e-12 * (1 + u + v)) for u, v in combinations(range(5), 2)])
+        got = _probability_topup(derive_rng(3), g, {(3, 4)}, 4)
+        assert got == scalar_topup(derive_rng(3), g, {(3, 4)}, 4)
+        # nothing is drawn in time, so the most probable remaining edges win
+        assert [(u, v) for u, v, _ in got] == [(2, 4), (1, 4), (2, 3), (0, 4)]
+
+    def test_too_few_candidates_rejected(self):
+        g = UncertainGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        with pytest.raises(ValueError, match="not enough"):
+            _probability_topup(derive_rng(0), g, {(0, 1)}, 2)
+
+
 class TestBuildBackbone:
     def test_default_alpha_prime_shares_the_forest_peel(self, monkeypatch):
-        import usparse.backbone as backbone_mod
-
         g = generate_synthetic(40, 0.5, seed=2)  # at least ten forests deep
-        calls = []
-        original = backbone_mod.max_spanning_forest
-
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(backbone_mod, "max_spanning_forest", counting)
+        peeled = count_peeled_forests(monkeypatch)
         for alpha in (0.2, 0.5):
-            calls.clear()
+            peeled.clear()
             shared = build_backbone(g, alpha, seed=4)
-            with_default = len(calls)
+            with_default = len(peeled)
             alpha_prime = default_alpha_prime(g, alpha)
-            calls.clear()
+            peeled.clear()
             explicit = build_backbone(g, alpha, alpha_prime=alpha_prime, seed=4)
-            # a separate six-forest peel used to come on top of the quota loop
-            assert with_default == len(calls) < 6 + len(calls)
+            # the default quota reads the quota loop's own forests, so it adds none
+            assert with_default == len(peeled) > 0
             assert shared.edges == explicit.edges
+
+    def test_default_quota_peels_at_most_six_forests(self, monkeypatch):
+        # six forests of 41 cover 246/775 < 0.4 of the edges, so the quota is
+        # 246/775; as a count, 246/775 * 775 rounds up past 246
+        g = generate_synthetic(42, 0.9, seed=1)
+        peeled = count_peeled_forests(monkeypatch)
+        assert default_alpha_prime(g, 0.8) * g.m > 246
+        peeled.clear()
+        b = build_backbone(g, 0.8, seed=7)
+        assert peeled == [41] * 6
+        assert b.m == target_edge_count(g.m, 0.8)
 
     def test_alpha_at_floor_gives_one_spanning_tree(self):
         g = generate_synthetic(25, 0.3, seed=1)

@@ -19,7 +19,7 @@ from usparse.evaluation import (
     mc_distributions,
     mc_point_estimates,
     pagerank_world,
-    relative_entropy,
+    quality,
     variance_protocol,
 )
 from usparse.graph import (
@@ -231,24 +231,23 @@ class TestEarthMoversDistance:
 class TestRelativeEntropy:
     def test_identity(self):
         g = generate_synthetic(10, 0.4, seed=5)
-        assert relative_entropy(g, g) == pytest.approx(1.0)
+        assert quality(g, g)["relative_entropy"] == pytest.approx(1.0)
 
     def test_deterministic_sparsified(self):
         g = generate_synthetic(10, 0.4, seed=5)
         g2 = UncertainGraph(g.n, [(u, v, 1.0) for u, v, _ in g.edges])
-        assert relative_entropy(g, g2) == 0.0
+        assert quality(g, g2)["relative_entropy"] == 0.0
 
     def test_halved_edge_set_is_mass_fraction(self):
         g = generate_synthetic(10, 0.5, seed=6)
         half = list(g.edges)[: g.m // 2]
         g2 = UncertainGraph(g.n, half)
         expected = graph_entropy(g2) / graph_entropy(g)
-        assert relative_entropy(g, g2) == pytest.approx(expected)
+        assert quality(g, g2)["relative_entropy"] == pytest.approx(expected)
 
-    def test_zero_entropy_original_rejected(self):
+    def test_zero_entropy_original_is_none(self):
         g = UncertainGraph(3, [(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            relative_entropy(g, g)
+        assert quality(g, g)["relative_entropy"] is None
 
 
 class TestEmdReport:

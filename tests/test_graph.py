@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usparse.evaluation import QueryKind, mc_distributions
+from usparse.evaluation import QueryKind, mc_distributions, quality
 from usparse.graph import (
     DeterministicWorld,
-    DiscrepancyMode,
     GraphFormatError,
     UncertainGraph,
     derive_rng,
     edge_entropy,
     exact_query_probability,
     expected_cut_size,
-    expected_degree,
     generate_synthetic,
     graph_entropy,
     load_graph,
@@ -82,7 +80,7 @@ class TestConstruction:
 
     def test_isolated_vertices_are_legal(self):
         g = UncertainGraph(10, [(0, 1, 0.5)])
-        assert g.n == 10 and expected_degree(g, 9) == 0.0
+        assert g.n == 10 and g.degree_vector()[9] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +132,13 @@ class TestEntropy:
 class TestDegreesAndCuts:
     def test_star_degree(self):
         g = UncertainGraph(4, [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3)])
-        assert expected_degree(g, 0) == pytest.approx(0.6, abs=1e-15)
+        assert g.degree_vector()[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_degree_out_of_range(self):
+        # a vertex's degree is its singleton cut, which refuses foreign vertices
         g = triangle()
-        with pytest.raises(ValueError):
-            expected_degree(g, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            expected_cut_size(g, [3])
 
     def test_cut_empty_and_full(self):
         g = triangle()
@@ -158,7 +157,7 @@ class TestDegreesAndCuts:
     @settings(max_examples=20, deadline=None)
     def test_degree_equals_singleton_cut(self, u):
         g = random_graph(10, 18, seed=7)
-        assert expected_degree(g, u) == pytest.approx(expected_cut_size(g, [u]), abs=1e-12)
+        assert g.degree_vector()[u] == pytest.approx(expected_cut_size(g, [u]), abs=1e-12)
 
     def test_degree_sum_is_twice_mass(self):
         g = random_graph(15, 40, seed=11)
@@ -166,32 +165,19 @@ class TestDegreesAndCuts:
 
     def test_discrepancy_identity_graph(self):
         g = random_graph(8, 12, seed=5)
+        assert quality(g, g)["degree_objective"] == 0.0
         for size in (1, 3):
-            assert discrepancy_zero_for_all(g, size)
+            assert sampled_k_discrepancy_mae(g, g, size, 20, seed=0) == 0.0
 
     def test_discrepancy_values(self):
-        # cut sizes 2 vs 1.5: absolute difference 0.5, relative 0.25
+        # vertex 0's degree 2 vs 1.5: absolute difference 0.5, relative 0.25;
+        # vertices 1 and 2 each lose 0.25, so the squared sum is 0.375
         g = UncertainGraph(3, [(0, 1, 1.0), (0, 2, 1.0)])
         g2 = UncertainGraph(3, [(0, 1, 0.75), (0, 2, 0.75)])
-        from usparse.graph import discrepancy
-
-        assert discrepancy(g, g2, [0]) == pytest.approx(0.5)
-        assert discrepancy(g, g2, [0], DiscrepancyMode.RELATIVE) == pytest.approx(0.25)
-
-    def test_relative_discrepancy_zero_cut_errors(self):
-        from usparse.graph import discrepancy
-
-        g = UncertainGraph(3, [(0, 1, 0.5)])
-        with pytest.raises(ValueError, match="relative"):
-            discrepancy(g, g, [2], DiscrepancyMode.RELATIVE)
-
-
-def discrepancy_zero_for_all(g, size):
-    from usparse.graph import discrepancy
-
-    return all(
-        discrepancy(g, g, list(s)) == 0.0 for s in combinations(range(g.n), size)
-    )
+        delta = g.degree_vector() - g2.degree_vector()
+        assert delta[0] == pytest.approx(0.5)
+        assert delta[0] / g.degree_vector()[0] == pytest.approx(0.25)
+        assert quality(g, g2)["degree_objective"] == pytest.approx(0.375)
 
 
 class TestSampledDiscrepancyMae:
