@@ -19,10 +19,8 @@ from usparse.gdb import (
     DEFAULT_TAU_FRACTION,
     Rule,
     SparsifierState,
-    apply_step,
     degree_norms,
     degree_objective,
-    degree_step,
     descend,
 )
 from usparse.graph import DiscrepancyMode, UncertainGraph
@@ -78,13 +76,6 @@ def gain_value(
     return gain_u + gain_v
 
 
-def _candidate_probability(state, idx, norms, h):
-    # Rule-optimal clamped (and entropy-gated) probability for an excluded edge.
-    u, v, _ = state.g.edges[idx]
-    step = degree_step(state.vertex_disc[u], state.vertex_disc[v], norms[u], norms[v])
-    return apply_step(0.0, step, h)
-
-
 def e_phase(
     state: SparsifierState,
     h: float,
@@ -97,34 +88,57 @@ def e_phase(
     edges incident to that vertex plus e itself at its prior probability.
     Gains tie toward keeping e, then toward the canonically smallest edge.
     The backbone size is invariant across every step.
+
+    An excluded edge (a, b) competes at its rule-optimal probability
+    apply_step(0.0, degree_step(disc[a], disc[b], norm_a, norm_b), h), and
+    its gain is gain_value at that probability.  Starting from p_hat = 0 the
+    entropy gate compares against edge_entropy(0) == 0, and every probability
+    strictly inside (0, 1) has positive entropy, so the gate fires exactly on
+    interior steps, where the damped h*step needs no clamp.  The candidate
+    probability is therefore 0 for step <= 0, 1 for step >= 1 and h*step in
+    between.  The scan computes that closed form and both formulas inline,
+    with the same terms in the same order up to the commutativity of + and *,
+    so it picks the same winner with the same bits as the calls would.
     """
     g = state.g
+    edges = g.edges
     norms = degree_norms(g, mode).tolist()
     sq_norms = [norm**2 for norm in norms]
     disc = state.vertex_disc
+    in_backbone = state.in_backbone
     heap = VertexHeap(disc)
     swaps = 0
     for idx in state.backbone_indices():
-        u, v, _ = g.edges[idx]
+        u, v, _ = edges[idx]
         prior = state.exclude(idx)
         heap.update(u, disc[u])
         heap.update(v, disc[v])
         top = heap.top()
 
-        # (-gain, keep-preference, canonical pair) ordering picks the winner.
-        gain = gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v])
-        best = (-gain, 0, (u, v), idx, prior)
-        for _, eidx in g.neighbors(top):
-            if state.in_backbone[eidx]:
+        # Candidates come in canonical order, so a strict > lets e win ties
+        # and otherwise keeps the first (smallest) of equal-gain candidates.
+        best_gain = gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v])
+        chosen, best_w = idx, prior
+        d_t, norm_t, sq_t = disc[top], norms[top], sq_norms[top]
+        sq_d_t = d_t**2
+        # Most candidates saturate at w = 1, where the top's gain term is fixed.
+        top_gain_at_one = (sq_d_t - (d_t - 1.0) ** 2) / sq_t
+        for x, eidx in g.neighbors(top):
+            if in_backbone[eidx]:
                 continue
-            a, b, _ = g.edges[eidx]
-            w = _candidate_probability(state, eidx, norms, h)
-            gain = gain_value(disc[a], disc[b], w, sq_norms[a], sq_norms[b])
-            entry = (-gain, 1, (a, b), eidx, w)
-            if entry < best:
-                best = entry
-        _, _, (a, b), chosen, w = best
-        state.include(chosen, w)
+            d_x = disc[x]
+            norm_x = norms[x]
+            step = (norm_x * d_t + norm_t * d_x) / (norm_t + norm_x)
+            if step >= 1.0:
+                w, top_gain = 1.0, top_gain_at_one
+            else:
+                w = 0.0 if step <= 0.0 else h * step
+                top_gain = (sq_d_t - (d_t - w) ** 2) / sq_t
+            gain = top_gain + (d_x**2 - (d_x - w) ** 2) / sq_norms[x]
+            if gain > best_gain:
+                best_gain, chosen, best_w = gain, eidx, w
+        state.include(chosen, best_w)
+        a, b, _ = edges[chosen]
         heap.update(a, disc[a])
         heap.update(b, disc[b])
         if chosen != idx:
@@ -149,6 +163,8 @@ def emd_run(
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("h must lie in [0, 1]")
+    if tau is not None and tau < 0.0:
+        raise ValueError("tau must be non-negative")
     rule = Rule(1, mode)
     state = SparsifierState(g, backbone.edges)
     previous = degree_objective(state, mode)
@@ -159,8 +175,7 @@ def emd_run(
     for _ in range(max_iters):
         swap_counts.append(e_phase(state, h, mode))
         state.resync()
-        descend(state, rule, h, tau=tau_eff, max_sweeps=max_sweeps)
-        current = degree_objective(state, mode)
+        current = descend(state, rule, h, tau=tau_eff, max_sweeps=max_sweeps)["objective_final"]
         history.append(current)
         iterations += 1
         if abs(previous - current) <= tau_eff:

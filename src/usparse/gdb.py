@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -155,7 +156,7 @@ class SparsifierState:
             self.probs[idx] = self.orig[idx]
         self.vertex_disc = list(map(float, self._scratch_disc()))
         self.mass_in = float(sum(self.probs))
-        self.retained_orig = float(sum(self.orig[i] for i in range(self.m) if self.in_backbone[i]))
+        self.retained_orig = float(sum(compress(self.orig, self.in_backbone)))
 
     # -- derived quantities -------------------------------------------------
 
@@ -170,7 +171,7 @@ class SparsifierState:
 
     def backbone_indices(self) -> list[int]:
         """Current backbone edge indices in ascending canonical order."""
-        return [i for i in range(self.m) if self.in_backbone[i]]
+        return list(compress(range(self.m), self.in_backbone))
 
     def disjoint_mass_gap(self, idx: int) -> float:
         """Mass gap over original edges sharing no endpoint with edge idx.
@@ -185,8 +186,9 @@ class SparsifierState:
 
     def _scratch_disc(self) -> np.ndarray:
         # Scatter per-edge gaps rather than degree-minus-mass: retained edges
-        # at their original probability then contribute exact zeros.
-        gaps = np.asarray(self.orig) - np.asarray(self.probs)
+        # at their original probability then contribute exact zeros.  The
+        # graph's cached probability array holds the same doubles as orig.
+        gaps = self.g.probabilities - np.asarray(self.probs)
         d = np.zeros(self.n)
         us, vs = self.g.endpoint_arrays
         np.add.at(d, us, gaps)
@@ -199,9 +201,7 @@ class SparsifierState:
         drift = float(np.max(np.abs(fresh - np.asarray(self.vertex_disc)))) if self.n else 0.0
         self.vertex_disc = fresh.tolist()
         self.mass_in = float(sum(self.probs))
-        self.retained_orig = float(
-            sum(self.orig[i] for i in range(self.m) if self.in_backbone[i])
-        )
+        self.retained_orig = float(sum(compress(self.orig, self.in_backbone)))
         return drift
 
     # -- mutations ----------------------------------------------------------
@@ -241,10 +241,14 @@ class SparsifierState:
         return UncertainGraph(self.n, edges, allow_zero=True)
 
 
+def _weighted_sq_sum(disc: np.ndarray, norms: np.ndarray) -> float:
+    scaled = disc / norms
+    return float(np.dot(scaled, scaled))
+
+
 def degree_objective(state: SparsifierState, mode=DiscrepancyMode.ABSOLUTE) -> float:
     """Objective for degree rules, from discrepancies recomputed from scratch."""
-    disc = state._scratch_disc() / degree_norms(state.g, mode)
-    return float(np.dot(disc, disc))
+    return _weighted_sq_sum(state._scratch_disc(), degree_norms(state.g, mode))
 
 
 def sweep(state: SparsifierState, rule: Rule, h: float) -> int:
@@ -282,16 +286,18 @@ def descend(
 ) -> dict:
     """Sweep until the objective improves by at most tau (or the sweep cap).
 
-    Operates on the state in place and recomputes the objective from scratch
+    Operates on the state in place and resyncs the discrepancies from scratch
     at every sweep boundary, which both bounds incremental drift and gives an
-    honest convergence signal.
+    honest convergence signal: each sweep's objective is computed from those
+    fresh discrepancies.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("h must lie in [0, 1]")
     if tau is not None and tau < 0.0:
-        raise ValueError("tau must be positive")
+        raise ValueError("tau must be non-negative")
     # Cut rules are absolute, so they track the exact absolute degree objective
     # as the progress signal.
+    norms = degree_norms(state.g, rule.mode)
     previous = degree_objective(state, rule.mode)
     history = [previous]
     tau_eff = tau if tau is not None else DEFAULT_TAU_FRACTION * previous
@@ -300,7 +306,7 @@ def descend(
         sweep(state, rule, h)
         sweeps += 1
         state.resync()
-        current = degree_objective(state, rule.mode)
+        current = _weighted_sq_sum(np.asarray(state.vertex_disc), norms)
         history.append(current)
         if abs(previous - current) <= tau_eff:
             break

@@ -1,10 +1,13 @@
 """Tests for the expectation-maximization sparsifier and its vertex heap."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usparse import emd
 from usparse.backbone import BackboneGraph, build_backbone
 from usparse.emd import VertexHeap, e_phase, emd_run, gain_value
 from usparse.evaluation import quality
@@ -144,7 +147,119 @@ class TestEPhase:
         assert np.max(np.abs(state._scratch_disc() - np.asarray(state.vertex_disc))) < 1e-9
 
 
+def reference_e_phase(state, h, mode):
+    """The swap pass as its docstring states it: one call per candidate.
+
+    Returns (swaps, ties): ties counts candidates whose gain equalled the
+    best entry's, so a test can tell that the tie-break decided something.
+    """
+    g = state.g
+    norms = degree_norms(g, mode).tolist()
+    sq_norms = [norm**2 for norm in norms]
+    disc = state.vertex_disc
+    heap = VertexHeap(disc)
+    swaps = ties = 0
+    for idx in state.backbone_indices():
+        u, v, _ = g.edges[idx]
+        prior = state.exclude(idx)
+        heap.update(u, disc[u])
+        heap.update(v, disc[v])
+        top = heap.top()
+        best = (-gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v]), 0, (u, v), idx, prior)
+        for _, eidx in g.neighbors(top):
+            if state.in_backbone[eidx]:
+                continue
+            a, b, _ = g.edges[eidx]
+            w = apply_step(0.0, degree_step(disc[a], disc[b], norms[a], norms[b]), h)
+            entry = (-gain_value(disc[a], disc[b], w, sq_norms[a], sq_norms[b]), 1, (a, b), eidx, w)
+            ties += entry[0] == best[0]
+            best = min(best, entry)
+        _, _, (a, b), chosen, w = best
+        state.include(chosen, w)
+        heap.update(a, disc[a])
+        heap.update(b, disc[b])
+        swaps += chosen != idx
+    return swaps, ties
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestEPhaseReference:
+    """e_phase's inline scan picks the reference's winner with the same bits."""
+
+    @staticmethod
+    def assert_same_passes(g, alpha, seed, h, mode, shuffle=False, passes=2):
+        backbone = build_backbone(g, alpha, seed=seed)
+        fast = SparsifierState(g, backbone.edges)
+        slow = SparsifierState(g, backbone.edges)
+        if shuffle:
+            # Random probabilities give discrepancies of both signs, so the
+            # closed form's 0, h*step and 1 branches all win some slots.
+            rng = derive_rng(seed, 1)
+            for idx in fast.backbone_indices():
+                p = float(rng.random())
+                fast.set_prob(idx, p)
+                slow.set_prob(idx, p)
+        total_ties = 0
+        for _ in range(passes):
+            swaps = e_phase(fast, h, mode)
+            ref_swaps, ties = reference_e_phase(slow, h, mode)
+            total_ties += ties
+            assert swaps == ref_swaps
+            assert fast.in_backbone == slow.in_backbone
+            assert bits(fast.probs) == bits(slow.probs)
+            assert bits(fast.vertex_disc) == bits(slow.vertex_disc)
+        return total_ties
+
+    @pytest.mark.parametrize("start", ["backbone", "shuffled"])
+    @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs(self, seed, mode, h, start):
+        g = generate_synthetic(24 + 4 * seed, 0.3, seed=seed)
+        if start == "backbone":
+            self.assert_same_passes(g, 0.3, seed, h, mode)
+        else:
+            self.assert_same_passes(g, 0.6, seed, h, mode, shuffle=True)
+
+    @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
+    def test_equal_probabilities_ties_decide(self, mode, h):
+        edges = [(u, v, 0.5) for u, v, _ in generate_synthetic(30, 0.4, seed=3).edges]
+        g = UncertainGraph(30, edges)
+        ties = self.assert_same_passes(g, 0.3, 3, h, mode)
+        assert ties > 0
+
+    @pytest.mark.parametrize(
+        "step",
+        [-2.0, -0.0, 0.0, 5e-324, 0.3, math.nextafter(1.0, 0.0), 1.0, 1.5],
+    )
+    @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+    def test_closed_form_candidate_probability(self, step, h):
+        # e_phase inlines this form of apply_step(0.0, step, h): entropy at 0
+        # is 0 and positive inside (0, 1), so only interior steps are damped.
+        closed = 0.0 if step <= 0.0 else 1.0 if step >= 1.0 else h * step
+        assert closed.hex() == apply_step(0.0, step, h).hex()
+
+
 class TestEmdRun:
+    def test_negative_tau_rejected_before_any_swap_pass(self, monkeypatch):
+        calls = []
+
+        def counting_e_phase(*args, **kwargs):
+            calls.append(args)
+            return e_phase(*args, **kwargs)
+
+        monkeypatch.setattr(emd, "e_phase", counting_e_phase)
+        g = generate_synthetic(20, 0.4, seed=1)
+        with pytest.raises(ValueError, match="tau must be non-negative"):
+            emd_run(g, build_backbone(g, 0.3, seed=1), tau=-1.0)
+        assert calls == []
+        emd_run(g, build_backbone(g, 0.3, seed=1), tau=0.0, max_iters=1)
+        assert len(calls) == 1
+
     def test_full_backbone_immediate_convergence(self):
         g = generate_synthetic(15, 0.4, seed=4)
         out, info = emd_run(g, full_backbone(g), h=0.05)

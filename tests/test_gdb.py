@@ -233,6 +233,81 @@ class TestStateBookkeeping:
         assert np.max(np.abs(state._scratch_disc() - np.asarray(state.vertex_disc))) < 1e-9
 
 
+def perturbed_state(g, alpha, seed, zero_share=0.0):
+    """State on a random backbone with mixed probabilities; a share of them 0."""
+    state = SparsifierState(g, build_backbone(g, alpha, seed=seed).edges)
+    rng = derive_rng(seed, 1)
+    for idx in state.backbone_indices():
+        r = float(rng.random())
+        state.set_prob(idx, 0.0 if r < zero_share else r)
+    return state
+
+
+def two_scatter_disc(state):
+    """Discrepancies by the two np.add.at scatters over orig - probs."""
+    gaps = np.asarray(state.orig) - np.asarray(state.probs)
+    d = np.zeros(state.n)
+    us, vs = state.g.endpoint_arrays
+    np.add.at(d, us, gaps)
+    np.add.at(d, vs, gaps)
+    return d
+
+
+class TestExactBookkeeping:
+    """Bookkeeping shortcuts give the same bits as the sums they replace."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scratch_disc_matches_two_scatters(self, seed):
+        g = generate_synthetic(40, 0.2, seed=seed)
+        state = perturbed_state(g, 0.4, seed)
+        assert state._scratch_disc().tobytes() == two_scatter_disc(state).tobytes()
+
+    def test_scratch_disc_with_isolated_vertex_and_zero_backbone_edges(self):
+        g = generate_synthetic(30, 0.3, seed=11)
+        # vertex 30 has no edge at all
+        g = UncertainGraph(31, g.edges)
+        state = perturbed_state(g, 0.5, 11, zero_share=0.4)
+        assert state.probs.count(0.0) > sum(not b for b in state.in_backbone)
+        disc = state._scratch_disc()
+        assert disc[30] == 0.0
+        assert disc.tobytes() == two_scatter_disc(state).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_resync_sums_match_sequential_sums(self, seed):
+        g = generate_synthetic(40, 0.2, seed=seed)
+        state = perturbed_state(g, 0.4, seed, zero_share=0.2)
+        rng = derive_rng(seed, 2)
+        for idx in state.backbone_indices()[::3]:
+            state.exclude(idx)
+        for idx in rng.choice(state.m, size=state.m // 10, replace=False).tolist():
+            if not state.in_backbone[idx]:
+                state.include(idx, float(rng.random()))
+        state.resync()
+        assert state.retained_orig == float(
+            sum(state.orig[i] for i in range(state.m) if state.in_backbone[i])
+        )
+        assert state.mass_in == float(sum(state.probs[i] for i in range(state.m)))
+        assert state.backbone_indices() == [i for i in range(state.m) if state.in_backbone[i]]
+
+    @pytest.mark.parametrize(
+        "rule", [Rule(1), Rule(1, DiscrepancyMode.RELATIVE), Rule(2)], ids=["abs", "rel", "k2"]
+    )
+    def test_descend_last_objective_is_from_scratch(self, rule):
+        g = generate_synthetic(50, 0.2, seed=4)
+        state = SparsifierState(g, build_backbone(g, 0.3, seed=4).edges)
+        info = descend(state, rule, h=0.05)
+        assert info["sweeps"] >= 2
+        assert info["objective_history"][-1] == degree_objective(state, rule.mode)
+        assert info["objective_final"] == info["objective_history"][-1]
+
+    def test_descend_rejects_negative_tau_accepts_zero(self):
+        g = generate_synthetic(12, 0.4, seed=2)
+        state = SparsifierState(g, build_backbone(g, 0.5, seed=2).edges)
+        with pytest.raises(ValueError, match="tau must be non-negative"):
+            descend(state, Rule(), h=0.05, tau=-1e-9)
+        assert descend(state, Rule(), h=0.05, tau=0.0, max_sweeps=3)["sweeps"] >= 1
+
+
 class TestCutAllStep:
     def test_zero_gap_zero_step(self):
         g = UncertainGraph(4, [(0, 1, 0.5), (2, 3, 0.5)])
