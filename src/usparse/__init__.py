@@ -20,6 +20,7 @@ from usparse.evaluation import (
     emd_report,
     mc_distributions,
     quality,
+    sample_masks,
     variance_protocol,
 )
 from usparse.gdb import Rule, gdb_run
@@ -71,6 +72,7 @@ __all__ = [
     "ni_sparsify",
     "quality",
     "random_backbone",
+    "sample_masks",
     "sample_world",
     "sampled_k_discrepancy_mae",
     "save_graph",

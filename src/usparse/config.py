@@ -47,8 +47,8 @@ class RunConfig:
             raise ValueError("alpha_prime must lie in [0, alpha]")
         if not 0.0 <= self.h <= 1.0:
             raise ValueError("h must lie in [0, 1]")
-        if self.tau is not None and self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if self.tau is not None and self.tau < 0.0:
+            raise ValueError("tau must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative 64-bit integer")
         rule = self.objective()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from enum import Enum
-from itertools import compress
 from typing import Callable, Iterable
 
 import numpy as np
@@ -183,25 +182,15 @@ class UncertainGraph:
 class DeterministicWorld:
     """One possible world: the subset of edges that materialized."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = int(n)
         self.edges = tuple(edges)
-        self._adj = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> list[list[int]]:
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = adj
-        return self._adj
 
     def component_labels(self) -> list[int]:
         """Connected-component label per vertex (root of a union-find forest)."""
@@ -218,10 +207,17 @@ class DeterministicWorld:
         return labels[source] == labels[target]
 
     def hop_distances(self, source: int) -> list[float]:
-        """BFS hop counts from source; unreachable vertices get math.inf."""
+        """BFS hop counts from source; unreachable vertices get math.inf.
+
+        Evaluation runs its own batched search and never calls this; it stays
+        because perfbench's traced runs wrap this method by name.
+        """
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         dist = [math.inf] * self.n
         dist[source] = 0
-        adj = self.adjacency()
         q = deque([source])
         while q:
             x = q.popleft()
@@ -324,11 +320,10 @@ def sampled_k_discrepancy_mae(
 # ---------------------------------------------------------------------------
 
 
-def sample_world(g: UncertainGraph, rng: np.random.Generator) -> DeterministicWorld:
-    """Materialize each edge independently with its probability."""
-    ps = g.probabilities
-    mask = rng.random(len(ps)) < ps
-    return DeterministicWorld(g.n, compress(g.edge_pairs, mask.tolist()))
+def sample_world(g: UncertainGraph, rng: np.random.Generator) -> np.ndarray:
+    """Edge mask of one possible world: edge e materializes when rng's e-th
+    uniform falls below its probability."""
+    return rng.random(g.m) < g.probabilities
 
 
 def _world_from_mask(g: UncertainGraph, mask: int) -> DeterministicWorld:

@@ -32,6 +32,7 @@ from usparse.evaluation import (
     QueryKind,
     earth_movers_distance,
     quality,
+    sample_masks,
     variance_protocol,
 )
 from usparse.gdb import cut_rule_coefficients, cut_step, degree_step, gdb_run
@@ -41,7 +42,6 @@ from usparse.graph import (
     exact_query_probability,
     generate_synthetic,
     load_graph,
-    sample_world,
 )
 from usparse.lp import lp_sparsify
 
@@ -142,17 +142,17 @@ def test_criterion_06_entropy_reduction(suite_n100, gdb_h_runs, emd_runs):
 def test_criterion_07_monte_carlo_matches_exact_oracle(monkeypatch):
     started = time.perf_counter()
     n_samples = 100_000
-    # Both estimates read the evaluation sampler's worlds: reliability is the
-    # mean of mc_distributions, and connectivity is counted on the very worlds
-    # it draws, world i being sample_world(g, derive_rng(seed, i)).
-    connected = []
+    # Both estimates read the evaluation engine's worlds: reliability is the
+    # mean of mc_distributions, and connectivity is counted on the very mask
+    # rows it draws, row i being world i of sample_masks(g, seed, (), n_samples).
+    drawn = []
 
-    def recording_sample_world(g, rng):
-        world = sample_world(g, rng)
-        connected.append(world.is_connected())
-        return world
+    def recording_sample_masks(*args, **kwargs):
+        masks = sample_masks(*args, **kwargs)
+        drawn.append(masks)
+        return masks
 
-    monkeypatch.setattr(evaluation, "sample_world", recording_sample_world)
+    monkeypatch.setattr(evaluation, "sample_masks", recording_sample_masks)
     for seed in range(10):
         rng = derive_rng(seed, 777)
         n = int(rng.integers(5, 8))
@@ -163,14 +163,19 @@ def test_criterion_07_monte_carlo_matches_exact_oracle(monkeypatch):
             n, [(pairs[i][0], pairs[i][1], 0.15 + 0.8 * float(rng.random())) for i in idx]
         )
         pair = (0, g.n - 1)
-        connected.clear()
+        drawn.clear()
         reliability = evaluation.mc_distributions(
             g, QueryKind.RELIABILITY, [pair], n_samples, seed=seed + 31
         )
-        assert len(connected) == n_samples
+        masks = np.concatenate(drawn)
+        assert masks.shape == (n_samples, g.m)
+        for i in (0, n_samples - 1):
+            assert np.array_equal(masks[i], derive_rng(seed + 31, i).random(g.m) < g.probabilities)
+        labels = evaluation.component_labels(g, masks)
+        connected = np.count_nonzero((labels == labels[:, :1]).all(axis=1))
         for predicate, freq in (
             (lambda w: w.reachable(*pair), reliability[pair].mean()),
-            (lambda w: w.is_connected(), sum(connected) / n_samples),
+            (lambda w: w.is_connected(), connected / n_samples),
         ):
             exact = exact_query_probability(g, predicate)
             sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / n_samples)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,21 @@ class TestSparsify:
                      "-m", "gdb", "-a", "0.4"])
         assert code == 2
 
+    def test_tau_zero_runs_to_a_standstill(self, graph_file, tmp_path):
+        out = tmp_path / "t.el"
+        argv = ["sparsify", "-i", str(graph_file), "-o", str(out), "-m", "emd", "-a", "0.3",
+                "--tau", "0", "--seed", "7"]
+        assert main(argv) == 0
+        assert load_graph(out, allow_zero=True).m == target_edge_count(load_graph(graph_file).m, 0.3)
+
+    def test_negative_tau_refused(self, graph_file, tmp_path, capsys):
+        out = tmp_path / "t.el"
+        argv = ["sparsify", "-i", str(graph_file), "-o", str(out), "-m", "emd", "-a", "0.3",
+                "--tau", "-1", "--seed", "7"]
+        assert main(argv) == 1
+        assert "tau must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cut_rule_and_cut_all(self, graph_file, tmp_path):
         for rule in ("2", "all"):
             code, out = run_sparsify(graph_file, tmp_path, "gdb", extra=["-k", rule], name=f"k{rule}.el")
@@ -162,6 +178,33 @@ class TestEval:
         n_samples, n_runs = 7, 3
         cli.run_eval(g, sparsified, evaluation.QueryKind.RELIABILITY, n_samples, n_runs, 5, 2)
         assert len(calls) == 2 * n_samples * (1 + n_runs)
+
+    # sha256 of each eval output, recorded at commit 32a0c1a (the per-world
+    # evaluation path) for `generate -n 40 -d 0.12 --seed 3`, `sparsify -m gdb
+    # -a 0.5 --seed 7` and the eval flags below.
+    PINNED_EVAL_SHA256 = {
+        "pr": ("f0a28b58af5e23d73dd7e715a40a0089091be23aed6c8e7260058390fb01345b",
+               "a7aefc40096c0e5a96ebe3b7916a80c6426928bb835b26ec79223eed008d9e4f"),
+        "sp": ("c840b302453142a666e801742eabe770f3227e72e464f1a32e8508c5a4d02fdd",
+               "546cf03744d5e05555f6e58d1c07f89a99b4f41dfee388e28b03055f5d9658ad"),
+        "rl": ("4ff1cd50a1a8e05e449bf57f0c482e934fd96011055fb5b1dd3f7f290208afa4",
+               "e98b489c691f256bd415c1b4ec7cb2d2c44deca450e53bae0a9d4390bb0b3859"),
+        "cc": ("f90f59af94ba8719af0fb406f9ca4cf00ad202db82ef1f9973f94d33572ad299",
+               "36243c04916015a020c71d6f189dd811db68d67eb163297364aacce9d6cacf43"),
+    }
+
+    @pytest.mark.parametrize("query", ["pr", "sp", "rl", "cc"])
+    def test_outputs_keep_pinned_bytes(self, tmp_path, monkeypatch, query):
+        # relative names, because the JSON records the input file names
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "-n", "40", "-d", "0.12", "--seed", "3", "-o", "g.el"]) == 0
+        assert main(["sparsify", "-i", "g.el", "-o", "gdb.el", "-m", "gdb", "-a", "0.5",
+                     "--seed", "7"]) == 0
+        assert main(["eval", "-i", "g.el", "-s", "gdb.el", "-q", query, "--samples", "30",
+                     "--runs", "3", "--pairs", "120", "--seed", "5", "-o", "report"]) == 0
+        digests = tuple(hashlib.sha256((tmp_path / f"report.{ext}").read_bytes()).hexdigest()
+                        for ext in ("json", "csv"))
+        assert digests == self.PINNED_EVAL_SHA256[query]
 
     def test_vertex_count_mismatch(self, graph_file, tmp_path):
         other = tmp_path / "other.el"

@@ -2,17 +2,19 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usparse import evaluation
 from usparse.evaluation import (
     EmdReport,
     QueryDistribution,
     QueryKind,
-    clustering_coefficient_world,
     default_units,
     earth_movers_distance,
     emd_report,
@@ -20,11 +22,12 @@ from usparse.evaluation import (
     mc_point_estimates,
     pagerank_world,
     quality,
+    sample_masks,
     variance_protocol,
 )
 from usparse.graph import (
-    DeterministicWorld,
     UncertainGraph,
+    derive_rng,
     exact_query_probability,
     generate_synthetic,
     graph_entropy,
@@ -34,6 +37,25 @@ from usparse.graph import (
 def dist(values, kind=QueryKind.PAGERANK, unit=0):
     arr = np.sort(np.asarray(values, dtype=float))
     return QueryDistribution(kind, unit, arr, len(arr))
+
+
+def kernel_values(g, kind, units, masks):
+    """(B, U) values the evaluation kernel gives each unit in each mask row's world."""
+    return evaluation._kernel(g, kind, list(units))[0](masks)
+
+
+def one_world(n, edges, kind, units):
+    """Query values in the only world of the graph whose edges all have p = 1."""
+    g = UncertainGraph(n, [(u, v, 1.0) for u, v in edges])
+    return kernel_values(g, kind, units, sample_masks(g, 0, (), 1))[0]
+
+
+def pagerank_scores(n, edges):
+    return one_world(n, edges, QueryKind.PAGERANK, list(range(n)))
+
+
+def clustering(n, edges, u):
+    return float(one_world(n, edges, QueryKind.CLUSTERING_COEFFICIENT, [u])[0])
 
 
 def transport_cost(xs, ys):
@@ -60,61 +82,53 @@ def transport_cost(xs, ys):
 
 class TestPagerank:
     def test_empty_world_uniform(self):
-        w = DeterministicWorld(5, [])
-        assert np.allclose(pagerank_world(w), 0.2)
+        assert np.allclose(pagerank_scores(5, []), 0.2)
 
     def test_scores_sum_to_one(self):
         g = generate_synthetic(30, 0.2, seed=1)
-        w = DeterministicWorld(g.n, [(u, v) for u, v, _ in g.edges])
-        assert pagerank_world(w).sum() == pytest.approx(1.0, abs=1e-9)
+        assert pagerank_scores(g.n, g.edge_pairs).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_pair_equal_scores(self):
-        w = DeterministicWorld(4, [(0, 1), (2, 3)])
-        scores = pagerank_world(w)
+        scores = pagerank_scores(4, [(0, 1), (2, 3)])
         assert scores[0] == pytest.approx(scores[1], abs=1e-12)
         assert scores[0] == pytest.approx(scores[2], abs=1e-10)
 
     def test_matches_linear_system_solution(self):
         # stationary equations solved directly as an independent oracle
-        w = DeterministicWorld(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)]
         n, d = 6, 0.85
         A = np.zeros((n, n))
         deg = [0] * n
-        for u, v in w.edges:
+        for u, v in edges:
             deg[u] += 1
             deg[v] += 1
-        for u, v in w.edges:
+        for u, v in edges:
             A[v, u] += 1 / deg[u]
             A[u, v] += 1 / deg[v]
         for x in range(n):
             if deg[x] == 0:
                 A[:, x] = 1 / n
         expected = np.linalg.solve(np.eye(n) - d * A, np.full(n, (1 - d) / n))
-        assert np.allclose(pagerank_world(w), expected, atol=1e-9)
+        assert np.allclose(pagerank_scores(n, edges), expected, atol=1e-9)
 
 
 class TestClusteringCoefficient:
     def test_triangle_vertex(self):
-        w = DeterministicWorld(3, [(0, 1), (0, 2), (1, 2)])
-        assert clustering_coefficient_world(w, 0) == 1.0
+        assert clustering(3, [(0, 1), (0, 2), (1, 2)], 0) == 1.0
 
     def test_star_center(self):
-        w = DeterministicWorld(4, [(0, 1), (0, 2), (0, 3)])
-        assert clustering_coefficient_world(w, 0) == 0.0
+        assert clustering(4, [(0, 1), (0, 2), (0, 3)], 0) == 0.0
 
     def test_four_clique(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        w = DeterministicWorld(4, edges)
-        assert clustering_coefficient_world(w, 2) == 1.0
+        assert clustering(4, edges, 2) == 1.0
 
     def test_low_degree_is_zero(self):
-        w = DeterministicWorld(3, [(0, 1)])
-        assert clustering_coefficient_world(w, 0) == 0.0
-        assert clustering_coefficient_world(w, 2) == 0.0
+        assert clustering(3, [(0, 1)], 0) == 0.0
+        assert clustering(3, [(0, 1)], 2) == 0.0
 
     def test_half_connected_neighborhood(self):
-        w = DeterministicWorld(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        assert clustering_coefficient_world(w, 0) == pytest.approx(1 / 3)
+        assert clustering(4, [(0, 1), (0, 2), (0, 3), (1, 2)], 0) == pytest.approx(1 / 3)
 
 
 class TestMcDistributions:
@@ -321,6 +335,21 @@ class TestVarianceProtocol:
         var = variance_protocol(g, QueryKind.RELIABILITY, [unit], n_samples=100, n_runs=100, seed=7)
         assert theory / 3 <= var[unit] <= 3 * theory
 
+    @pytest.mark.parametrize("kind", list(QueryKind))
+    def test_each_run_is_its_point_estimate(self, kind):
+        # bit for bit: run r's estimate is mc_point_estimates on key (r,)
+        g = oracle_graph(3)
+        units = default_units(g, kind, n_pairs=30, seed=2)
+        n_runs, n_samples = 20, 24
+        var = variance_protocol(g, kind, units, n_samples, n_runs, seed=6)
+        runs = [mc_point_estimates(g, kind, units, n_samples, 6, key=(r,)) for r in range(n_runs)]
+        for unit in units:
+            estimates = [run[unit] for run in runs]
+            if any(math.isnan(e) for e in estimates):
+                assert math.isnan(var[unit])
+            else:
+                assert var[unit] == float(np.var(estimates, ddof=1))
+
     def test_needs_two_runs(self):
         g = UncertainGraph(2, [(0, 1, 0.5)])
         with pytest.raises(ValueError):
@@ -330,24 +359,109 @@ class TestVarianceProtocol:
 class TestQueryValueBounds:
     @pytest.mark.parametrize("seed", range(3))
     def test_clustering_coefficient_in_unit_interval(self, seed):
-        from usparse.graph import derive_rng, sample_world
-
         g = generate_synthetic(15, 0.4, seed=seed)
-        w = sample_world(g, derive_rng(seed))
-        for u in range(g.n):
-            assert 0.0 <= clustering_coefficient_world(w, u) <= 1.0
+        values = kernel_values(g, QueryKind.CLUSTERING_COEFFICIENT, range(g.n),
+                               sample_masks(g, seed, (), 20))
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pagerank_is_probability_vector(self, seed):
-        from usparse.graph import derive_rng, sample_world
-
         g = generate_synthetic(15, 0.4, seed=seed)
-        w = sample_world(g, derive_rng(seed + 10))
-        scores = pagerank_world(w)
+        scores = pagerank_world(g, sample_masks(g, seed + 10, (), 20))
         assert np.all(scores >= 0)
-        assert scores.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
 
     def test_reliability_estimates_in_unit_interval(self):
         g = generate_synthetic(10, 0.4, seed=1)
         est = mc_point_estimates(g, QueryKind.RELIABILITY, [(0, 5), (1, 2)], 50, seed=4)
         assert all(0.0 <= v <= 1.0 for v in est.values())
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against networkx, one rebuilt world at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_graph(seed, n=16, m=34):
+    """Random graph with three isolated vertices and p = 0, p = 1 and interior edges."""
+    rng = derive_rng(seed, 0x0AC)
+    pairs = list(combinations(range(n - 3), 2))
+    edges = []
+    for i in rng.choice(len(pairs), size=m, replace=False):
+        kind = int(rng.integers(0, 4))
+        p = 0.0 if kind == 0 else 1.0 if kind == 1 else 0.1 + 0.8 * float(rng.random())
+        edges.append((*pairs[i], p))
+    return UncertainGraph(n, edges, allow_zero=True)
+
+
+def networkx_values(g, kind, units, mask):
+    world = nx.Graph()
+    world.add_nodes_from(range(g.n))
+    world.add_edges_from(e for e, present in zip(g.edge_pairs, mask) if present)
+    if kind is QueryKind.PAGERANK:
+        scores = nx.pagerank(world, alpha=0.85, tol=1e-13, max_iter=1000)
+        return [scores[u] for u in units]
+    if kind is QueryKind.CLUSTERING_COEFFICIENT:
+        coefficients = nx.clustering(world)
+        return [coefficients[u] for u in units]
+    if kind is QueryKind.RELIABILITY:
+        return [1.0 if nx.has_path(world, u, v) else 0.0 for u, v in units]
+    lengths = {u: nx.single_source_shortest_path_length(world, u) for u, _ in units}
+    return [float(lengths[u].get(v, math.nan)) for u, v in units]
+
+
+class TestEngineMatchesNetworkx:
+    @pytest.mark.parametrize("kind", list(QueryKind))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_world_matches(self, kind, seed, monkeypatch):
+        g = oracle_graph(seed)
+        units = default_units(g, kind, n_pairs=60, seed=seed)
+        n_worlds = 25
+        # the sampled worlds, then the empty world
+        masks = np.vstack([sample_masks(g, seed, (), n_worlds), np.zeros((1, g.m), dtype=bool)])
+        expected = np.array([networkx_values(g, kind, units, row) for row in masks])
+        atol = 1e-8 if kind is QueryKind.PAGERANK else 0.0
+        got = kernel_values(g, kind, units, masks)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
+        # mc_distributions reads the same worlds, one chunk per world
+        monkeypatch.setattr(evaluation, "CHUNK_CELLS", 1)
+        dists = mc_distributions(g, kind, units, n_worlds, seed)
+        for unit, column in zip(units, got[:n_worlds].T):
+            assert np.array_equal(dists[unit].values, np.sort(column[~np.isnan(column)]))
+
+    @pytest.mark.parametrize("kind", list(QueryKind))
+    def test_chunking_keeps_every_bit(self, kind, monkeypatch):
+        g = oracle_graph(7)
+        units = default_units(g, kind, n_pairs=40, seed=1)
+
+        def run():
+            dists = mc_distributions(g, kind, units, 9, seed=4)
+            var = variance_protocol(g, kind, units, n_samples=5, n_runs=4, seed=4)
+            return [dists[u].values.tolist() for u in units], [var[u] for u in units]
+
+        whole_values, whole_var = run()
+        # one world per chunk, runs split over chunks, and one chunk per run
+        for cells in (1, 200, 2000):
+            monkeypatch.setattr(evaluation, "CHUNK_CELLS", cells)
+            values, var = run()
+            assert values == whole_values
+            np.testing.assert_array_equal(var, whole_var)
+
+    @pytest.mark.parametrize("kind", [QueryKind.SHORTEST_PATH, QueryKind.RELIABILITY])
+    def test_chunks_bound_the_unit_values(self, kind, monkeypatch):
+        # a sparse graph with many pairs: the (B, U) values are a chunk's widest array
+        g = generate_synthetic(60, 2 / 59, seed=3)
+        units = default_units(g, kind, n_pairs=1000, seed=2)
+        rows = []
+
+        def recording_sample_masks(*args, **kwargs):
+            masks = sample_masks(*args, **kwargs)
+            rows.append(len(masks))
+            return masks
+
+        monkeypatch.setattr(evaluation, "sample_masks", recording_sample_masks)
+        monkeypatch.setattr(evaluation, "CHUNK_CELLS", 8000)
+        assert 2 * (g.m + g.n) < 1000
+        mc_distributions(g, kind, units, 20, seed=1)
+        assert sum(rows) == 20
+        assert max(rows) * len(units) <= 8000

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usparse.evaluation import QueryKind, mc_distributions, quality
+from usparse.evaluation import (
+    QueryKind,
+    component_labels,
+    mc_distributions,
+    quality,
+    sample_masks,
+)
 from usparse.graph import (
     DeterministicWorld,
     GraphFormatError,
@@ -21,16 +27,17 @@ from usparse.graph import (
     graph_entropy,
     load_graph,
     sample_k_subset,
-    sample_world,
     sampled_k_discrepancy_mae,
     save_graph,
 )
 
 
 def world_frequency(g, predicate, n_samples, seed):
-    """Share of the evaluation sampler's worlds 0..n_samples-1 where predicate holds."""
-    hits = sum(bool(predicate(sample_world(g, derive_rng(seed, i)))) for i in range(n_samples))
-    return hits / n_samples
+    """Share of the evaluation sampler's worlds 0..n_samples-1 where predicate holds.
+
+    The predicate maps the (n_samples, |E|) edge-mask matrix to one bool per world.
+    """
+    return float(np.mean(predicate(sample_masks(g, seed, (), n_samples))))
 
 
 def triangle(p=0.5):
@@ -237,12 +244,11 @@ class TestSampledDiscrepancyMae:
 class TestWorlds:
     def test_all_certain_edges_present(self):
         g = UncertainGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        w = sample_world(g, derive_rng(0))
-        assert set(w.edges) == {(0, 1), (1, 2)}
+        assert sample_masks(g, 0, (), 4).tolist() == [[True, True]] * 4
 
     def test_tiny_probability_world_mostly_empty(self):
         g = UncertainGraph(2, [(0, 1, 0.000001)])
-        freq = world_frequency(g, lambda w: w.m == 0, 100_000, seed=5)
+        freq = world_frequency(g, lambda masks: ~masks.any(axis=1), 100_000, seed=5)
         # binomial 5-sigma band around q = (1 - 1e-6)
         q = 1.0 - 1e-6
         assert abs(freq - q) <= 5 * math.sqrt(q * (1 - q) / 100_000) + 1e-9
@@ -250,14 +256,20 @@ class TestWorlds:
     def test_inclusion_frequency_binomial_bound(self):
         g = UncertainGraph(2, [(0, 1, 0.3)])
         n = 100_000
-        freq = world_frequency(g, lambda w: w.m == 1, n, seed=17)
+        freq = world_frequency(g, lambda masks: masks[:, 0], n, seed=17)
         assert abs(freq - 0.3) <= 5 * math.sqrt(0.3 * 0.7 / n)
 
     def test_sampling_deterministic_given_seed(self):
         g = random_graph(10, 20, seed=1)
-        w1 = sample_world(g, derive_rng(42))
-        w2 = sample_world(g, derive_rng(42))
-        assert w1.edges == w2.edges
+        assert np.array_equal(sample_masks(g, 42, (3,), 6), sample_masks(g, 42, (3,), 6))
+
+    def test_row_i_is_world_i_of_its_stream(self):
+        g = random_graph(10, 20, seed=1)
+        masks = sample_masks(g, 42, (3,), 6)
+        for i, row in enumerate(masks):
+            assert np.array_equal(row, derive_rng(42, 3, i).random(g.m) < g.probabilities)
+        # a block of rows drawn on its own holds the same worlds
+        assert np.array_equal(sample_masks(g, 42, (3,), 3, start=2), masks[2:5])
 
     def test_world_reachability_and_components(self):
         w = DeterministicWorld(5, [(0, 1), (1, 2), (3, 4)])
@@ -266,10 +278,24 @@ class TestWorlds:
         assert labels[0] == labels[2] != labels[3] == labels[4]
         assert not w.is_connected()
 
+    def test_engine_components_of_the_one_world(self):
+        # every p = 1, so each sampled world is the whole edge set
+        g = UncertainGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        for labels in component_labels(g, sample_masks(g, 0, (), 3)):
+            assert labels[0] == labels[1] == labels[2] != labels[3] == labels[4]
+
+    def test_world_hop_distances_match_the_engine(self):
+        g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0)])
+        world = DeterministicWorld(g.n, g.edge_pairs)
+        assert world.hop_distances(0) == [0, 1, 2, math.inf]
+        dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2), (0, 3)], n_samples=1, seed=0)
+        assert [d.values.tolist() for d in dists.values()] == [[2.0], []]
+
     def test_hop_distances(self):
-        w = DeterministicWorld(4, [(0, 1), (1, 2)])
-        d = w.hop_distances(0)
-        assert d == [0, 1, 2, math.inf]
+        g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0)])
+        units = [(0, 1), (0, 2), (0, 3), (2, 0)]
+        dists = mc_distributions(g, QueryKind.SHORTEST_PATH, units, n_samples=3, seed=0)
+        assert [dists[u].values.tolist() for u in units] == [[1.0] * 3, [2.0] * 3, [], [2.0] * 3]
 
 
 class TestExactOracle:
