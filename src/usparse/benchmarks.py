@@ -6,9 +6,11 @@ connectivities, samples edges inversely to that estimate, and maps surviving
 weights back to probabilities capped at 1.  The spanner-based one (ss) maps
 probabilities to -log weights so light paths are probable paths, builds a
 randomized (2t-1)-spanner by cluster sampling, and keeps original
-probabilities.  Both calibrate their size parameter until the output is at
-most the target and top the deficit up by probability-weighted sampling, so
-they emit exactly round(alpha*|E|) edges.
+probabilities.  ni rescales its epsilon until the sample is the largest one
+not above the target; ss scans the stretch parameter t with a step that
+doubles whenever the spanner does not shrink, keeps the smallest spanner and
+trims it if even that one overshoots.  Both top the deficit up by
+probability-weighted sampling, so they emit exactly round(alpha*|E|) edges.
 """
 
 from __future__ import annotations
@@ -279,9 +281,10 @@ def ss_core(wg: WeightedGraph, t: int, seed: int) -> frozenset:
     return frozenset(spanner)
 
 
-def _solve_stretch_parameter(n: int, target: float, t_max: int = 200) -> int:
+def _solve_stretch_parameter(n: int, target: float) -> int:
     """Smallest integer t with expected spanner size t*n^(1+1/t) <= target,
     or the minimizing t when no integer satisfies the bound."""
+    t_max = 200
     best_t, best_val = 1, math.inf
     for t in range(1, t_max + 1):
         val = t * n ** (1.0 + 1.0 / t)
@@ -296,10 +299,15 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
     """Spanner-based benchmark sparsifier with exactly round(alpha*|E|) edges.
 
     Retained edges keep their original probabilities (no redistribution).
-    The stretch parameter is solved from t*n^(1+1/t) = alpha*|E| and bumped
-    by 1 while the spanner overshoots; a persistent overshoot is trimmed
-    deterministically, dropping the least probable edges outside a maximum
-    spanning forest of the spanner first.
+    The scan starts at the t0 solved from t*n^(1+1/t) = alpha*|E| with step 1
+    and moves to min(t + step, t0 + MAX_CALIBRATION_STEPS); the step doubles
+    after every spanner that is not strictly smaller than the smallest so far,
+    so while the spanner keeps shrinking t walks up by 1.  It stops at the
+    first spanner that fits or after trying t0 + MAX_CALIBRATION_STEPS, and
+    keeps the smallest spanner (the lowest t among equal sizes).  An overshoot
+    is trimmed deterministically, dropping the least probable edges outside a
+    maximum spanning forest of the spanner first.  info["t"] is the kept
+    spanner's t and info["spanner_edges"] its size before trimming.
     """
     if alpha == 1.0:
         return UncertainGraph(g.n, g.edges), {"t": 1, "attempts": 0, "spanner_edges": g.m, "topped_up": 0, "trimmed": 0}
@@ -310,13 +318,20 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
     wg = to_ss_weights(g)
     prob = {(u, v): p for u, v, p in g.edges}
     t = _solve_stretch_parameter(g.n, alpha * m)
-    attempts = 0
+    t_last = t + MAX_CALIBRATION_STEPS
+    step, attempts = 1, 0
+    best_t = t
     spanner = ss_core(wg, t, seed)
-    while len(spanner) > target and attempts < MAX_CALIBRATION_STEPS:
+    while len(spanner) > target and t < t_last:
         attempts += 1
-        t += 1
-        spanner = ss_core(wg, t, seed)
-    trimmed = max(len(spanner) - target, 0)
+        t = min(t + step, t_last)
+        trial = ss_core(wg, t, seed)
+        if len(trial) < len(spanner):
+            best_t, spanner = t, trial
+        else:
+            step *= 2
+    spanner_edges = len(spanner)
+    trimmed = max(spanner_edges - target, 0)
     if trimmed:
         keep = set(max_spanning_forest(g.n, [(u, v, prob[(u, v)]) for u, v in spanner]))
         spanner = frozenset(sorted(spanner, key=lambda e: (e in keep, prob[e], e))[trimmed:])
@@ -325,33 +340,10 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
     edges.extend(_probability_topup(derive_rng(seed, 1), g, spanner, deficit))
     out = UncertainGraph(g.n, edges)
     info = {
-        "t": t,
+        "t": best_t,
         "attempts": attempts,
-        "spanner_edges": len(spanner),
+        "spanner_edges": spanner_edges,
         "topped_up": deficit,
         "trimmed": trimmed,
     }
     return out, info
-
-
-def weighted_distances(n: int, edges, source: int) -> list[float]:
-    """Dijkstra over a weighted edge list; math.inf where unreachable."""
-    import heapq
-
-    adj: list[list] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    dist = [math.inf] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, x = heapq.heappop(heap)
-        if d > dist[x]:
-            continue
-        for y, w in adj[x]:
-            nd = d + w
-            if nd < dist[y]:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
-    return dist

@@ -1,12 +1,17 @@
 """Tests for the adapted deterministic benchmarks (cut-based and spanner-based)."""
 
+import hashlib
+import json
 import math
 from collections import defaultdict
 
+import networkx as nx
 import pytest
 
+import usparse.benchmarks as benchmarks
 from usparse.backbone import target_edge_count
 from usparse.benchmarks import (
+    MAX_CALIBRATION_STEPS,
     CalibrationError,
     WeightedGraph,
     contiguous_forest_rounds,
@@ -16,10 +21,18 @@ from usparse.benchmarks import (
     ss_sparsify,
     to_ni_weights,
     to_ss_weights,
-    weighted_distances,
     _solve_stretch_parameter,
 )
-from usparse.graph import UncertainGraph, UnionFind, derive_rng, generate_synthetic
+from usparse.graph import UncertainGraph, UnionFind, derive_rng, generate_synthetic, save_graph
+
+
+def lightest_distances(n, edges, source):
+    """Dijkstra distances from source by networkx; math.inf where unreachable."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_weighted_edges_from(edges)
+    found = nx.single_source_dijkstra_path_length(graph, source)
+    return [found.get(x, math.inf) for x in range(n)]
 
 
 class TestNiWeights:
@@ -216,7 +229,7 @@ class TestSsWeights:
         # two routes 0->3: probability products 0.9*0.9=0.81 vs direct 0.5
         g = UncertainGraph(4, [(0, 1, 0.9), (1, 3, 0.9), (0, 3, 0.5), (1, 2, 0.2)])
         wg = to_ss_weights(g)
-        dist = weighted_distances(4, wg.edges, 0)
+        dist = lightest_distances(4, wg.edges, 0)
         assert dist[3] == pytest.approx(-math.log(0.81))
         assert math.exp(-dist[3]) > 0.5
 
@@ -247,8 +260,8 @@ class TestSsCore:
             a, b = rng.integers(0, g.n, size=2)
             if a == b:
                 continue
-            d_orig = weighted_distances(g.n, wg.edges, int(a))[int(b)]
-            d_span = weighted_distances(g.n, sp_edges, int(a))[int(b)]
+            d_orig = lightest_distances(g.n, wg.edges, int(a))[int(b)]
+            d_span = lightest_distances(g.n, sp_edges, int(a))[int(b)]
             if math.isinf(d_orig):
                 assert math.isinf(d_span)
             else:
@@ -267,7 +280,7 @@ class TestSsCore:
             if (u, v) not in spanner:
                 by_source[u].append((v, w))
         for u, targets in by_source.items():
-            dist = weighted_distances(g.n, sp_edges, u)
+            dist = lightest_distances(g.n, sp_edges, u)
             for v, w in targets:
                 assert dist[v] <= (2 * t - 1) * w + 1e-9
 
@@ -321,3 +334,106 @@ class TestSsSparsify:
         alpha = 0.15
         out, info = ss_sparsify(g, alpha, seed=1)
         assert out.m == target_edge_count(g.m, alpha)
+
+
+class TestSsScan:
+    """The stretch-parameter scan, on spanners of scripted sizes."""
+
+    ALPHA = 0.3
+
+    @pytest.fixture
+    def graph(self):
+        return generate_synthetic(40, 0.5, seed=1)
+
+    def scan(self, monkeypatch, g, size_at):
+        """Run ss_sparsify with ss_core replaced by size_at(t - t0) edges of g,
+        rotated by t so spanners of equal size differ; returns the offsets
+        tried, the info, the output edge pairs and the scripted spanners."""
+        t0 = _solve_stretch_parameter(g.n, self.ALPHA * g.m)
+        pairs = sorted(g.edge_pairs)
+        tried = []
+
+        def spanner_at(t):
+            turned = pairs[t % len(pairs):] + pairs[:t % len(pairs)]
+            return frozenset(turned[: size_at(t - t0)])
+
+        def scripted(wg, t, seed):
+            tried.append(t - t0)
+            return spanner_at(t)
+
+        monkeypatch.setattr(benchmarks, "ss_core", scripted)
+        out, info = ss_sparsify(g, self.ALPHA, seed=7)
+        return tried, info, set(out.edge_pairs), spanner_at
+
+    def test_step_doubles_after_each_spanner_that_is_not_smaller(self, monkeypatch, graph):
+        target = target_edge_count(graph.m, self.ALPHA)
+        sizes = {0: 300, 1: 280, 2: 290, 4: 270, 6: 275, 10: 275, 18: 200, 26: target - 17}
+        tried, info, _, _ = self.scan(monkeypatch, graph, sizes.__getitem__)
+        assert tried == [0, 1, 2, 4, 6, 10, 18, 26]
+        assert info["attempts"] == len(tried) - 1
+        assert info["t"] - _solve_stretch_parameter(graph.n, self.ALPHA * graph.m) == 26
+        assert (info["spanner_edges"], info["trimmed"], info["topped_up"]) == (target - 17, 0, 17)
+
+    @pytest.mark.parametrize("size_at", [
+        lambda k: 200,
+        lambda k: 300 - k,
+        lambda k: 150 + k,
+        lambda k: 200 + 40 * (k % 3),
+    ], ids=["flat", "shrinking", "growing", "bouncing"])
+    def test_last_step_is_tried_when_nothing_fits(self, monkeypatch, graph, size_at):
+        tried, info, _, _ = self.scan(monkeypatch, graph, size_at)
+        assert tried[-1] == MAX_CALIBRATION_STEPS
+        assert tried == sorted(set(tried))
+        assert info["spanner_edges"] == min(size_at(k) for k in tried)
+
+    def test_flat_sizes_double_every_step(self, monkeypatch, graph):
+        tried, _, _, _ = self.scan(monkeypatch, graph, lambda k: 200)
+        assert tried == [0, 1, 3, 7, 15, 31, 63, MAX_CALIBRATION_STEPS]
+
+    def test_keeps_the_smallest_spanner_and_ties_go_to_the_smaller_t(self, monkeypatch, graph):
+        sizes = {3: 150, 5: 150, 9: 180}
+        tried, info, out_pairs, spanner_at = self.scan(monkeypatch, graph, lambda k: sizes.get(k, 200))
+        assert tried == [0, 1, 3, 5, 9, 17, 33, 65, MAX_CALIBRATION_STEPS]
+        t0 = _solve_stretch_parameter(graph.n, self.ALPHA * graph.m)
+        target = target_edge_count(graph.m, self.ALPHA)
+        assert info["t"] == t0 + 3
+        assert (info["spanner_edges"], info["trimmed"], info["topped_up"]) == (150, 150 - target, 0)
+        assert out_pairs <= spanner_at(t0 + 3)
+        assert not out_pairs <= spanner_at(t0 + 5)
+
+
+class TestSsPinned:
+    # sha256 of the saved edge list and of the sorted-key JSON of method_info,
+    # recorded at commit 4f6d5fe (the +1 scan) for generate_synthetic(250, 0.3,
+    # seed=1) at alpha 0.2 and seed 7.  There the spanner shrinks at every step
+    # (2636, 2040, 1876, 1704 edges) and fits at t0 + 3 untrimmed, so the
+    # doubling scan must reproduce it.
+    PINNED_EDGES = "05050145f02e2157434277a0a84e68ec2208707fc7f7a84f5f4c2d8db10b2136"
+    PINNED_INFO = "9475575b000006743b3baaecd7840a259271c0795627131d92c7e88366e804dc"
+
+    def test_shrinking_scan_keeps_its_bytes(self, tmp_path):
+        g = generate_synthetic(250, 0.3, seed=1)
+        out, info = ss_sparsify(g, 0.2, seed=7)
+        save_graph(out, tmp_path / "ss.el")
+        assert hashlib.sha256((tmp_path / "ss.el").read_bytes()).hexdigest() == self.PINNED_EDGES
+        assert hashlib.sha256(json.dumps(info, sort_keys=True).encode()).hexdigest() == self.PINNED_INFO
+
+    def test_paper_graph_builds_twelve_spanners_and_keeps_the_smallest(self, monkeypatch):
+        # the README's `generate -n 100 -d 0.15 --seed 1` graph, where no
+        # spanner fits the target of 223 edges
+        g = generate_synthetic(100, 0.15, seed=1)
+        built = []
+        original = benchmarks.ss_core
+
+        def counted(wg, t, seed):
+            spanner = original(wg, t, seed)
+            built.append((len(spanner), t))
+            return spanner
+
+        monkeypatch.setattr(benchmarks, "ss_core", counted)
+        out, info = ss_sparsify(g, 0.3, seed=7)
+        target = target_edge_count(g.m, 0.3)
+        assert len(built) == 12
+        assert (info["spanner_edges"], info["t"]) == min(built)
+        assert info["spanner_edges"] - info["trimmed"] + info["topped_up"] == target
+        assert out.m == target
