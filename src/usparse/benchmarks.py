@@ -15,13 +15,16 @@ probability-weighted sampling, so they emit exactly round(alpha*|E|) edges.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from usparse.backbone import (
     _probability_topup,
     max_spanning_forest,
-    spanning_forest,
     target_edge_count,
 )
 from usparse.graph import UncertainGraph, derive_rng
@@ -59,14 +62,40 @@ def to_ni_weights(g: UncertainGraph) -> WeightedGraph:
     """Integer weights proportional to probabilities: round-half-up of p/p_min.
 
     The ratio is at least 1 by construction; the weight is floored at 1
-    anyway, defensively.
+    anyway, defensively.  A p_min so small that p / p_min overflows a float
+    is a ValueError.
     """
     if g.m == 0:
         raise ValueError("weight transform needs a nonempty edge set")
     p_min = float(g.probabilities.min())
+    if not math.isfinite(float(g.probabilities.max()) / p_min):
+        raise ValueError(f"p_min = {p_min!r} is too small for ni: p / p_min overflows a float")
     return WeightedGraph(
         g.n, tuple((u, v, max(1, _round_half_up(p / p_min))) for u, v, p in g.edges)
     )
+
+
+def _smaller_side(adj: list, u: int, v: int) -> list:
+    """Vertices of the smaller of the two trees holding u and v.
+
+    A breadth-first search grows from both ends at once, one vertex at a
+    time each, and the side that runs out first is returned, so the cost is
+    about twice the smaller side.
+    """
+    sides = ([u], [v])
+    heads = [0, 0]
+    seen = {u, v}
+    while True:
+        for s in (0, 1):
+            side = sides[s]
+            if heads[s] == len(side):
+                return side
+            x = side[heads[s]]
+            heads[s] += 1
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    side.append(y)
 
 
 def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
@@ -78,59 +107,118 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
     of weight per round; an edge dies when its residual hits zero.  A round
     in which no edge dies leaves the alive set unchanged, so the next round
     rebuilds the same forest: each forest is built once and held until its
-    lightest member dies, which bounds the forests by m.  Returns
-    (edge -> death round, [(forest, rounds it is held), ...]).
+    lightest member dies, which bounds the forests by m.
+
+    One forest persists.  An edge that joins it at round r0 with weight w
+    stays until it dies at round r0 + w, so an edge outside the forest still
+    has its original weight and every free edge sits in one fixed order,
+    (-w, u, v), sorted once.  Each new forest splits the surviving one at its
+    dead edges, relabelling the smaller side of each split, and reconnects it
+    with the first free edges in that order whose ends lie in two different
+    trees, by union-find over the tree labels.  Returns
+    (edge -> death round, [(sorted forest, rounds it is held), ...]).
     """
-    residual = {(u, v): int(w) for u, v, w in wg.edges}
-    alive = set(residual)
-    prev_forest: set = set()
+    edges = sorted(((u, v), int(w)) for u, v, w in wg.edges)
+    order = sorted(range(len(edges)), key=lambda i: (-edges[i][1], i))
+    tail = np.array([edges[i][0][0] for i in order], dtype=np.int64)
+    head = np.array([edges[i][0][1] for i in order], dtype=np.int64)
+    free = np.ones(len(order), dtype=bool)
+    forest: list = []  # the persisting forest, kept sorted
+    label = np.arange(wg.n)
+    spare_labels: list = []
+    adj: list = [set() for _ in range(wg.n)]
+    components = wg.n
+    dying: list = []  # heap of (death round, edge index) over the forest
+    parent: dict = {}  # one round's union-find over the tree labels
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
     death_round: dict = {}
     forests = []
     r = 0
-    while alive:
-        forest = spanning_forest(
-            wg.n,
-            sorted(prev_forest & alive)
-            + sorted(alive - prev_forest, key=lambda e: (-residual[e], e)),
-        )
-        repeats = min(residual[e] for e in forest)
-        r += repeats
-        for e in forest:
-            residual[e] -= repeats
-            if residual[e] == 0:
-                death_round[e] = r
-                alive.discard(e)
-        prev_forest = set(forest)
-        forests.append((sorted(forest), repeats))
-    return death_round, forests
+    while True:
+        crossing = np.flatnonzero(free & (label[tail] != label[head]))
+        tail_label = label[tail[crossing]].tolist()
+        head_label = label[head[crossing]].tolist()
+        parent.clear()
+        for k, a, b in zip(crossing.tolist(), tail_label, head_label):
+            if components == 1:
+                break
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            parent[b] = a
+            components -= 1
+            free[k] = False
+            i = order[k]
+            (u, v), w = edges[i]
+            adj[u].add(v)
+            adj[v].add(u)
+            bisect.insort(forest, (u, v))
+            heapq.heappush(dying, (r + w, i))
+        if parent:
+            merged = list(parent)
+            relabel = np.arange(wg.n)
+            relabel[merged] = [find(x) for x in merged]
+            label = relabel[label]
+            spare_labels.extend(merged)
+        if not dying:
+            return death_round, forests
+        forests.append((list(forest), dying[0][0] - r))
+        r = dying[0][0]
+        while dying and dying[0][0] == r:
+            i = heapq.heappop(dying)[1]
+            (u, v), _ = edges[i]
+            death_round[(u, v)] = r
+            del forest[bisect.bisect_left(forest, (u, v))]
+            adj[u].remove(v)
+            adj[v].remove(u)
+            label[_smaller_side(adj, u, v)] = spare_labels.pop()
+            components += 1
 
 
 def forest_round_sampler(wg: WeightedGraph, seed: int):
     """Forest-round connectivity sampling, as a function of epsilon.
 
-    sample(epsilon) keeps an edge dying at round r with probability
-    min(ln n / (epsilon^2 r), 1) and inflates its weight by the inverse of
-    that probability.  The forest rounds run once, and the per-edge uniforms
-    are drawn once from the seed in canonical edge order, so every epsilon
-    reuses the same randomness and the output size is monotone in epsilon.
+    Returns (count, sample).  sample(epsilon) keeps an edge dying at round r
+    with probability min(ln n / (epsilon^2 r), 1) and inflates its weight by
+    the inverse of that probability; count(epsilon) is len(sample(epsilon)),
+    found by one array comparison.  The forest rounds run once, and the
+    per-edge uniforms are drawn once from the seed in canonical edge order,
+    so every epsilon reuses the same randomness and the output size is
+    monotone in epsilon.  A death round too large for a float is a
+    ValueError.
     """
     death_round, _ = contiguous_forest_rounds(wg)
+    weight = {(u, v): w for u, v, w in wg.edges}
     ordered = sorted(death_round)
-    uniforms = dict(zip(ordered, derive_rng(seed).random(len(ordered))))
-    weights = {(u, v): w for u, v, w in wg.edges}
+    try:
+        rounds = np.array([float(death_round[e]) for e in ordered])
+    except OverflowError:
+        raise ValueError("death rounds overflow a float: p_min is too small for ni") from None
+    uniforms = derive_rng(seed).random(len(ordered))
     log_n = math.log(wg.n)
 
-    def sample(epsilon: float) -> list[tuple[int, int, float]]:
+    def keep_probabilities(epsilon: float) -> np.ndarray:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        kept = []
-        for e in ordered:
-            keep_p = min(log_n / (epsilon * epsilon * death_round[e]), 1.0)
-            if uniforms[e] < keep_p:
-                kept.append((e[0], e[1], weights[e] / keep_p))
-        return kept
+        return np.minimum(log_n / (epsilon * epsilon * rounds), 1.0)
 
-    return sample
+    def count(epsilon: float) -> int:
+        return int(np.count_nonzero(uniforms < keep_probabilities(epsilon)))
+
+    def sample(epsilon: float) -> list[tuple[int, int, float]]:
+        keep_p = keep_probabilities(epsilon)
+        return [
+            (e[0], e[1], weight[e] / p)
+            for e, x, p in zip(ordered, uniforms.tolist(), keep_p.tolist())
+            if x < p
+        ]
+
+    return count, sample
 
 
 def ni_sparsify(
@@ -154,25 +242,25 @@ def ni_sparsify(
     n = g.n
 
     # Calibration is pure thresholding: one forest pass, one set of uniforms.
-    sample = forest_round_sampler(wg, seed)
+    count, sample = forest_round_sampler(wg, seed)
     epsilon = math.sqrt(n * math.log(n) ** 2 / (alpha * m))
     steps = 0
-    core_edges = sample(epsilon)
-    if len(core_edges) > target:
-        while len(core_edges) > target:
+    size = count(epsilon)
+    if size > target:
+        while size > target:
             steps += 1
             if steps > MAX_CALIBRATION_STEPS:
                 raise CalibrationError("epsilon calibration failed to come down to the target")
             epsilon *= theta
-            core_edges = sample(epsilon)
+            size = count(epsilon)
     else:
         while steps <= MAX_CALIBRATION_STEPS:
             steps += 1
             trial_eps = epsilon / theta
-            trial = sample(trial_eps)
-            if len(trial) > target:
+            if count(trial_eps) > target:
                 break
-            epsilon, core_edges = trial_eps, trial
+            epsilon = trial_eps
+    core_edges = sample(epsilon)
     edges = [(u, v, min(w * p_min, 1.0)) for u, v, w in core_edges]
     deficit = target - len(edges)
     kept = {(u, v) for u, v, _ in core_edges}

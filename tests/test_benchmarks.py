@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import networkx as nx
 import pytest
@@ -85,6 +85,33 @@ def one_round_at_a_time(wg):
     return death, trace
 
 
+def random_ni(seed):
+    """ni weights of a random 14-vertex graph."""
+    return to_ni_weights(generate_synthetic(14, 0.4, seed=seed))
+
+
+def disconnected(seed):
+    """ni weights of two random blocks side by side, plus two isolated vertices."""
+    a = generate_synthetic(8, 0.5, seed=seed)
+    b = generate_synthetic(6, 0.6, seed=seed + 10)
+    edges = list(a.edges) + [(u + 8, v + 8, p) for u, v, p in b.edges]
+    return to_ni_weights(UncertainGraph(16, edges))
+
+
+def tied(seed):
+    """Integer weights 1-3, so one round kills several forest edges at once."""
+    rng = derive_rng(seed)
+    g = generate_synthetic(14, 0.4, seed=seed)
+    return WeightedGraph(g.n, tuple((u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges))
+
+
+ORACLE_CASES = (
+    [pytest.param(random_ni, s, id=str(s)) for s in range(4)]
+    + [pytest.param(disconnected, s, id=f"disconnected-{s}") for s in range(4)]
+    + [pytest.param(tied, s, id=f"tied-{s}") for s in range(4)]
+)
+
+
 class TestForestRounds:
     def test_three_edge_hand_trace(self):
         # triangle weights [1, 2, 1]: round 1 takes (0,2) [residual 2] and
@@ -138,31 +165,37 @@ class TestForestRounds:
             survivors = {e for e in trace[r - 1] if death[e] > r}
             assert survivors <= set(trace[r])
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_one_round_at_a_time(self, seed):
-        g = generate_synthetic(14, 0.4, seed=seed)
-        wg = to_ni_weights(g)
+    @pytest.mark.parametrize("build, seed", ORACLE_CASES)
+    def test_matches_one_round_at_a_time(self, build, seed):
+        wg = build(seed)
         death, forests = contiguous_forest_rounds(wg)
         assert (death, per_round(forests)) == one_round_at_a_time(wg)
 
+    def test_tied_cases_kill_several_forest_edges_in_one_round(self):
+        for seed in range(4):
+            death, _ = contiguous_forest_rounds(tied(seed))
+            assert max(Counter(death.values()).values()) >= 2
+
     def test_tiny_p_min_builds_at_most_m_forests(self):
-        # weights reach 1e9 and the last edge dies in round 2.7e9, so one
-        # Kruskal pass per round would never finish
+        # weights reach 1/p_min, far beyond int64 at 1e-300, so one Kruskal
+        # pass per round would never finish
         g = generate_synthetic(30, 0.3, seed=5)
-        edges = [(u, v, 1e-9 if i == 0 else p) for i, (u, v, p) in enumerate(g.edges)]
-        g = UncertainGraph(g.n, edges)
-        wg = to_ni_weights(g)
-        death, forests = contiguous_forest_rounds(wg)
-        assert len(forests) <= g.m
-        assert sum(repeats for _, repeats in forests) == max(death.values()) > 10**9
-        assert ni_sparsify(g, 0.3, seed=1)[0].m == target_edge_count(g.m, 0.3)
+        for p_min, last_round in [(1e-9, 10**9), (1e-300, 10**299)]:
+            edges = [(u, v, p_min if i == 0 else p) for i, (u, v, p) in enumerate(g.edges)]
+            tiny = UncertainGraph(g.n, edges)
+            death, forests = contiguous_forest_rounds(to_ni_weights(tiny))
+            assert len(forests) <= g.m
+            assert all(type(r) is int for r in death.values())
+            assert sum(repeats for _, repeats in forests) == max(death.values()) > last_round
+            assert ni_sparsify(tiny, 0.3, seed=1)[0].m == target_edge_count(g.m, 0.3)
 
 
 class TestNiCore:
     def test_tiny_epsilon_keeps_everything_at_original_weight(self):
         g = generate_synthetic(12, 0.4, seed=1)
         wg = to_ni_weights(g)
-        out = forest_round_sampler(wg, 3)(1e-6)
+        _, sample = forest_round_sampler(wg, 3)
+        out = sample(1e-6)
         assert sorted((u, v) for u, v, _ in out) == sorted((u, v) for u, v, _ in wg.edges)
         original = {(u, v): w for u, v, w in wg.edges}
         assert all(w == original[(u, v)] for u, v, w in out)
@@ -172,19 +205,26 @@ class TestNiCore:
         eps = 2.0
         keep_p = min(math.log(4) / eps**2, 1.0)
         uniforms = derive_rng(11).random(3)
-        out = forest_round_sampler(wg, 11)(eps)
+        _, sample = forest_round_sampler(wg, 11)
+        out = sample(eps)
         expected = [e for e, u in zip(sorted((u, v) for u, v, _ in wg.edges), uniforms) if u < keep_p]
         assert sorted((u, v) for u, v, _ in out) == expected
 
     def test_kept_weight_is_original_over_keep_probability(self):
         wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
         eps = 1.0
-        out = forest_round_sampler(wg, 0)(eps)
+        _, sample = forest_round_sampler(wg, 0)
+        out = sample(eps)
         death, _ = contiguous_forest_rounds(wg)
         original = {(0, 1): 1, (0, 2): 2, (1, 2): 1}
         for u, v, w in out:
             keep_p = min(math.log(3) / (eps**2 * death[(u, v)]), 1.0)
             assert w == pytest.approx(original[(u, v)] / keep_p)
+
+    def test_count_is_the_sample_size(self):
+        count, sample = forest_round_sampler(to_ni_weights(generate_synthetic(20, 0.4, seed=2)), 5)
+        for eps in (0.05, 0.3, 0.7, 1.5, 4.0):
+            assert count(eps) == len(sample(eps))
 
 
 class TestNiSparsify:
@@ -214,6 +254,30 @@ class TestNiSparsify:
         g = generate_synthetic(20, 0.4, seed=1)
         with pytest.raises(ValueError):
             ni_sparsify(g, 0.3, theta=0.9)
+
+
+class TestNiPinned:
+    # sha256 of the saved edge list and of the sorted-key JSON of info for
+    # ni_sparsify on the README's `generate -n 100 -d 0.15 --seed 1` graph at
+    # alpha 0.3 and seed 7, recorded at commit 95ca917 (one Kruskal pass per
+    # forest), and that graph's 717 forests held for 19,039 rounds in all.
+    PINNED_EDGES = "466b4446779cf9f35d70471584a5a05bf1a7c588c0642160beb31b8254cee282"
+    PINNED_INFO = "4eb93559c2b5ff9d8b7d63d41fd7eaca6015b0d682cc313ee124a0e1cfbee92b"
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_synthetic(100, 0.15, seed=1)
+
+    def test_paper_graph_keeps_its_bytes(self, graph, tmp_path):
+        out, info = ni_sparsify(graph, 0.3, seed=7)
+        save_graph(out, tmp_path / "ni.el")
+        assert hashlib.sha256((tmp_path / "ni.el").read_bytes()).hexdigest() == self.PINNED_EDGES
+        assert hashlib.sha256(json.dumps(info, sort_keys=True).encode()).hexdigest() == self.PINNED_INFO
+
+    def test_paper_graph_forest_count(self, graph):
+        _, forests = contiguous_forest_rounds(to_ni_weights(graph))
+        assert len(forests) == 717
+        assert sum(repeats for _, repeats in forests) == 19039
 
 
 class TestSsWeights:

@@ -121,6 +121,26 @@ class TestSparsify:
         assert code == 1
         assert "connectivity floor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # p / p_min is inf for every edge
+            ["0 1 5e-324", "1 2 0.5", "2 3 0.9", "0 3 0.4"],
+            # the weights fit, but the second forest's edges die after round 2e308
+            ["0 1 1e-308", "0 2 1", "0 3 1", "1 2 1", "1 3 1", "2 3 1"],
+        ],
+        ids=["subnormal", "death-round-overflow"],
+    )
+    def test_ni_p_min_too_small_is_one_error_line(self, tmp_path, capsys, lines):
+        path = tmp_path / "tiny.el"
+        path.write_text("\n".join(lines) + "\n")
+        code, out = run_sparsify(path, tmp_path, "ni", alpha="0.5")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "p_min" in err
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["sparsify", "-i", str(tmp_path / "nope.el"), "-o", str(tmp_path / "o.el"),
                      "-m", "gdb", "-a", "0.4"])
