@@ -13,7 +13,6 @@ from usparse.config import RunConfig
 from usparse.dispatch import sparsify
 from usparse.emd import emd_run
 from usparse.evaluation import (
-    QueryDistribution,
     QueryKind,
     cut_mae_profile,
     earth_movers_distance,
@@ -47,7 +46,6 @@ __all__ = [
     "DeterministicWorld",
     "DiscrepancyMode",
     "GraphFormatError",
-    "QueryDistribution",
     "QueryKind",
     "Rule",
     "RunConfig",

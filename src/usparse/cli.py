@@ -3,7 +3,7 @@
 Every randomized operation takes a 64-bit seed and every output embeds the
 exact run configuration, so any run repeats byte-for-byte.  Timing is logged
 to stderr only, keeping the written artifacts deterministic.  Exit codes:
-0 success, 1 domain error, 2 I/O error.
+0 success, 1 domain error, 2 I/O error or a bad argument.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -37,9 +38,10 @@ def _log(message: str) -> None:
 
 
 def _write_json(path, payload) -> None:
+    """Write strict JSON: an out-of-range float raises instead of writing a bare NaN."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +145,19 @@ def run_eval(g, sparsified, kind, n_samples, n_runs, n_pairs, seed, with_varianc
     """Evaluate one query; returns (csv rows, summary dict)."""
     units = evaluation.default_units(g, kind, n_pairs=n_pairs, seed=seed)
     report = evaluation.emd_report(g, sparsified, kind, units, n_samples=n_samples, seed=seed)
-    means_orig = evaluation.distribution_means(report.left)
-    means_sparse = evaluation.distribution_means(report.right)
     rows = [
-        {
-            "unit": _unit_id(unit),
-            "mean_original": means_orig[unit],
-            "mean_sparsified": means_sparse[unit],
-            "emd": report.per_unit[unit],
-        }
-        for unit in units
-        if unit in report.per_unit
+        {"unit": _unit_id(unit), "mean_original": left, "mean_sparsified": right, "emd": emd}
+        for unit, left, right, emd in zip(units, report.mean_left.tolist(),
+                                          report.mean_right.tolist(), report.emd.tolist())
+        if not math.isnan(emd)
     ]
     summary = {
         "query": kind.value,
-        "units_evaluated": len(report.per_unit),
-        "units_skipped": len(report.skipped_units),
-        "emd_mean": report.mean,
-        "emd_median": report.median,
-        "emd_max": report.max,
+        "units_evaluated": len(rows),
+        "units_skipped": len(units) - len(rows),
+        "emd_mean": report.mean if rows else None,
+        "emd_median": report.median if rows else None,
+        "emd_max": report.max if rows else None,
     }
     if with_variance:
         var_orig = evaluation.variance_protocol(g, kind, units, n_samples, n_runs, seed)
@@ -177,11 +173,7 @@ def run_eval(g, sparsified, kind, n_samples, n_runs, n_pairs, seed, with_varianc
 def cmd_eval(args) -> int:
     g = load_graph(args.input)
     sparsified = load_graph(args.sparsified, allow_zero=True)
-    if g.n != sparsified.n:
-        raise ValueError(
-            f"vertex-count mismatch: original has {g.n}, sparsified has {sparsified.n}"
-        )
-    if args.samples < 2:
+    if args.samples == 1:
         _log("warning: a single sample makes distribution estimates degenerate")
     kind = evaluation.QueryKind(args.query)
     rows, summary = run_eval(
@@ -203,7 +195,8 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
     }
     _write_json(args.output + ".json", summary)
-    _log(f"eval {args.query}: emd mean {summary['emd_mean']:.6g} -> {csv_path}")
+    _log(f"eval {args.query}: {summary['units_evaluated']} units, emd mean {summary['emd_mean']}"
+         f" -> {csv_path}")
     return 0
 
 
@@ -315,6 +308,16 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="usparse", description="Uncertain-graph sparsification toolkit"
@@ -360,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("-i", "--input", required=True, help="original graph")
     p_ev.add_argument("-s", "--sparsified", required=True)
     p_ev.add_argument("-q", "--query", choices=QUERIES, required=True)
-    p_ev.add_argument("--samples", type=int, default=evaluation.DEFAULT_N_SAMPLES)
+    p_ev.add_argument("--samples", type=_at_least(1), default=evaluation.DEFAULT_N_SAMPLES)
     p_ev.add_argument("--runs", type=int, default=evaluation.DEFAULT_N_RUNS)
-    p_ev.add_argument("--pairs", type=int, default=evaluation.DEFAULT_N_PAIRS)
+    p_ev.add_argument("--pairs", type=_at_least(1), default=evaluation.DEFAULT_N_PAIRS)
     p_ev.add_argument("--no-variance", action="store_true",
                       help="skip the repeated-run variance protocol")
     p_ev.add_argument("--seed", type=int, default=0)
@@ -379,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--backbone", choices=BACKBONES, default=defaults["backbone"])
     p_cmp.add_argument("--mode", choices=MODES, default=defaults["mode"])
     p_cmp.add_argument("--h", type=float, default=defaults["h"])
-    p_cmp.add_argument("--samples", type=int, default=evaluation.DEFAULT_N_SAMPLES)
+    p_cmp.add_argument("--samples", type=_at_least(1), default=evaluation.DEFAULT_N_SAMPLES)
     p_cmp.add_argument("--runs", type=int, default=evaluation.DEFAULT_N_RUNS)
-    p_cmp.add_argument("--pairs", type=int, default=evaluation.DEFAULT_N_PAIRS)
+    p_cmp.add_argument("--pairs", type=_at_least(1), default=evaluation.DEFAULT_N_PAIRS)
     p_cmp.add_argument("--cut-samples", type=int, default=200,
                        help="sampled cuts per cardinality for the cut MAE column")
     p_cmp.add_argument("--seed", type=int, default=defaults["seed"])
@@ -402,6 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "runs", 2) < 2 and not getattr(args, "no_variance", False):
+        parser.error(f"argument --runs: the variance protocol needs at least 2 runs, "
+                     f"got {args.runs}")
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError, GraphFormatError) as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from usparse.emd import DEFAULT_MAX_ITERS
@@ -47,8 +48,10 @@ class RunConfig:
             raise ValueError("alpha_prime must lie in [0, alpha]")
         if not 0.0 <= self.h <= 1.0:
             raise ValueError("h must lie in [0, 1]")
-        if self.tau is not None and self.tau < 0.0:
-            raise ValueError("tau must be non-negative")
+        if self.tau is not None and not 0.0 <= self.tau < math.inf:
+            raise ValueError("tau must be non-negative and finite")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative 64-bit integer")
         rule = self.objective()

@@ -1,11 +1,13 @@
 """Monte-Carlo evaluation of sparsified graphs.
 
 Queries (pagerank, shortest path, reliability, clustering coefficient) are
-evaluated per sampled world; the per-unit result samples form empirical
-distributions that are compared between the original and sparsified graph by
-one-dimensional earth mover's distance.  A repeated-run protocol estimates
-the variance of the Monte-Carlo point estimators, whose ratio tells how many
-samples the sparsified graph saves at equal confidence width.
+evaluated in every sampled world, which gives each graph a (worlds, units)
+value matrix; NaN marks an undefined shortest path.  The two graphs' matrices
+are scored column-wise: one sort over all columns yields every unit's
+one-dimensional earth mover's distance between its samples on the original
+and on the sparsified graph.  A repeated-run protocol estimates the variance
+of the Monte-Carlo point estimators, whose ratio tells how many samples the
+sparsified graph saves at equal confidence width.
 
 World i is always drawn from the (seed, i)-derived generator, so every
 report is deterministic.  The worlds are sampled as rows of one edge-mask
@@ -16,7 +18,7 @@ values do not depend on how the worlds are split into chunks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,31 +51,6 @@ class QueryKind(Enum):
     def pairwise(self) -> bool:
         """Shortest path and reliability act on vertex pairs; the rest on vertices."""
         return self in (QueryKind.SHORTEST_PATH, QueryKind.RELIABILITY)
-
-
-@dataclass
-class QueryDistribution:
-    """Empirical distribution of one query statistic for one unit."""
-
-    kind: QueryKind
-    unit: object
-    values: np.ndarray  # sorted ascending
-    n_samples: int
-
-    @property
-    def empty(self) -> bool:
-        return len(self.values) == 0
-
-    def cdf(self, x) -> np.ndarray:
-        """Right-continuous empirical CDF evaluated at x (scalar or array)."""
-        if self.empty:
-            raise ValueError("empty distribution has no CDF")
-        return np.searchsorted(self.values, x, side="right") / len(self.values)
-
-    def mean(self) -> float:
-        if self.empty:
-            raise ValueError("empty distribution has no mean")
-        return float(self.values.mean())
 
 
 def sample_masks(g: UncertainGraph, seed: int, key: tuple, count: int,
@@ -284,19 +261,52 @@ def _sampled_values(g: UncertainGraph, kind: QueryKind, units: list, n_samples: 
         ])
 
 
-def _sorted_means(samples: np.ndarray) -> np.ndarray:
-    """Mean of each row's sorted non-NaN values along the last axis; NaN if none.
+def _sorted_means(values: np.ndarray) -> np.ndarray:
+    """(U,) mean of each column's sorted non-NaN values of a (B, U) matrix; NaN if none.
 
-    Rows with the same number of defined values are averaged together over
-    one contiguous sorted prefix, which gives QueryDistribution.mean's bits.
+    Units with the same number of defined values are averaged together, each
+    over one contiguous sorted row, which gives the bits of the mean of that
+    unit's sorted defined values alone.
     """
-    ordered = np.sort(samples, axis=-1)  # NaN sorts last
+    ordered = np.sort(np.ascontiguousarray(values.T), axis=-1)  # NaN sorts last
     counts = np.count_nonzero(~np.isnan(ordered), axis=-1)
     means = np.full(counts.shape, np.nan)
     for c in np.unique(counts[counts > 0]):
         rows = counts == c
         means[rows] = ordered[rows][:, :c].mean(axis=-1)
     return means
+
+
+def _transport_costs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(U,) earth mover's distance between the columns of a (B1, U) and a (B2, U) matrix.
+
+    NaN marks an undefined sample.  One stable sort merges each unit's two
+    columns; at the last cell of each run of equal values the CDFs are the
+    running counts over n1 and n2, constant up to the next value, so the sum
+    of |F1 - F2| * gap is the exact transport cost.  Units of one support
+    size are summed together, one contiguous row each, which keeps the bits
+    of a lone unit's sum.  A unit with no defined value on one side is NaN.
+    """
+    stacked = np.concatenate([left, right]).T  # (U, B1 + B2)
+    order = np.argsort(stacked, axis=1, kind="stable")  # NaN sorts last
+    values = np.take_along_axis(stacked, order, axis=1)
+    defined = ~np.isnan(values)
+    from_right = order >= len(left)
+    count_left = np.cumsum(defined & ~from_right, axis=1)
+    count_right = np.cumsum(defined & from_right, axis=1)
+    n_left, n_right = count_left[:, -1], count_right[:, -1]
+    costs = np.where((n_left > 0) & (n_right > 0), 0.0, np.nan)
+    # a cell closes a gap when a larger value follows it (NaN compares false)
+    closes = (values[:, 1:] > values[:, :-1]) & ~np.isnan(costs)[:, None]
+    rows, cols = np.nonzero(closes)
+    products = (np.abs(count_left[rows, cols] / n_left[rows]
+                       - count_right[rows, cols] / n_right[rows])
+                * (values[rows, cols + 1] - values[rows, cols]))
+    gaps = np.bincount(rows, minlength=len(costs))
+    for size in np.unique(gaps[gaps > 0]):
+        units = gaps == size
+        costs[units] = products[units[rows]].reshape(-1, size).sum(axis=1)
+    return costs
 
 
 def validate_units(g: UncertainGraph, kind: QueryKind, units) -> list:
@@ -339,6 +349,13 @@ def default_units(g: UncertainGraph, kind: QueryKind, n_pairs: int = DEFAULT_N_P
     return pairs
 
 
+def _unit_values(g: UncertainGraph, kind: QueryKind, units, n_samples: int, seed: int,
+                 key: tuple = ()) -> tuple[list, np.ndarray]:
+    """(units, (n_samples, U) values) of the worlds of stream (seed, *key)."""
+    units = validate_units(g, kind, units)
+    return units, next(_sampled_values(g, kind, units, n_samples, seed, [key]))
+
+
 def mc_distributions(
     g: UncertainGraph,
     kind: QueryKind,
@@ -347,35 +364,27 @@ def mc_distributions(
     seed: int = 0,
     key: tuple = (),
 ) -> dict:
-    """Per-unit empirical result distributions over n_samples sampled worlds.
+    """Each unit's sorted result samples over n_samples sampled worlds.
 
     Shortest-path units record a value only in worlds where the pair is
-    connected; a unit connected in no sampled world yields an empty (flagged)
-    distribution.  `key` extends the seed derivation path (used by the
-    repeated-run variance protocol).
+    connected; a unit connected in no sampled world gets an empty array.
+    `key` extends the seed derivation path (used by the repeated-run
+    variance protocol).
     """
-    units = validate_units(g, kind, units)
-    values = next(_sampled_values(g, kind, units, n_samples, seed, [key]))
-    return {
-        unit: QueryDistribution(kind, unit, np.sort(col[~np.isnan(col)]), n_samples)
-        for unit, col in zip(units, values.T)
-    }
+    units, values = _unit_values(g, kind, units, n_samples, seed, key)
+    return {unit: np.sort(col[~np.isnan(col)]) for unit, col in zip(units, values.T)}
 
 
-def earth_movers_distance(f1: QueryDistribution, f2: QueryDistribution) -> float:
-    """One-dimensional earth mover's distance between empirical distributions.
+def earth_movers_distance(xs, ys) -> float:
+    """One-dimensional earth mover's distance between two samples; NaNs are ignored.
 
-    Integrates |F1 - F2| over the merged support: on each gap between
-    consecutive observed values the CDFs are constant at their left endpoint,
-    so the sum of |F1 - F2| * gap is the exact transport cost.
+    The one-unit case of the column-wise transport cost eval scores with.
     """
-    if f1.empty or f2.empty:
+    cost = _transport_costs(np.asarray(xs, dtype=float).reshape(-1, 1),
+                            np.asarray(ys, dtype=float).reshape(-1, 1))[0]
+    if math.isnan(cost):
         raise ValueError("cannot compare an empty distribution")
-    xs = np.union1d(f1.values, f2.values)
-    if len(xs) == 1:
-        return 0.0
-    diffs = np.abs(f1.cdf(xs[:-1]) - f2.cdf(xs[:-1]))
-    return float(np.sum(diffs * np.diff(xs)))
+    return float(cost)
 
 
 def quality(g: UncertainGraph, out: UncertainGraph) -> dict:
@@ -401,29 +410,24 @@ def cut_mae_profile(g: UncertainGraph, out: UncertainGraph, n_cuts: int, seed: i
 
 @dataclass
 class EmdReport:
-    """Per-unit distances, plus the per-unit distributions they were read from.
+    """Entry j of each array belongs to units[j]: its distance, NaN where it was
+    skipped for having no defined value on one graph (possible for shortest
+    path), and its mean over its defined values on the first and the second
+    graph, NaN where there are none."""
 
-    `left` and `right` map each unit to its QueryDistribution on the first and
-    the second graph; they stay empty when the report is built by hand.
-    """
+    units: list
+    emd: np.ndarray
+    mean_left: np.ndarray
+    mean_right: np.ndarray
 
-    kind: QueryKind
-    per_unit: dict
-    skipped_units: list = field(default_factory=list)
-    left: dict = field(default_factory=dict)
-    right: dict = field(default_factory=dict)
+    def _over_scored(self, reduce) -> float:
+        """reduce over the distances of the units not skipped; NaN if all were."""
+        scored = self.emd[~np.isnan(self.emd)]
+        return float(reduce(scored)) if len(scored) else math.nan
 
-    @property
-    def mean(self) -> float:
-        return float(np.mean(list(self.per_unit.values()))) if self.per_unit else math.nan
-
-    @property
-    def median(self) -> float:
-        return float(np.median(list(self.per_unit.values()))) if self.per_unit else math.nan
-
-    @property
-    def max(self) -> float:
-        return float(np.max(list(self.per_unit.values()))) if self.per_unit else math.nan
+    mean = property(lambda self: self._over_scored(np.mean))
+    median = property(lambda self: self._over_scored(np.median))
+    max = property(lambda self: self._over_scored(np.max))
 
 
 def emd_report(
@@ -434,30 +438,17 @@ def emd_report(
     n_samples: int = DEFAULT_N_SAMPLES,
     seed: int = 0,
 ) -> EmdReport:
-    """Per-unit earth mover's distance between the two graphs' distributions.
+    """Earth mover's distance of every unit between the two graphs, scored column-wise.
 
     Both graphs are sampled from the same seed, so comparing a graph against
-    itself reports exactly zero.  Units whose conditional distribution is
-    empty on either side (possible for shortest path) are skipped and listed.
+    itself reports exactly zero.
     """
     if g.n != g2.n:
-        raise ValueError("graphs must share the same vertex set")
-    units = validate_units(g, kind, units)
-    left = mc_distributions(g, kind, units, n_samples, seed)
-    right = mc_distributions(g2, kind, units, n_samples, seed)
-    per_unit = {}
-    skipped = []
-    for unit in units:
-        if left[unit].empty or right[unit].empty:
-            skipped.append(unit)
-        else:
-            per_unit[unit] = earth_movers_distance(left[unit], right[unit])
-    return EmdReport(kind, per_unit, skipped, left, right)
-
-
-def distribution_means(dists: dict) -> dict:
-    """Mean of each unit's distribution; NaN where the distribution is empty."""
-    return {unit: (math.nan if d.empty else d.mean()) for unit, d in dists.items()}
+        raise ValueError(f"vertex-count mismatch: the first graph has {g.n}, the second {g2.n}")
+    units, left = _unit_values(g, kind, units, n_samples, seed)
+    _, right = _unit_values(g2, kind, units, n_samples, seed)
+    return EmdReport(units, _transport_costs(left, right),
+                     _sorted_means(left), _sorted_means(right))
 
 
 def mc_point_estimates(
@@ -473,7 +464,8 @@ def mc_point_estimates(
     Shortest path averages over the worlds where the pair is connected and
     gives NaN when there are none; reliability is a plain frequency.
     """
-    return distribution_means(mc_distributions(g, kind, units, n_samples, seed, key=key))
+    units, values = _unit_values(g, kind, units, n_samples, seed, key)
+    return dict(zip(units, _sorted_means(values).tolist()))
 
 
 def variance_protocol(
@@ -494,7 +486,7 @@ def variance_protocol(
         raise ValueError("variance needs at least 2 runs")
     units = validate_units(g, kind, units)
     runs = _sampled_values(g, kind, units, n_samples, seed, [(r,) for r in range(n_runs)])
-    # (U, R): run r's point estimate of each unit, the mean of its distribution
-    estimates = np.column_stack([_sorted_means(np.ascontiguousarray(values.T)) for values in runs])
+    # (U, R): run r's point estimate of each unit, the mean of its defined values
+    estimates = np.column_stack([_sorted_means(values) for values in runs])
     variances = np.var(estimates, axis=1, ddof=1)
     return {unit: float(v) for unit, v in zip(units, variances)}

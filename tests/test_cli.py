@@ -161,6 +161,18 @@ class TestSparsify:
         assert "tau must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("emd", "--tau", "inf"), ("emd", "--tau", "nan"), ("ni", "--theta", "nan"),
+    ])
+    def test_non_finite_parameter_refused(self, graph_file, tmp_path, capsys, method, flag, value):
+        # a manifest is strict JSON and cannot record it
+        code, out = run_sparsify(graph_file, tmp_path, method, extra=[flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag[2:] in err
+        assert not out.exists()
+
     def test_cut_rule_and_cut_all(self, graph_file, tmp_path):
         for rule in ("2", "all"):
             code, out = run_sparsify(graph_file, tmp_path, "gdb", extra=["-k", rule], name=f"k{rule}.el")
@@ -246,7 +258,66 @@ class TestEval:
         assert "warning" in capsys.readouterr().err
 
 
+    def test_empty_sp_report_is_strict_json(self, graph_file, tmp_path):
+        # every edge has p = 0, so no pair is connected in any sparsified world
+        g = load_graph(graph_file)
+        dead = tmp_path / "dead.el"
+        dead.write_text(f"# n={g.n}\n" + "".join(f"{u} {v} 0\n" for u, v in g.edge_pairs))
+        assert main(["eval", "-i", str(graph_file), "-s", str(dead), "-q", "sp",
+                     "--samples", "10", "--runs", "2", "--pairs", "15", "-o",
+                     str(tmp_path / "empty")]) == 0
+
+        def refuse(token):
+            raise ValueError(f"bare {token} in JSON")
+
+        summary = json.loads((tmp_path / "empty.json").read_text(), parse_constant=refuse)
+        assert summary["units_evaluated"] == 0 and summary["units_skipped"] == 15
+        assert summary["emd_mean"] is None
+        assert summary["emd_median"] is None and summary["emd_max"] is None
+        assert list(csv.DictReader(open(tmp_path / "empty.csv"))) == []
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"), ("--samples", "-2"), ("--pairs", "0"), ("--pairs", "-3"),
+        ("--runs", "1"), ("--runs", "-1"), ("--samples", "many"),
+    ])
+    def test_bad_counts_refused_at_parse_time(self, graph_file, tmp_path, capsys,
+                                              command, flag, value):
+        argv = (["eval", "-i", str(graph_file), "-s", str(graph_file), "-q", "rl",
+                 "-o", str(tmp_path / "r")] if command == "eval" else
+                ["compare", "-i", str(graph_file), "--methods", "gdb", "--alphas", "0.5",
+                 "--queries", "rl", "-o", str(tmp_path / "r.csv")])
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and flag in errors[0]
+        assert "warning" not in err
+        assert list(tmp_path.iterdir()) == [graph_file]
+
+    def test_one_run_allowed_without_variance(self, graph_file, tmp_path):
+        assert main(["eval", "-i", str(graph_file), "-s", str(graph_file), "-q", "rl",
+                     "--samples", "3", "--pairs", "4", "--runs", "1", "--no-variance",
+                     "-o", str(tmp_path / "r")]) == 0
+
+
 class TestCompare:
+    # sha256 of this sweep's CSV, recorded at commit 19ee552, before eval
+    # scored its units column-wise; mean_emd and relative_variance go through
+    # run_eval.
+    PINNED_SWEEP_SHA256 = "435f35226a00f1e33d26fe86f1c62f70ba34780010e5dc96ed5a7620dc92d2b9"
+
+    def test_sweep_keeps_pinned_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "-n", "40", "-d", "0.12", "--seed", "3", "-o", "g.el"]) == 0
+        assert main(["compare", "-i", "g.el", "--methods", "gdb,ss", "--alphas", "0.5,0.7",
+                     "--queries", "pr,sp,rl,cc", "--samples", "30", "--runs", "3",
+                     "--pairs", "120", "--cut-samples", "20", "--seed", "5",
+                     "-o", "sweep.csv"]) == 0
+        digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == self.PINNED_SWEEP_SHA256
+
     def test_sweep_row_count_and_round_trip(self, graph_file, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from usparse import evaluation
 from usparse.evaluation import (
-    EmdReport,
-    QueryDistribution,
     QueryKind,
     default_units,
     earth_movers_distance,
@@ -32,11 +30,6 @@ from usparse.graph import (
     generate_synthetic,
     graph_entropy,
 )
-
-
-def dist(values, kind=QueryKind.PAGERANK, unit=0):
-    arr = np.sort(np.asarray(values, dtype=float))
-    return QueryDistribution(kind, unit, arr, len(arr))
 
 
 def kernel_values(g, kind, units, masks):
@@ -136,7 +129,7 @@ class TestMcDistributions:
         g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         dists = mc_distributions(g, QueryKind.PAGERANK, [0, 1], n_samples=20, seed=0)
         for d in dists.values():
-            assert len(np.unique(d.values)) == 1
+            assert len(np.unique(d)) == 1
 
     def test_reliability_single_edge_frequency(self):
         g = UncertainGraph(2, [(0, 1, 0.3)])
@@ -152,21 +145,21 @@ class TestMcDistributions:
         g = UncertainGraph(3, [(0, 1, 1.0), (1, 2, 0.5)])
         dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2)], n_samples=400, seed=1)
         d = dists[(0, 2)]
-        assert not d.empty
-        assert np.all(d.values == 2.0)
-        assert len(d.values) < 400  # disconnected worlds contribute nothing
+        assert len(d) > 0
+        assert np.all(d == 2.0)
+        assert len(d) < 400  # disconnected worlds contribute nothing
 
     def test_shortest_path_never_connected_is_empty(self):
         g = UncertainGraph(3, [(0, 1, 0.9)])
         dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2)], n_samples=50, seed=2)
-        assert dists[(0, 2)].empty
+        assert len(dists[(0, 2)]) == 0
 
     def test_deterministic_given_seed(self):
         g = generate_synthetic(12, 0.4, seed=4)
         a = mc_distributions(g, QueryKind.PAGERANK, [0, 3], n_samples=30, seed=9)
         b = mc_distributions(g, QueryKind.PAGERANK, [0, 3], n_samples=30, seed=9)
         for u in (0, 3):
-            assert np.array_equal(a[u].values, b[u].values)
+            assert np.array_equal(a[u], b[u])
 
     def test_invalid_units_rejected(self):
         g = generate_synthetic(10, 0.4, seed=1)
@@ -192,29 +185,30 @@ class TestMcDistributions:
 
 class TestEarthMoversDistance:
     def test_identical_distributions(self):
-        f = dist([0.1, 0.4, 0.4, 0.9])
+        f = [0.1, 0.4, 0.4, 0.9]
         assert earth_movers_distance(f, f) == 0.0
 
     def test_point_masses_unit_transport(self):
-        assert earth_movers_distance(dist([0.0]), dist([1.0])) == pytest.approx(1.0)
+        assert earth_movers_distance([0.0], [1.0]) == pytest.approx(1.0)
 
     def test_three_point_hand_evaluation(self):
         # merged support {0, .5, 1, 2, 3}; |F1-F2| integrates to 1/6 + 1/3
-        f1 = dist([0.0, 1.0, 2.0])
-        f2 = dist([0.5, 1.0, 3.0])
+        f1 = [0.0, 1.0, 2.0]
+        f2 = [0.5, 1.0, 3.0]
         assert earth_movers_distance(f1, f2) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetry(self):
-        f1 = dist([0.2, 0.7, 0.7, 1.3])
-        f2 = dist([0.1, 0.9])
+        f1 = [0.2, 0.7, 0.7, 1.3]
+        f2 = [0.1, 0.9]
         assert earth_movers_distance(f1, f2) == pytest.approx(
             earth_movers_distance(f2, f1), abs=1e-15
         )
 
     def test_empty_rejected(self):
-        empty = QueryDistribution(QueryKind.PAGERANK, 0, np.asarray([]), 10)
         with pytest.raises(ValueError):
-            earth_movers_distance(empty, dist([1.0]))
+            earth_movers_distance([], [1.0])
+        with pytest.raises(ValueError):
+            earth_movers_distance([1.0], [math.nan, math.nan])
 
     @given(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=5),
@@ -222,7 +216,7 @@ class TestEarthMoversDistance:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_independent_transport(self, xs, ys):
-        got = earth_movers_distance(dist(xs), dist(ys))
+        got = earth_movers_distance(xs, ys)
         assert got == pytest.approx(transport_cost(xs, ys), abs=1e-9)
         assert got >= 0.0
 
@@ -237,9 +231,115 @@ class TestEarthMoversDistance:
             ([0.3, 0.3, 0.3], [0.3, 0.3]),
         ]
         for xs, ys in corpus:
-            assert earth_movers_distance(dist(xs), dist(ys)) == pytest.approx(
+            assert earth_movers_distance(xs, ys) == pytest.approx(
                 transport_cost(xs, ys), abs=1e-12
             )
+
+
+def per_unit_emd(xs, ys):
+    """Bit reference: the per-unit formula eval scored each unit with before the
+    column-wise form (a merged support, two searchsorted CDFs, one sum)."""
+    v1, v2 = np.sort(xs), np.sort(ys)
+    support = np.union1d(v1, v2)
+    if len(support) == 1:
+        return 0.0
+    cdf1 = np.searchsorted(v1, support[:-1], side="right") / len(v1)
+    cdf2 = np.searchsorted(v2, support[:-1], side="right") / len(v2)
+    return float(np.sum(np.abs(cdf1 - cdf2) * np.diff(support)))
+
+
+# a few atoms that tie across the sides, signed zeros among them
+atoms = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), st.floats(-5, 5, allow_nan=False))
+
+
+@st.composite
+def padded_matrices(draw):
+    """Two (B, U) matrices whose columns hold 0..B defined values at random rows."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+
+    def side():
+        matrix = np.full((rows, cols), np.nan)
+        for j in range(cols):
+            count = draw(st.integers(0, rows))
+            where = draw(st.permutations(range(rows)))[:count]
+            matrix[where, j] = draw(st.lists(atoms, min_size=count, max_size=count))
+        return matrix
+
+    return side(), side()
+
+
+def defined(column):
+    return column[~np.isnan(column)]
+
+
+class TestTransportCosts:
+    def check(self, left, right):
+        costs = evaluation._transport_costs(left, right)
+        assert costs.shape == (left.shape[1],)
+        for j, cost in enumerate(costs):
+            xs, ys = defined(left[:, j]), defined(right[:, j])
+            if len(xs) == 0 or len(ys) == 0:
+                assert math.isnan(cost)
+                continue
+            assert cost == per_unit_emd(xs, ys)
+            assert cost == pytest.approx(transport_cost(xs, ys), abs=1e-9)
+
+    @given(padded_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_transport_and_the_per_unit_bits(self, matrices):
+        self.check(*matrices)
+
+    def test_fixed_corner_cases(self):
+        nan = math.nan
+        # columns: no value anywhere, none on the left, none on the right,
+        # one shared point, signed zeros only, ties across the sides, and
+        # unequal defined counts with the NaNs spread over the rows
+        left = np.array([[nan, nan, 1.0, 0.5, -0.0, 1.0, nan],
+                         [nan, nan, 2.0, 0.5, 0.0, 2.0, 3.0],
+                         [nan, nan, nan, nan, -0.0, 2.0, nan],
+                         [nan, nan, 1.0, 0.5, nan, 1.0, -1.0]])
+        right = np.array([[nan, 1.0, nan, 0.5, 0.0, 2.0, nan],
+                          [nan, 2.0, nan, nan, 0.0, 1.0, nan],
+                          [nan, nan, nan, 0.5, -0.0, 2.0, 0.0],
+                          [nan, nan, nan, 0.5, nan, 3.0, nan]])
+        costs = evaluation._transport_costs(left, right)
+        assert np.isnan(costs[:3]).all()
+        assert costs[3] == 0.0 and costs[4] == 0.0
+        self.check(left, right)
+
+    @pytest.mark.parametrize("decimals", [1, 3, None])
+    def test_wide_supports_keep_the_per_unit_bits(self, decimals):
+        # supports past numpy's 8- and 128-element summation blocks
+        rng = np.random.default_rng(5)
+        left, right = (rng.normal(size=(300, 40)) for _ in range(2))
+        if decimals is not None:
+            left, right = left.round(decimals), right.round(decimals)
+        left[rng.random(left.shape) < 0.3] = np.nan
+        right[:, ::7] = np.nan
+        self.check(left, right)
+        for matrix in (left, right):
+            means = evaluation._sorted_means(matrix)
+            for j, mean in enumerate(means):
+                column = defined(matrix[:, j])
+                assert (math.isnan(mean) if len(column) == 0
+                        else mean == float(np.sort(column).mean()))
+
+    def test_report_scores_each_unit_like_the_pair_of_samples(self):
+        g = oracle_graph(4)
+        g2 = UncertainGraph(g.n, [(u, v, p / 2) for u, v, p in g.edges], allow_zero=True)
+        units = default_units(g, QueryKind.SHORTEST_PATH, n_pairs=60, seed=1)
+        report = emd_report(g, g2, QueryKind.SHORTEST_PATH, units, n_samples=40, seed=2)
+        left = mc_distributions(g, QueryKind.SHORTEST_PATH, units, 40, 2)
+        right = mc_distributions(g2, QueryKind.SHORTEST_PATH, units, 40, 2)
+        assert np.isnan(report.emd).any() and not np.isnan(report.emd).all()
+        for j, unit in enumerate(units):
+            xs, ys = left[unit], right[unit]
+            if len(xs) and len(ys):
+                assert report.emd[j] == per_unit_emd(xs, ys)
+            else:
+                assert math.isnan(report.emd[j])
+            for mean, samples in ((report.mean_left[j], xs), (report.mean_right[j], ys)):
+                assert math.isnan(mean) if len(samples) == 0 else mean == samples.mean()
 
 
 class TestRelativeEntropy:
@@ -282,7 +382,8 @@ class TestEmdReport:
         g2 = UncertainGraph(g.n, [(u, v, min(1.0, p * 1.5)) for u, v, p in g.edges])
         units = [0, 1, 2, 3]
         report = emd_report(g, g2, QueryKind.PAGERANK, units, n_samples=30, seed=4)
-        assert report.mean == pytest.approx(np.mean(list(report.per_unit.values())))
+        assert not np.isnan(report.emd).any()
+        assert report.mean == pytest.approx(np.mean(report.emd))
 
     def test_sp_empty_units_skipped_and_counted(self):
         g = UncertainGraph(4, [(0, 1, 0.9), (2, 3, 0.9)])
@@ -290,8 +391,10 @@ class TestEmdReport:
         report = emd_report(
             g, g2, QueryKind.SHORTEST_PATH, [(0, 1), (2, 3)], n_samples=30, seed=5
         )
-        assert (2, 3) in report.skipped_units
-        assert (0, 1) in report.per_unit
+        assert report.units == [(0, 1), (2, 3)]
+        assert math.isnan(report.emd[1]) and math.isnan(report.mean_right[1])
+        assert not math.isnan(report.emd[0])
+        assert report.mean == report.max == report.emd[0]
 
     def test_vertex_count_mismatch(self):
         g = generate_synthetic(10, 0.4, seed=1)
@@ -427,7 +530,7 @@ class TestEngineMatchesNetworkx:
         monkeypatch.setattr(evaluation, "CHUNK_CELLS", 1)
         dists = mc_distributions(g, kind, units, n_worlds, seed)
         for unit, column in zip(units, got[:n_worlds].T):
-            assert np.array_equal(dists[unit].values, np.sort(column[~np.isnan(column)]))
+            assert np.array_equal(dists[unit], np.sort(column[~np.isnan(column)]))
 
     @pytest.mark.parametrize("kind", list(QueryKind))
     def test_chunking_keeps_every_bit(self, kind, monkeypatch):
@@ -437,7 +540,7 @@ class TestEngineMatchesNetworkx:
         def run():
             dists = mc_distributions(g, kind, units, 9, seed=4)
             var = variance_protocol(g, kind, units, n_samples=5, n_runs=4, seed=4)
-            return [dists[u].values.tolist() for u in units], [var[u] for u in units]
+            return [dists[u].tolist() for u in units], [var[u] for u in units]
 
         whole_values, whole_var = run()
         # one world per chunk, runs split over chunks, and one chunk per run

@@ -289,13 +289,13 @@ class TestWorlds:
         world = DeterministicWorld(g.n, g.edge_pairs)
         assert world.hop_distances(0) == [0, 1, 2, math.inf]
         dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2), (0, 3)], n_samples=1, seed=0)
-        assert [d.values.tolist() for d in dists.values()] == [[2.0], []]
+        assert [d.tolist() for d in dists.values()] == [[2.0], []]
 
     def test_hop_distances(self):
         g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0)])
         units = [(0, 1), (0, 2), (0, 3), (2, 0)]
         dists = mc_distributions(g, QueryKind.SHORTEST_PATH, units, n_samples=3, seed=0)
-        assert [dists[u].values.tolist() for u in units] == [[1.0] * 3, [2.0] * 3, [], [2.0] * 3]
+        assert [dists[u].tolist() for u in units] == [[1.0] * 3, [2.0] * 3, [], [2.0] * 3]
 
 
 class TestExactOracle:
