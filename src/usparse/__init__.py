@@ -24,7 +24,6 @@ from usparse.evaluation import (
 )
 from usparse.gdb import Rule, gdb_run
 from usparse.graph import (
-    DeterministicWorld,
     DiscrepancyMode,
     GraphFormatError,
     UncertainGraph,
@@ -43,7 +42,6 @@ from usparse.lp import lp_sparsify, solve_optimal_assignment
 
 __all__ = [
     "BackboneGraph",
-    "DeterministicWorld",
     "DiscrepancyMode",
     "GraphFormatError",
     "QueryKind",

@@ -233,7 +233,7 @@ def ni_sparsify(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if theta <= 1.0:
+    if not theta > 1.0:
         raise ValueError("theta must exceed 1")
     m = g.m
     target = target_edge_count(m, alpha)

@@ -283,16 +283,19 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     g = load_graph(args.input)
     if args.query == "connected":
-        value = exact_query_probability(g, lambda w: w.is_connected())
-        payload = {"query": "connected", "probability": value}
+        holds = lambda labels: (labels == labels[:, :1]).all(axis=1)
+        payload = {"query": "connected"}
     else:
         if args.source is None or args.target is None:
             raise ValueError("reachable query needs --source and --target")
         s, t = args.source, args.target
         if not (0 <= s < g.n and 0 <= t < g.n):
             raise ValueError(f"--source {s} and --target {t} must lie in [0, {g.n})")
-        value = exact_query_probability(g, lambda w: w.reachable(s, t))
-        payload = {"query": "reachable", "source": s, "target": t, "probability": value}
+        holds = lambda labels: labels[:, s] == labels[:, t]
+        payload = {"query": "reachable", "source": s, "target": t}
+    payload["probability"] = exact_query_probability(
+        g, lambda masks: holds(evaluation.component_labels(g, masks))
+    )
     payload["edges"] = g.m
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--samples", type=_at_least(1), default=evaluation.DEFAULT_N_SAMPLES)
     p_cmp.add_argument("--runs", type=int, default=evaluation.DEFAULT_N_RUNS)
     p_cmp.add_argument("--pairs", type=_at_least(1), default=evaluation.DEFAULT_N_PAIRS)
-    p_cmp.add_argument("--cut-samples", type=int, default=200,
+    p_cmp.add_argument("--cut-samples", type=_at_least(1), default=200,
                        help="sampled cuts per cardinality for the cut MAE column")
     p_cmp.add_argument("--seed", type=int, default=defaults["seed"])
     p_cmp.add_argument("-o", "--output", required=True, help="consolidated CSV path")

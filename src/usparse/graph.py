@@ -11,7 +11,6 @@ degree / expected cut accounting, and a synthetic generator.
 from __future__ import annotations
 
 import math
-from collections import deque
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -19,6 +18,8 @@ import numpy as np
 
 # Hard cap for exact possible-world enumeration (2^|E| worlds).
 MAX_EXACT_EDGES = 25
+# Worlds per chunk of the exact enumeration, so its memory stays flat in 2^|E|.
+EXACT_CHUNK_ROWS = 1 << 16
 
 _LN2 = math.log(2.0)
 
@@ -179,56 +180,6 @@ class UncertainGraph:
         return f"UncertainGraph(n={self.n}, m={self.m})"
 
 
-class DeterministicWorld:
-    """One possible world: the subset of edges that materialized."""
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        self.n = int(n)
-        self.edges = tuple(edges)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def component_labels(self) -> list[int]:
-        """Connected-component label per vertex (root of a union-find forest)."""
-        uf = UnionFind(self.n)
-        for u, v in self.edges:
-            uf.union(u, v)
-        return [uf.find(x) for x in range(self.n)]
-
-    def is_connected(self) -> bool:
-        return len(set(self.component_labels())) <= 1
-
-    def reachable(self, source: int, target: int) -> bool:
-        labels = self.component_labels()
-        return labels[source] == labels[target]
-
-    def hop_distances(self, source: int) -> list[float]:
-        """BFS hop counts from source; unreachable vertices get math.inf.
-
-        Evaluation runs its own batched search and never calls this; it stays
-        because perfbench's traced runs wrap this method by name.
-        """
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        dist = [math.inf] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            x = q.popleft()
-            dx = dist[x] + 1
-            for y in adj[x]:
-                if dist[y] == math.inf:
-                    dist[y] = dx
-                    q.append(y)
-        return dist
-
-
 # ---------------------------------------------------------------------------
 # Entropy, degrees, cuts, discrepancies
 # ---------------------------------------------------------------------------
@@ -326,37 +277,32 @@ def sample_world(g: UncertainGraph, rng: np.random.Generator) -> np.ndarray:
     return rng.random(g.m) < g.probabilities
 
 
-def _world_from_mask(g: UncertainGraph, mask: int) -> DeterministicWorld:
-    return DeterministicWorld(g.n, [e for i, e in enumerate(g.edge_pairs) if mask >> i & 1])
-
-
 def exact_query_probability(
-    g: UncertainGraph, predicate: Callable[[DeterministicWorld], bool]
+    g: UncertainGraph, predicate: Callable[[np.ndarray], np.ndarray]
 ) -> float:
     """Exact probability of a world predicate by full enumeration.
 
-    Sums Pr(world) over all 2^|E| worlds satisfying the predicate; guarded by
-    MAX_EXACT_EDGES because the cost is exponential in |E|.
+    The 2^|E| worlds come as (B, |E|) bool edge-mask chunks, the form
+    evaluation.sample_masks draws (world w holds edge i when bit i of w is
+    set); predicate maps a chunk to B bools.  The probabilities of the worlds
+    it selects are summed exactly rounded.  Guarded by MAX_EXACT_EDGES because
+    the cost is exponential in |E|.
     """
     m = g.m
     if m > MAX_EXACT_EDGES:
         raise ValueError(f"exact enumeration limited to {MAX_EXACT_EDGES} edges, got {m}")
-    ps = [p for _, _, p in g.edges]
-    qs = [1.0 - p for p in ps]
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
-    for mask in range(1 << m):
-        prob = 1.0
-        for i in range(m):
-            prob *= ps[i] if mask >> i & 1 else qs[i]
-        if predicate(_world_from_mask(g, mask)):
-            t = total + prob
-            if abs(total) >= abs(prob):
-                comp += (total - t) + prob
-            else:
-                comp += (prob - t) + total
-            total = t
-    return total + comp
+    ps = g.probabilities
+    qs = 1.0 - ps
+    bits = np.arange(m)
+
+    def selected_weights():
+        for start in range(0, 1 << m, EXACT_CHUNK_ROWS):
+            worlds = np.arange(start, min(start + EXACT_CHUNK_ROWS, 1 << m))
+            masks = (worlds[:, None] >> bits & 1).astype(bool)
+            weights = np.prod(np.where(masks, ps, qs), axis=1)
+            yield from weights[predicate(masks)].tolist()
+
+    return math.fsum(selected_weights())
 
 
 # ---------------------------------------------------------------------------

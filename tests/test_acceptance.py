@@ -170,11 +170,21 @@ def test_criterion_07_monte_carlo_matches_exact_oracle(monkeypatch):
         assert masks.shape == (n_samples, g.m)
         for i in (0, n_samples - 1):
             assert np.array_equal(masks[i], derive_rng(seed + 31, i).random(g.m) < g.probabilities)
-        labels = evaluation.component_labels(g, masks)
-        connected = np.count_nonzero((labels == labels[:, :1]).all(axis=1))
+
+        # one mask predicate per query reads both the sampled rows and the enumeration
+        def reaches(chunk):
+            labels = evaluation.component_labels(g, chunk)
+            return labels[:, pair[0]] == labels[:, pair[1]]
+
+        def connected(chunk):
+            labels = evaluation.component_labels(g, chunk)
+            return (labels == labels[:, :1]).all(axis=1)
+
+        reach_freq = np.count_nonzero(reaches(masks)) / n_samples
+        assert reliability[pair].mean() == reach_freq
         for predicate, freq in (
-            (lambda w: w.reachable(*pair), reliability[pair].mean()),
-            (lambda w: w.is_connected(), connected / n_samples),
+            (reaches, reach_freq),
+            (connected, np.count_nonzero(connected(masks)) / n_samples),
         ):
             exact = exact_query_probability(g, predicate)
             sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / n_samples)

@@ -252,8 +252,9 @@ class TestNiSparsify:
 
     def test_theta_must_exceed_one(self):
         g = generate_synthetic(20, 0.4, seed=1)
-        with pytest.raises(ValueError):
-            ni_sparsify(g, 0.3, theta=0.9)
+        for theta in (0.9, float("nan")):
+            with pytest.raises(ValueError, match="theta must exceed 1"):
+                ni_sparsify(g, 0.3, theta=theta)
 
 
 class TestNiPinned:

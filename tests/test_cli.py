@@ -296,6 +296,18 @@ class TestEval:
         assert "warning" not in err
         assert list(tmp_path.iterdir()) == [graph_file]
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cut_samples_below_one_refused_at_parse_time(self, graph_file, tmp_path, capsys,
+                                                         value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "-i", str(graph_file), "--methods", "gdb", "--alphas", "0.5",
+                  "--queries", "rl", "--samples", "3", "--runs", "2", "--pairs", "3",
+                  "--cut-samples", value, "-o", str(tmp_path / "c.csv")])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "--cut-samples" in errors[0]
+        assert list(tmp_path.iterdir()) == [graph_file]
+
     def test_one_run_allowed_without_variance(self, graph_file, tmp_path):
         assert main(["eval", "-i", str(graph_file), "-s", str(graph_file), "-q", "rl",
                      "--samples", "3", "--pairs", "4", "--runs", "1", "--no-variance",

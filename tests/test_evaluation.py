@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from usparse import evaluation
 from usparse.evaluation import (
     QueryKind,
+    component_labels,
     default_units,
     earth_movers_distance,
     emd_report,
@@ -136,7 +137,13 @@ class TestMcDistributions:
         n = 20_000
         dists = mc_distributions(g, QueryKind.RELIABILITY, [(0, 1)], n_samples=n, seed=3)
         freq = dists[(0, 1)].mean()
-        exact = exact_query_probability(g, lambda w: w.reachable(0, 1))
+
+        def reaches(masks):
+            labels = component_labels(g, masks)
+            return labels[:, 0] == labels[:, 1]
+
+        assert freq == np.count_nonzero(reaches(sample_masks(g, 3, (), n))) / n
+        exact = exact_query_probability(g, reaches)
         assert exact == pytest.approx(0.3, abs=1e-12)
         assert abs(freq - exact) <= 5 * math.sqrt(0.3 * 0.7 / n)
 

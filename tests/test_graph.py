@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from usparse.evaluation import (
     sample_masks,
 )
 from usparse.graph import (
-    DeterministicWorld,
     GraphFormatError,
     UncertainGraph,
     derive_rng,
@@ -38,6 +38,42 @@ def world_frequency(g, predicate, n_samples, seed):
     The predicate maps the (n_samples, |E|) edge-mask matrix to one bool per world.
     """
     return float(np.mean(predicate(sample_masks(g, seed, (), n_samples))))
+
+
+def connected(g):
+    """Mask predicate: the world connects all of g's vertices."""
+    def holds(masks):
+        labels = component_labels(g, masks)
+        return (labels == labels[:, :1]).all(axis=1)
+
+    return holds
+
+
+def reaches(g, s, t):
+    """Mask predicate: the world joins s and t."""
+    def holds(masks):
+        labels = component_labels(g, masks)
+        return labels[:, s] == labels[:, t]
+
+    return holds
+
+
+def networkx_probability(g, holds):
+    """Exact probability of a networkx world predicate, rebuilding each of the 2^|E| worlds."""
+    weights = []
+    for w in range(1 << g.m):
+        world = nx.Graph()
+        world.add_nodes_from(range(g.n))
+        prob = 1.0
+        for i, (u, v, p) in enumerate(g.edges):
+            if w >> i & 1:
+                world.add_edge(u, v)
+                prob *= p
+            else:
+                prob *= 1.0 - p
+        if holds(world):
+            weights.append(prob)
+    return math.fsum(weights)
 
 
 def triangle(p=0.5):
@@ -271,13 +307,6 @@ class TestWorlds:
         # a block of rows drawn on its own holds the same worlds
         assert np.array_equal(sample_masks(g, 42, (3,), 3, start=2), masks[2:5])
 
-    def test_world_reachability_and_components(self):
-        w = DeterministicWorld(5, [(0, 1), (1, 2), (3, 4)])
-        assert w.reachable(0, 2) and not w.reachable(0, 3)
-        labels = w.component_labels()
-        assert labels[0] == labels[2] != labels[3] == labels[4]
-        assert not w.is_connected()
-
     def test_engine_components_of_the_one_world(self):
         # every p = 1, so each sampled world is the whole edge set
         g = UncertainGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
@@ -286,8 +315,6 @@ class TestWorlds:
 
     def test_world_hop_distances_match_the_engine(self):
         g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0)])
-        world = DeterministicWorld(g.n, g.edge_pairs)
-        assert world.hop_distances(0) == [0, 1, 2, math.inf]
         dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2), (0, 3)], n_samples=1, seed=0)
         assert [d.tolist() for d in dists.values()] == [[2.0], []]
 
@@ -301,28 +328,57 @@ class TestWorlds:
 class TestExactOracle:
     def test_single_edge_presence(self):
         g = UncertainGraph(2, [(0, 1, 0.3)])
-        assert exact_query_probability(g, lambda w: w.m == 1) == pytest.approx(0.3, abs=1e-12)
+        exact = exact_query_probability(g, lambda masks: masks.sum(axis=1) == 1)
+        assert exact == pytest.approx(0.3, abs=1e-12)
 
     def test_triangle_connected(self):
         # brute force over the 8 worlds: 4 connected worlds at p=0.5 each -> 0.5
-        assert exact_query_probability(triangle(0.5), lambda w: w.is_connected()) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        g = triangle(0.5)
+        assert exact_query_probability(g, connected(g)) == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_true_totals_one(self):
         g = random_graph(8, 12, seed=13)
-        assert exact_query_probability(g, lambda w: True) == pytest.approx(1.0, abs=1e-12)
+        exact = exact_query_probability(g, lambda masks: np.ones(len(masks), dtype=bool))
+        assert exact == pytest.approx(1.0, abs=1e-12)
 
     def test_edge_cap(self):
         g = random_graph(10, 26, seed=1)
         with pytest.raises(ValueError, match="enumeration"):
-            exact_query_probability(g, lambda w: True)
+            exact_query_probability(g, lambda masks: np.ones(len(masks), dtype=bool))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_networkx_enumeration(self, seed):
+        rng = derive_rng(seed, 12)
+        touched = int(rng.integers(2, 8))
+        n = touched + seed % 3  # the last seed % 3 vertices are isolated
+        m = int(rng.integers(0, min(12, touched * (touched - 1) // 2) + 1))
+        g = random_graph(touched, m, seed=seed, low=0.1, high=0.95)
+        g = UncertainGraph(n, g.edges)
+        cases = [(connected(g), nx.is_connected)]
+        for s, t in ((0, touched - 1), (1, n - 1), (0, 0)):
+            cases.append((reaches(g, s, t), lambda world, s=s, t=t: nx.has_path(world, s, t)))
+        for holds, nx_holds in cases:
+            expected = networkx_probability(g, nx_holds)
+            assert abs(exact_query_probability(g, holds) - expected) <= 1e-12
+
+    def test_chunk_boundaries(self):
+        # 18 edges give 2^18 worlds, four chunks; only the all-edges world connects the path
+        g = UncertainGraph(19, [(i, i + 1, 0.6 + 0.02 * i) for i in range(18)])
+        chunks = []
+
+        def recording(masks):
+            chunks.append(len(masks))
+            return connected(g)(masks)
+
+        exact = exact_query_probability(g, recording)
+        assert chunks == [1 << 16] * 4
+        assert abs(exact - math.prod(g.probabilities.tolist())) <= 1e-15
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mc_within_five_sigma_of_exact(self, seed):
         g = random_graph(7, 10, seed=seed, low=0.2, high=0.9)
         pair = (0, g.n - 1)
-        q = exact_query_probability(g, lambda w: w.reachable(*pair))
+        q = exact_query_probability(g, reaches(g, *pair))
         n = 100_000
         freq = mc_distributions(g, QueryKind.RELIABILITY, [pair], n, seed=seed + 100)[pair].mean()
         assert abs(freq - q) <= 5 * math.sqrt(q * (1 - q) / n) + 1e-12
@@ -345,8 +401,10 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_always_connected(self, seed):
         g = generate_synthetic(40, 0.08, seed=seed)
-        world = DeterministicWorld(g.n, [(u, v) for u, v, _ in g.edges])
-        assert world.is_connected()
+        world = nx.Graph()
+        world.add_nodes_from(range(g.n))
+        world.add_edges_from(g.edge_pairs)
+        assert nx.is_connected(world)
 
     def test_density_below_connectivity_threshold(self):
         with pytest.raises(ValueError, match="connectivity"):
