@@ -15,7 +15,6 @@ probability-weighted sampling, so they emit exactly round(alpha*|E|) edges.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -98,8 +97,8 @@ def _smaller_side(adj: list, u: int, v: int) -> list:
                     side.append(y)
 
 
-def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
-    """Death round per edge under iterated contiguous spanning forests.
+def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, dict]:
+    """Join and death round per edge under iterated contiguous spanning forests.
 
     Round r builds a spanning forest that must retain every still-alive edge
     of round r-1's forest (contiguity), extended maximally by descending
@@ -109,75 +108,63 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, list]:
     rebuilds the same forest: each forest is built once and held until its
     lightest member dies, which bounds the forests by m.
 
-    One forest persists.  An edge that joins it at round r0 with weight w
-    stays until it dies at round r0 + w, so an edge outside the forest still
-    has its original weight and every free edge sits in one fixed order,
-    (-w, u, v), sorted once.  Each new forest splits the surviving one at its
-    dead edges, relabelling the smaller side of each split, and reconnects it
-    with the first free edges in that order whose ends lie in two different
-    trees, by union-find over the tree labels.  Returns
-    (edge -> death round, [(sorted forest, rounds it is held), ...]).
+    One forest persists.  An edge that joins it after round r0 with weight w
+    dies at round r0 + w, so a free edge keeps its original weight and every
+    free edge sits in one fixed order, (-w, u, v).  A split at a dead edge and
+    a join by a free edge both relabel the smaller tree.  A round leaves every
+    free edge inside one tree, so only one at a vertex a split relabelled can
+    cross: the next round merges those vertices' free edges in that order
+    until every split is rejoined.
+    Returns (edge -> death round, edge -> join round); edge e is in the
+    forests of rounds join[e] + 1 .. death[e].
     """
-    edges = sorted(((u, v), int(w)) for u, v, w in wg.edges)
-    order = sorted(range(len(edges)), key=lambda i: (-edges[i][1], i))
-    tail = np.array([edges[i][0][0] for i in order], dtype=np.int64)
-    head = np.array([edges[i][0][1] for i in order], dtype=np.int64)
-    free = np.ones(len(order), dtype=bool)
-    forest: list = []  # the persisting forest, kept sorted
-    label = np.arange(wg.n)
-    spare_labels: list = []
+    ranked = sorted((-int(w), u, v) for u, v, w in wg.edges)
+    free_at: list = [[] for _ in range(wg.n)]  # ranks of the free edges at each vertex, ascending
+    for k, (_, u, v) in enumerate(ranked):
+        free_at[u].append(k)
+        free_at[v].append(k)
+    label = list(range(wg.n))
     adj: list = [set() for _ in range(wg.n)]
-    components = wg.n
-    dying: list = []  # heap of (death round, edge index) over the forest
-    parent: dict = {}  # one round's union-find over the tree labels
-
-    def find(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
+    dying: list = []  # heap of (death round, rank) over the forest
     death_round: dict = {}
-    forests = []
+    join_round: dict = {}
+    relabelled = range(wg.n)
+    pending = wg.n - 1  # joins left before no free edge can cross two trees
     r = 0
     while True:
-        crossing = np.flatnonzero(free & (label[tail] != label[head]))
-        tail_label = label[tail[crossing]].tolist()
-        head_label = label[head[crossing]].tolist()
-        parent.clear()
-        for k, a, b in zip(crossing.tolist(), tail_label, head_label):
-            if components == 1:
-                break
-            a, b = find(a), find(b)
-            if a == b:
+        # merged from copies: a join removes its edge from the lists
+        for k in heapq.merge(*(free_at[x][:] for x in relabelled)):
+            minus_w, u, v = ranked[k]
+            if label[u] == label[v]:
                 continue
-            parent[b] = a
-            components -= 1
-            free[k] = False
-            i = order[k]
-            (u, v), w = edges[i]
+            side = _smaller_side(adj, u, v)
+            tree = label[v] if side[0] == u else label[u]
+            for x in side:
+                label[x] = tree
             adj[u].add(v)
             adj[v].add(u)
-            bisect.insort(forest, (u, v))
-            heapq.heappush(dying, (r + w, i))
-        if parent:
-            merged = list(parent)
-            relabel = np.arange(wg.n)
-            relabel[merged] = [find(x) for x in merged]
-            label = relabel[label]
-            spare_labels.extend(merged)
+            free_at[u].remove(k)
+            free_at[v].remove(k)
+            join_round[(u, v)] = r
+            heapq.heappush(dying, (r - minus_w, k))
+            pending -= 1
+            if not pending:
+                break
         if not dying:
-            return death_round, forests
-        forests.append((list(forest), dying[0][0] - r))
+            return death_round, join_round
         r = dying[0][0]
+        relabelled, pending = [], 0
         while dying and dying[0][0] == r:
-            i = heapq.heappop(dying)[1]
-            (u, v), _ = edges[i]
+            k = heapq.heappop(dying)[1]
+            _, u, v = ranked[k]
             death_round[(u, v)] = r
-            del forest[bisect.bisect_left(forest, (u, v))]
             adj[u].remove(v)
             adj[v].remove(u)
-            label[_smaller_side(adj, u, v)] = spare_labels.pop()
-            components += 1
+            side = _smaller_side(adj, u, v)
+            for x in side:
+                label[x] = wg.n + k  # a label no tree has had: each edge dies once
+            relabelled += side
+            pending += 1
 
 
 def forest_round_sampler(wg: WeightedGraph, seed: int):

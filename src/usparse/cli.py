@@ -249,11 +249,7 @@ def _compare_cell(g, config, queries, args):
 
 def cmd_compare(args) -> int:
     g = load_graph(args.input)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    alphas = [float(a) for a in args.alphas.split(",")]
-    queries = [q.strip() for q in args.queries.split(",") if q.strip()]
-    for q in queries:
-        evaluation.QueryKind(q)
+    methods, alphas, queries = args.methods, args.alphas, args.queries
     rows = []
     for method in methods:
         for alpha in alphas:
@@ -321,6 +317,17 @@ def _at_least(minimum: int):
     return integer
 
 
+def _comma_list(item, choices=None):
+    """argparse type: a non-empty comma-separated list of item(entry), each in choices if given."""
+    def comma_separated(text: str) -> list:  # argparse names it in "invalid comma_separated value"
+        values = [item(entry.strip()) for entry in text.split(",") if entry.strip()]
+        if not values or not set(values) <= set(choices or values):
+            raise ValueError(text)
+        return values
+
+    return comma_separated
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="usparse", description="Uncertain-graph sparsification toolkit"
@@ -377,10 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="sweep methods x alphas x queries into one CSV")
     p_cmp.add_argument("-i", "--input", required=True)
-    p_cmp.add_argument("--methods", required=True,
+    p_cmp.add_argument("--methods", required=True, type=_comma_list(str, METHODS),
                        help=f"comma-separated subset of {','.join(METHODS)}")
-    p_cmp.add_argument("--alphas", required=True, help="comma-separated ratios")
-    p_cmp.add_argument("--queries", required=True,
+    p_cmp.add_argument("--alphas", required=True, type=_comma_list(float),
+                       help="comma-separated ratios")
+    p_cmp.add_argument("--queries", required=True, type=_comma_list(str, QUERIES),
                        help=f"comma-separated subset of {','.join(QUERIES)}")
     p_cmp.add_argument("--backbone", choices=BACKBONES, default=defaults["backbone"])
     p_cmp.add_argument("--mode", choices=MODES, default=defaults["mode"])

@@ -54,6 +54,9 @@ class RunConfig:
             raise ValueError("theta must be finite")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative 64-bit integer")
+        for cap in ("max_sweeps", "max_iters"):
+            if getattr(self, cap) < 0:
+                raise ValueError(f"{cap} must be non-negative")
         rule = self.objective()
         if self.method != "gdb" and rule.k != 1:
             raise ValueError(f"method {self.method!r} does not take a cut rule")

@@ -18,8 +18,8 @@ import numpy as np
 
 # Hard cap for exact possible-world enumeration (2^|E| worlds).
 MAX_EXACT_EDGES = 25
-# Worlds per chunk of the exact enumeration, so its memory stays flat in 2^|E|.
-EXACT_CHUNK_ROWS = 1 << 16
+# Worlds times max(|E|, n) per chunk of the exact enumeration: flat memory in 2^|E| and n.
+EXACT_CHUNK_CELLS = 1 << 20
 
 _LN2 = math.log(2.0)
 
@@ -284,9 +284,9 @@ def exact_query_probability(
 
     The 2^|E| worlds come as (B, |E|) bool edge-mask chunks, the form
     evaluation.sample_masks draws (world w holds edge i when bit i of w is
-    set); predicate maps a chunk to B bools.  The probabilities of the worlds
-    it selects are summed exactly rounded.  Guarded by MAX_EXACT_EDGES because
-    the cost is exponential in |E|.
+    set), with B * max(|E|, n) <= EXACT_CHUNK_CELLS; predicate maps a chunk to
+    B bools.  The probabilities of the worlds it selects are summed exactly
+    rounded.  Guarded by MAX_EXACT_EDGES because the cost is exponential in |E|.
     """
     m = g.m
     if m > MAX_EXACT_EDGES:
@@ -294,10 +294,11 @@ def exact_query_probability(
     ps = g.probabilities
     qs = 1.0 - ps
     bits = np.arange(m)
+    rows = max(1, EXACT_CHUNK_CELLS // max(m, g.n))
 
     def selected_weights():
-        for start in range(0, 1 << m, EXACT_CHUNK_ROWS):
-            worlds = np.arange(start, min(start + EXACT_CHUNK_ROWS, 1 << m))
+        for start in range(0, 1 << m, rows):
+            worlds = np.arange(start, min(start + rows, 1 << m))
             masks = (worlds[:, None] >> bits & 1).astype(bool)
             weights = np.prod(np.where(masks, ps, qs), axis=1)
             yield from weights[predicate(masks)].tolist()

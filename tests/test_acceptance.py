@@ -249,8 +249,11 @@ def test_criterion_09_spanner_stretch():
 def test_criterion_10_forest_trace_and_inverse_transform():
     started = time.perf_counter()
     wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
-    death, forests = contiguous_forest_rounds(wg)
-    assert forests == [([(0, 1), (0, 2)], 1), ([(0, 2), (1, 2)], 1)]
+    death, join = contiguous_forest_rounds(wg)
+    assert join == {(0, 1): 0, (0, 2): 0, (1, 2): 1}
+    # edge e is in the forests of rounds join[e] + 1 .. death[e]
+    forests = [sorted(e for e in death if join[e] < r <= death[e]) for r in (1, 2)]
+    assert forests == [[(0, 1), (0, 2)], [(0, 2), (1, 2)]]
     assert death == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
     p_min = 0.2
     assert min(3 * p_min, 1.0) == pytest.approx(0.6, abs=1e-15)

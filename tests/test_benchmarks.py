@@ -60,9 +60,13 @@ class TestNiWeights:
             to_ni_weights(UncertainGraph(3, []))
 
 
-def per_round(forests):
-    """The per-round trace: each forest listed once for every round it is held."""
-    return [forest for forest, repeats in forests for _ in range(repeats)]
+def per_round(death, join):
+    """The per-round trace rebuilt from join and death rounds: round r's forest
+    holds every edge e with join[e] < r <= death[e]."""
+    return [
+        sorted(e for e in death if join[e] < r <= death[e])
+        for r in range(1, max(death.values()) + 1)
+    ]
 
 
 def one_round_at_a_time(wg):
@@ -117,27 +121,30 @@ class TestForestRounds:
         # triangle weights [1, 2, 1]: round 1 takes (0,2) [residual 2] and
         # (0,1); (0,1) dies.  Round 2 must retain (0,2) and adds (1,2); both die.
         wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
-        death, forests = contiguous_forest_rounds(wg)
-        assert forests == [([(0, 1), (0, 2)], 1), ([(0, 2), (1, 2)], 1)]
+        death, join = contiguous_forest_rounds(wg)
+        assert join == {(0, 1): 0, (0, 2): 0, (1, 2): 1}
+        assert per_round(death, join) == [[(0, 1), (0, 2)], [(0, 2), (1, 2)]]
         assert death == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
 
     def test_forest_held_until_its_lightest_member_dies(self):
         # a path is its own forest every round: built once, held 3 rounds
         wg = WeightedGraph(3, ((0, 1, 3), (1, 2, 5)))
-        death, forests = contiguous_forest_rounds(wg)
-        assert forests == [([(0, 1), (1, 2)], 3), ([(1, 2)], 2)]
+        death, join = contiguous_forest_rounds(wg)
+        assert join == {(0, 1): 0, (1, 2): 0}
+        assert per_round(death, join) == [[(0, 1), (1, 2)]] * 3 + [[(1, 2)]] * 2
         assert death == {(0, 1): 3, (1, 2): 5}
 
     def test_edge_with_weight_w_spans_w_rounds(self):
         wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 3), (1, 2, 1)))
-        death, forests = contiguous_forest_rounds(wg)
-        rounds_02 = [r for r, f in enumerate(per_round(forests), start=1) if (0, 2) in f]
+        death, join = contiguous_forest_rounds(wg)
+        rounds_02 = [r for r, f in enumerate(per_round(death, join), start=1) if (0, 2) in f]
         assert len(rounds_02) == 3 and death[(0, 2)] == rounds_02[-1]
 
     def test_single_tree_all_die_round_one(self):
         wg = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
-        death, forests = contiguous_forest_rounds(wg)
-        assert set(death.values()) == {1} and len(forests) == 1
+        death, join = contiguous_forest_rounds(wg)
+        assert set(death.values()) == {1} and set(join.values()) == {0}
+        assert per_round(death, join) == [[(0, 1), (1, 2), (2, 3)]]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_forest_membership_contiguous_until_death(self, seed):
@@ -146,21 +153,23 @@ class TestForestRounds:
         wg = WeightedGraph(
             g.n, tuple((u, v, int(rng.integers(1, 5))) for u, v, _ in g.edges)
         )
-        death, forests = contiguous_forest_rounds(wg)
+        death, join = contiguous_forest_rounds(wg)
         appearances = defaultdict(list)
-        for r, forest in enumerate(per_round(forests), start=1):
+        for r, forest in enumerate(per_round(death, join), start=1):
             for e in forest:
                 appearances[e].append(r)
+        weight = {(u, v): w for u, v, w in wg.edges}
+        assert set(appearances) == set(weight)
         for e, rounds in appearances.items():
             assert rounds == list(range(rounds[0], rounds[0] + len(rounds)))
-            assert rounds[-1] == death[e]
+            assert rounds[-1] == death[e] and len(rounds) == weight[e]
 
     def test_alive_prior_forest_edges_persist(self):
         rng = derive_rng(9)
         g = generate_synthetic(12, 0.4, seed=9)
         wg = WeightedGraph(g.n, tuple((u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges))
-        death, forests = contiguous_forest_rounds(wg)
-        trace = per_round(forests)
+        death, join = contiguous_forest_rounds(wg)
+        trace = per_round(death, join)
         for r in range(1, len(trace)):
             survivors = {e for e in trace[r - 1] if death[e] > r}
             assert survivors <= set(trace[r])
@@ -168,8 +177,8 @@ class TestForestRounds:
     @pytest.mark.parametrize("build, seed", ORACLE_CASES)
     def test_matches_one_round_at_a_time(self, build, seed):
         wg = build(seed)
-        death, forests = contiguous_forest_rounds(wg)
-        assert (death, per_round(forests)) == one_round_at_a_time(wg)
+        death, join = contiguous_forest_rounds(wg)
+        assert (death, per_round(death, join)) == one_round_at_a_time(wg)
 
     def test_tied_cases_kill_several_forest_edges_in_one_round(self):
         for seed in range(4):
@@ -183,10 +192,12 @@ class TestForestRounds:
         for p_min, last_round in [(1e-9, 10**9), (1e-300, 10**299)]:
             edges = [(u, v, p_min if i == 0 else p) for i, (u, v, p) in enumerate(g.edges)]
             tiny = UncertainGraph(g.n, edges)
-            death, forests = contiguous_forest_rounds(to_ni_weights(tiny))
-            assert len(forests) <= g.m
-            assert all(type(r) is int for r in death.values())
-            assert sum(repeats for _, repeats in forests) == max(death.values()) > last_round
+            wg = to_ni_weights(tiny)
+            death, join = contiguous_forest_rounds(wg)
+            assert len(set(death.values())) <= g.m
+            assert all(type(r) is int for r in [*death.values(), *join.values()])
+            assert all(death[(u, v)] - join[(u, v)] == w for u, v, w in wg.edges)
+            assert max(death.values()) > last_round
             assert ni_sparsify(tiny, 0.3, seed=1)[0].m == target_edge_count(g.m, 0.3)
 
 
@@ -261,7 +272,8 @@ class TestNiPinned:
     # sha256 of the saved edge list and of the sorted-key JSON of info for
     # ni_sparsify on the README's `generate -n 100 -d 0.15 --seed 1` graph at
     # alpha 0.3 and seed 7, recorded at commit 95ca917 (one Kruskal pass per
-    # forest), and that graph's 717 forests held for 19,039 rounds in all.
+    # forest), and that graph's 717 forests held for 19,039 rounds in all: a
+    # new forest starts after each distinct death round.
     PINNED_EDGES = "466b4446779cf9f35d70471584a5a05bf1a7c588c0642160beb31b8254cee282"
     PINNED_INFO = "4eb93559c2b5ff9d8b7d63d41fd7eaca6015b0d682cc313ee124a0e1cfbee92b"
 
@@ -276,9 +288,9 @@ class TestNiPinned:
         assert hashlib.sha256(json.dumps(info, sort_keys=True).encode()).hexdigest() == self.PINNED_INFO
 
     def test_paper_graph_forest_count(self, graph):
-        _, forests = contiguous_forest_rounds(to_ni_weights(graph))
-        assert len(forests) == 717
-        assert sum(repeats for _, repeats in forests) == 19039
+        death, _ = contiguous_forest_rounds(to_ni_weights(graph))
+        assert len(set(death.values())) == 717
+        assert max(death.values()) == 19039
 
 
 class TestSsWeights:

@@ -173,6 +173,28 @@ class TestSparsify:
         assert flag[2:] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("gdb", "--max-sweeps", "-1"), ("emd", "--max-iters", "-5"),
+    ])
+    def test_negative_cap_refused(self, graph_file, tmp_path, capsys, method, flag, value):
+        code, out = run_sparsify(graph_file, tmp_path, method, extra=[flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag[2:].replace("-", "_") + " must be non-negative" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["max_sweeps", "max_iters"])
+    def test_negative_cap_refused_on_replay(self, graph_file, tmp_path, field):
+        _, out = run_sparsify(graph_file, tmp_path, "emd", name="emd.el")
+        manifest = tmp_path / "emd.el.manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["config"][field] = -1
+        manifest.write_text(json.dumps(payload))
+        out.unlink()
+        assert main(["sparsify", "-i", "x", "-o", "y", "--from-manifest", str(manifest)]) == 1
+        assert not out.exists()
+
     def test_cut_rule_and_cut_all(self, graph_file, tmp_path):
         for rule in ("2", "all"):
             code, out = run_sparsify(graph_file, tmp_path, "gdb", extra=["-k", rule], name=f"k{rule}.el")
@@ -308,6 +330,20 @@ class TestEval:
         assert len(errors) == 1 and "--cut-samples" in errors[0]
         assert list(tmp_path.iterdir()) == [graph_file]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--methods", "gdbb"), ("--methods", "gdb,zz"), ("--methods", ","),
+        ("--queries", "xx"), ("--queries", "rl,pp"), ("--alphas", "abc"), ("--alphas", "0.5,x"),
+    ])
+    def test_bad_compare_list_refused_at_parse_time(self, graph_file, tmp_path, capsys,
+                                                    flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "-i", str(graph_file), "--methods", "gdb", "--alphas", "0.5",
+                  "--queries", "rl", "-o", str(tmp_path / "c.csv"), flag, value])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and flag in errors[0]
+        assert list(tmp_path.iterdir()) == [graph_file]
+
     def test_one_run_allowed_without_variance(self, graph_file, tmp_path):
         assert main(["eval", "-i", str(graph_file), "-s", str(graph_file), "-q", "rl",
                      "--samples", "3", "--pairs", "4", "--runs", "1", "--no-variance",
@@ -372,6 +408,21 @@ class TestCompare:
         assert len(rows) == 2
         failed = [r for r in rows if r["alpha"] == "0.01"]
         assert failed and failed[0]["error"] != ""
+
+    def test_out_of_range_alpha_is_a_cell_error(self, graph_file, tmp_path):
+        # ni refuses alpha 1.0 and ss accepts it: the check stays per cell
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "compare", "-i", str(graph_file),
+            "--methods", "ni,ss", "--alphas", "1.0", "--queries", "rl",
+            "--samples", "5", "--runs", "2", "--pairs", "4", "--cut-samples", "5",
+            "-o", str(out),
+        ])
+        assert code == 0
+        rows = list(csv.DictReader(open(out)))
+        assert [(r["method"], r["error"]) for r in rows] == [
+            ("ni", "alpha must be in (0, 1)"), ("ss", "")
+        ]
 
     def test_relative_mode_fails_only_absolute_methods(self, graph_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -441,6 +492,8 @@ class TestRunConfig:
             RunConfig(input="a", output="b", method="ni", alpha=0.3, mode="rel"),
             RunConfig(input="a", output="b", method="gdb", alpha=0.3, rule="all", mode="rel"),
             RunConfig(input="a", output="b", method="lp", alpha=0.3, mode="rel"),
+            RunConfig(input="a", output="b", method="gdb", alpha=0.3, max_sweeps=-1),
+            RunConfig(input="a", output="b", method="emd", alpha=0.3, max_iters=-5),
         ]
         for config in bad:
             with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from usparse.evaluation import (
     sample_masks,
 )
 from usparse.graph import (
+    EXACT_CHUNK_CELLS,
     GraphFormatError,
     UncertainGraph,
     derive_rng,
@@ -361,18 +362,31 @@ class TestExactOracle:
             expected = networkx_probability(g, nx_holds)
             assert abs(exact_query_probability(g, holds) - expected) <= 1e-12
 
-    def test_chunk_boundaries(self):
-        # 18 edges give 2^18 worlds, four chunks; only the all-edges world connects the path
-        g = UncertainGraph(19, [(i, i + 1, 0.6 + 0.02 * i) for i in range(18)])
+    @staticmethod
+    def check_path_chunks(n):
+        """An 18-edge path in n vertices gives 2^18 worlds in chunks of
+        EXACT_CHUNK_CELLS // max(|E|, n) rows, the last one shorter; only the
+        all-edges world joins the path's two ends.  Returns the chunk sizes."""
+        g = UncertainGraph(n, [(i, i + 1, 0.6 + 0.02 * i) for i in range(18)])
+        rows = EXACT_CHUNK_CELLS // max(g.m, n)
         chunks = []
 
         def recording(masks):
             chunks.append(len(masks))
-            return connected(g)(masks)
+            return reaches(g, 0, 18)(masks)
 
         exact = exact_query_probability(g, recording)
-        assert chunks == [1 << 16] * 4
+        assert chunks == [min(rows, (1 << 18) - start) for start in range(0, 1 << 18, rows)]
         assert abs(exact - math.prod(g.probabilities.tolist())) <= 1e-15
+        return chunks
+
+    def test_chunk_boundaries(self):
+        assert len(self.check_path_chunks(19)) == 5
+
+    def test_chunk_rows_shrink_with_the_vertex_count(self):
+        # a predicate builds (B, n) labels, so B * n stays within the budget
+        chunks = self.check_path_chunks(200)
+        assert len(chunks) == 51 and all(b * 200 <= EXACT_CHUNK_CELLS for b in chunks)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mc_within_five_sigma_of_exact(self, seed):
