@@ -5,6 +5,12 @@ spanning forests (probabilities as weights) until a spanning quota is met,
 then tops up by probability-weighted random sampling; on a connected input
 the result is connected.  The random builder uses probability-weighted
 sampling alone and gives no connectivity guarantee.
+
+Both work on whole edge arrays.  The edges are ranked once by (-p, u, v);
+under that strict order the maximum spanning forest is unique, so Borůvka
+rounds (every component takes its best crossing edge at once) give the
+forest Kruskal would.  Each top-up pass is one vectorised comparison of a
+vector of uniforms against the candidates' probabilities.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from dataclasses import dataclass
 from itertools import islice, tee
 from typing import Iterable, Iterator
 
-from usparse.graph import UncertainGraph, UnionFind, derive_rng
+import numpy as np
+
+from usparse.graph import UncertainGraph, derive_rng
 
 # After this many fruitless full passes the top-up loop admits the most
 # probable remaining edges deterministically instead of looping forever.
@@ -38,50 +46,82 @@ def target_edge_count(m: int, alpha: float) -> int:
     return int(round(alpha * m))
 
 
-def spanning_forest(n: int, ordered_pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Kruskal over a fixed edge order: keep each edge that joins two components.
+def _boruvka_forest(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Mask of the spanning forest that prefers earlier edges, by Borůvka rounds.
 
-    Stops once one component is left, since no later edge can join two.
+    Edge i outranks edge j when i < j.  With every rank distinct the forest
+    is unique, so it is the one Kruskal takes in this order.  Each round
+    finds every component's best crossing edge with one np.minimum.at,
+    hooks each component onto the other end of that edge (of two components
+    that pick the same edge, the smaller label stays a root), and jumps
+    pointers until every vertex names its new root.
     """
-    uf = UnionFind(n)
-    forest = []
-    for e in ordered_pairs:
-        if uf.union(*e):
-            forest.append(e)
-            if uf.components == 1:
+    m = len(us)
+    keep = np.zeros(m, dtype=bool)
+    comp = np.arange(n)
+    live = np.arange(m)
+    while live.size:
+        cu, cv = comp[us[live]], comp[vs[live]]
+        crossing = cu != cv
+        live, cu, cv = live[crossing], cu[crossing], cv[crossing]
+        if not live.size:
+            break
+        best = np.full(n, m)
+        np.minimum.at(best, cu, live)
+        np.minimum.at(best, cv, live)
+        roots = np.flatnonzero(best < m)
+        edge = best[roots]
+        keep[edge] = True
+        a, b = comp[us[edge]], comp[vs[edge]]
+        other = np.where(a == roots, b, a)
+        parent = np.arange(n)
+        parent[roots] = other
+        mutual = (parent[other] == roots) & (roots < other)
+        parent[roots[mutual]] = roots[mutual]
+        while True:
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
                 break
-    return forest
+            parent = hop
+        comp = parent[comp]
+    return keep
 
 
 def max_spanning_forest(
     n: int, weighted_edges: Iterable[tuple[int, int, float]]
 ) -> list[tuple[int, int]]:
-    """Maximum-weight spanning forest by Kruskal.
+    """Maximum-weight spanning forest, in rank order.
 
-    Order: descending weight, ties broken by canonical (u, v) so the result
-    is deterministic.  Works on disconnected inputs (returns a forest).
+    Rank: descending weight, ties broken by (u, v), so the forest is unique
+    and deterministic.  Works on disconnected inputs (returns a forest).
     """
-    ordered = sorted(weighted_edges, key=lambda e: (-e[2], e[0], e[1]))
-    return spanning_forest(n, [(u, v) for u, v, _ in ordered])
+    edges = list(weighted_edges)
+    if not edges:
+        return []
+    us, vs, ws = (np.asarray(c) for c in zip(*edges))
+    order = np.lexsort((vs, us, -ws))
+    us, vs = us[order], vs[order]
+    keep = _boruvka_forest(n, us, vs)
+    return list(zip(us[keep].tolist(), vs[keep].tolist()))
 
 
-def iterated_spanning_forests(g: UncertainGraph) -> Iterator[list[tuple[int, int]]]:
+def iterated_spanning_forests(g: UncertainGraph) -> Iterator[np.ndarray]:
     """Edge-disjoint maximum spanning forests, peeled off the graph lazily.
 
-    The edges are sorted once; the survivors of each peel keep that order,
-    so every forest is one Kruskal pass and comes out most probable first.
+    Each forest is an array of positions in g.edges, in rank order (most
+    probable first).  The edges are ranked once by (-p, u, v): g.edges
+    ascend by (u, v), so a stable sort by -p gives that order.  Each forest
+    is the Borůvka forest of the edges the earlier forests left.
     """
-    remaining = [(u, v) for u, v, _ in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1]))]
-    while remaining:
-        forest = spanning_forest(g.n, remaining)
-        yield forest
-        taken = set(forest)
-        remaining = [e for e in remaining if e not in taken]
+    order = np.argsort(-g.probabilities, kind="stable")
+    us, vs = g.endpoint_arrays
+    while order.size:
+        keep = _boruvka_forest(g.n, us[order], vs[order])
+        yield order[keep]
+        order = order[~keep]
 
 
-def default_alpha_prime(
-    g: UncertainGraph, alpha: float, forests: Iterable[list[tuple[int, int]]] | None = None
-) -> float:
+def default_alpha_prime(g: UncertainGraph, alpha: float, forests: Iterable | None = None) -> float:
     """Spanning quota: min of 0.5*alpha and the first six forests' edge fraction.
 
     Peels only as far as needed: once the forests so far cover 0.5*alpha of
@@ -96,38 +136,43 @@ def default_alpha_prime(
     return min(half, peeled / g.m)
 
 
-def _probability_topup(rng, g: UncertainGraph, taken, need: int) -> list[tuple[int, int, float]]:
-    """Admit `need` edges of g outside `taken` by probability-weighted passes.
+def _probability_topup(rng, g: UncertainGraph, free: np.ndarray, need: int) -> np.ndarray:
+    """Admit `need` of the edges that the mask `free` marks by probability-weighted passes.
 
-    Each pass visits the remaining candidates in canonical order and admits
-    each with its own probability; one vector of uniforms is drawn per pass.
-    After MAX_TOPUP_PASSES empty-handed passes the most probable remaining
-    edges are admitted outright, so the loop terminates even when all
-    probabilities are tiny.  Returns the admitted (u, v, p) triples.
+    Each pass draws one vector of uniforms over the remaining candidates in
+    canonical order and admits the first candidates, up to `need`, whose
+    uniform falls below their probability.  After MAX_TOPUP_PASSES
+    empty-handed passes the most probable remaining edges are admitted
+    outright, so the loop terminates even when all probabilities are tiny.
+    Returns the admitted edges' positions in g.edges, in admission order.
     """
-    admitted = []
-    pool = [e for e in g.edges if (e[0], e[1]) not in taken]
+    ps = g.probabilities
+    pool = np.flatnonzero(free)
+    admitted = [pool[:0]]
+    got = 0
     passes_without_progress = 0
-    while len(admitted) < need:
-        if not pool:
+    while got < need:
+        if not pool.size:
             raise ValueError("not enough candidate edges to reach the target size")
-        kept = []
-        before = len(admitted)
-        for e, r in zip(pool, rng.random(len(pool)).tolist()):
-            if len(admitted) < need and r < e[2]:
-                admitted.append(e)
-            else:
-                kept.append(e)
-        pool = kept
-        if len(admitted) > before:
+        hits = np.flatnonzero(rng.random(pool.size) < ps[pool])[: need - got]
+        if hits.size:
+            admitted.append(pool[hits])
+            got += hits.size
+            pool = np.delete(pool, hits)
             passes_without_progress = 0
         else:
             passes_without_progress += 1
             if passes_without_progress >= MAX_TOPUP_PASSES:
-                pool.sort(key=lambda e: (-e[2], e[0], e[1]))
-                admitted.extend(pool[: need - len(admitted)])
+                # stable: equal probabilities stay in canonical order
+                best = np.argsort(-ps[pool], kind="stable")[: need - got]
+                admitted.append(pool[best])
                 break
-    return admitted
+    return np.concatenate(admitted)
+
+
+def _backbone(g: UncertainGraph, chosen: np.ndarray, source: str) -> BackboneGraph:
+    us, vs = g.endpoint_arrays
+    return BackboneGraph(g.n, tuple(zip(us[chosen].tolist(), vs[chosen].tolist())), source)
 
 
 def build_backbone(
@@ -163,23 +208,25 @@ def build_backbone(
         raise ValueError(f"alpha_prime={alpha_prime} exceeds alpha={alpha}")
 
     target = target_edge_count(m, alpha)
-    chosen: list[tuple[int, int]] = []
+    chosen = np.zeros(m, dtype=bool)
+    count = 0
     # The quota is compared as a fraction, the unit default_alpha_prime uses.
-    while len(chosen) / m < alpha_prime and len(chosen) < target:
+    while count / m < alpha_prime and count < target:
         forest = next(forests, None)
         if forest is None:
             break
-        chosen.extend(forest[: target - len(chosen)])
+        forest = forest[: target - count]
+        chosen[forest] = True
+        count += len(forest)
 
-    topup = _probability_topup(derive_rng(seed), g, set(chosen), target - len(chosen))
-    chosen.extend((u, v) for u, v, _ in topup)
-    return BackboneGraph(g.n, tuple(sorted(chosen)), source="spanning")
+    chosen[_probability_topup(derive_rng(seed), g, ~chosen, target - count)] = True
+    return _backbone(g, chosen, "spanning")
 
 
 def random_backbone(g: UncertainGraph, alpha: float, seed: int = 0) -> BackboneGraph:
     """Probability-weighted random backbone; connectivity is not guaranteed."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    target = target_edge_count(g.m, alpha)
-    chosen = _probability_topup(derive_rng(seed), g, set(), target)
-    return BackboneGraph(g.n, tuple(sorted((u, v) for u, v, _ in chosen)), source="random")
+    chosen = np.zeros(g.m, dtype=bool)
+    chosen[_probability_topup(derive_rng(seed), g, ~chosen, target_edge_count(g.m, alpha))] = True
+    return _backbone(g, chosen, "random")

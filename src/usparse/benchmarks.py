@@ -48,6 +48,13 @@ class WeightedGraph:
         return len(self.edges)
 
 
+def _topup_edges(g: UncertainGraph, taken, need: int, seed: int) -> list[tuple[int, int, float]]:
+    """The (u, v, p) edges of g outside the pair set `taken` that the top-up
+    admits from the (seed, 1) stream, in admission order."""
+    free = np.fromiter((e not in taken for e in g.edge_pairs), dtype=bool, count=g.m)
+    return [g.edges[i] for i in _probability_topup(derive_rng(seed, 1), g, free, need).tolist()]
+
+
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
@@ -251,7 +258,7 @@ def ni_sparsify(
     edges = [(u, v, min(w * p_min, 1.0)) for u, v, w in core_edges]
     deficit = target - len(edges)
     kept = {(u, v) for u, v, _ in core_edges}
-    edges.extend(_probability_topup(derive_rng(seed, 1), g, kept, deficit))
+    edges.extend(_topup_edges(g, kept, deficit, seed))
     out = UncertainGraph(g.n, edges)
     info = {
         "epsilon": epsilon,
@@ -412,7 +419,7 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
         spanner = frozenset(sorted(spanner, key=lambda e: (e in keep, prob[e], e))[trimmed:])
     edges = [(u, v, prob[(u, v)]) for u, v in sorted(spanner)]
     deficit = target - len(edges)
-    edges.extend(_probability_topup(derive_rng(seed, 1), g, spanner, deficit))
+    edges.extend(_topup_edges(g, spanner, deficit, seed))
     out = UncertainGraph(g.n, edges)
     info = {
         "t": best_t,

@@ -45,35 +45,134 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
+class EdgeError(ValueError):
+    """An edge breaks a graph invariant; `row` is its position in the input."""
 
-    __slots__ = ("parent", "size", "components")
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
 
-    def find(self, x: int) -> int:
-        root = x
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+_INT64_MAX = np.iinfo(np.int64).max
+# Largest vertex count whose pair keys u*n + v fit in int64.
+MAX_VERTICES = math.isqrt(_INT64_MAX)
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
+
+def _column(col, scalar):
+    """col as an array whose items are what `scalar` (int or float) makes of them.
+
+    Numeric columns convert in one numpy call; any other column goes item by
+    item.  Returns the array and the position of the first item `scalar`
+    rejects (None if none), which is filled with a placeholder.  Vertex ids
+    beyond int64 come back as an object array of Python ints.
+    """
+    try:
+        a = np.asarray(col)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and a.ndim == 1:
+        kind = a.dtype.kind
+        if kind in "bi" or (kind == "u" and a.max() <= _INT64_MAX):
+            return a.astype(np.int64 if scalar is int else np.float64), None
+        if kind == "f":
+            if scalar is float:
+                return a.astype(np.float64), None
+            # int() truncates toward zero, as the cast does, when every item fits
+            if np.isfinite(a).all() and np.abs(a).max() < 2.0**63:
+                return a.astype(np.int64), None
+    values, bad = [], None
+    for i, x in enumerate(col):
+        try:
+            values.append(scalar(x))
+        except (TypeError, ValueError, OverflowError):
+            bad = i if bad is None else bad
+            values.append(scalar(1))
+    if scalar is float:
+        return np.array(values, dtype=np.float64), bad
+    fits = all(-_INT64_MAX <= x <= _INT64_MAX for x in values)
+    return np.array(values, dtype=np.int64 if fits else object), bad
+
+
+def _canonical_edges(n: int, us, vs, ps, allow_zero: bool = False):
+    """Validate edge columns; return (u, v, p) arrays with u < v, sorted by (u, v).
+
+    The checks run over whole columns, but the error is the one a pass over
+    the edges in input order raises first: the first bad edge wins, and for
+    that edge the checks go int(u), int(v), self-loop, vertex range,
+    duplicate, float(p), probability range.  Invariant breaks raise EdgeError
+    carrying the edge's position; a field int() or float() rejects raises
+    that conversion's own error.
+    """
+    m = len(us)
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    u, bad_u = _column(us, int)
+    v, bad_v = _column(vs, int)
+    p, bad_p = _column(ps, float)
+    loop = np.asarray(u == v, dtype=bool)
+    out = np.asarray((u < 0) | (u >= n) | (v < 0) | (v >= n), dtype=bool)
+    usable = ~(loop | out)
+    usable[[i for i in (bad_u, bad_v) if i is not None]] = False
+    lo = np.where(usable, np.minimum(u, v), 0).astype(np.int64)
+    hi = np.where(usable, np.maximum(u, v), 0).astype(np.int64)
+    # One stable sort by key gives the canonical order and puts every repeat
+    # of a pair right after its first occurrence.  Unusable rows get distinct
+    # negative keys, so they repeat nothing.
+    key = np.where(usable, lo * n + hi, -1 - np.arange(m))
+    order = np.argsort(key, kind="stable")
+    dup = np.zeros(m, dtype=bool)
+    dup[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    ok_p = ((p >= 0.0) if allow_zero else (p > 0.0)) & (p <= 1.0)
+    flagged = np.flatnonzero(loop | out | dup | ~ok_p)[:1].tolist()
+    firsts = [i for i in (bad_u, bad_v, bad_p, *flagged) if i is not None]
+    if not firsts:
+        return lo[order], hi[order], p[order]
+    i = min(firsts)
+    if i == bad_u:
+        int(us[i])
+    if i == bad_v:
+        int(vs[i])
+    if loop[i]:
+        raise EdgeError(f"self-loop at vertex {int(us[i])}", i)
+    if out[i]:
+        raise EdgeError(f"vertex id out of range: ({int(us[i])}, {int(vs[i])}) with n={n}", i)
+    edge = f"({lo[i]}, {hi[i]})"
+    if dup[i]:
+        raise EdgeError(f"duplicate edge {edge}", i)
+    if i == bad_p:
+        float(ps[i])
+    rng_txt = "[0,1]" if allow_zero else "(0,1]"
+    raise EdgeError(f"probability {float(p[i])} of edge {edge} outside {rng_txt}", i)
+
+
+def _vertex_count(n) -> int:
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
+    return int(n)
+
+
+def _edge_columns(n: int, rows):
+    """The u, v and p columns of (u, v, p) rows.
+
+    A row that does not unpack into three fields raises unpacking's own
+    error, once the rows before it have passed _canonical_edges.
+    """
+    try:
+        if set(map(len, rows)) == {3}:
+            return tuple(zip(*rows))
+    except TypeError:
+        pass
+    fields = []
+    for row in rows:
+        try:
+            u, v, p = row
+        except (TypeError, ValueError):
+            _canonical_edges(n, *_edge_columns(n, fields))
+            raise
+        fields.append((u, v, p))
+    return tuple(zip(*fields)) if fields else ((), (), ())
 
 
 class UncertainGraph:
@@ -81,8 +180,10 @@ class UncertainGraph:
 
     Edges are stored canonically as (u, v, p) with u < v, sorted ascending,
     which fixes a deterministic edge order used throughout the package.
-    Instances are immutable after construction and safe to share across
-    threads for reading.
+    `_canonical_edges` validates and sorts them as whole numpy columns; the
+    endpoint and probability arrays are kept from that pass, and `edges` is
+    built from them once.  Instances are immutable after construction and
+    safe to share across threads for reading.
     """
 
     __slots__ = ("n", "edges", "_us", "_vs", "_ps", "_adj", "_degrees", "_pairs")
@@ -94,34 +195,23 @@ class UncertainGraph:
         allow_zero: bool = False,
     ):
         """Validate and canonicalize. `allow_zero` admits p = 0 (sparsified outputs)."""
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        self.n = int(n)
-        canon = []
-        seen = set()
-        lo = 0.0 if allow_zero else None
-        for u, v, p in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"vertex id out of range: ({u}, {v}) with n={self.n}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            p = float(p)
-            ok = (0.0 <= p <= 1.0) if allow_zero else (0.0 < p <= 1.0)
-            if not ok:
-                rng_txt = "[0,1]" if allow_zero else "(0,1]"
-                raise ValueError(f"probability {p} of edge ({u}, {v}) outside {rng_txt}")
-            canon.append((u, v, p))
-        canon.sort(key=lambda e: (e[0], e[1]))
-        self.edges = tuple(canon)
-        self._us = None
-        self._vs = None
-        self._ps = None
+        n = _vertex_count(n)
+        rows = edges if isinstance(edges, (list, tuple)) else list(edges)
+        self._set_columns(n, *_edge_columns(n, rows), allow_zero)
+
+    @classmethod
+    def from_columns(cls, n: int, us, vs, ps, allow_zero: bool = False) -> "UncertainGraph":
+        """The graph whose i-th edge is (us[i], vs[i], ps[i]); validated as __init__ does."""
+        g = cls.__new__(cls)
+        g._set_columns(_vertex_count(n), us, vs, ps, allow_zero)
+        return g
+
+    def _set_columns(self, n, us, vs, ps, allow_zero):
+        self.n = n
+        self._us, self._vs, self._ps = _canonical_edges(n, us, vs, ps, allow_zero)
+        for a in (self._us, self._vs, self._ps):
+            a.flags.writeable = False
+        self.edges = tuple(zip(self._us.tolist(), self._vs.tolist(), self._ps.tolist()))
         self._adj = None
         self._degrees = None
         self._pairs = None
@@ -130,25 +220,13 @@ class UncertainGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def _arrays(self):
-        if self._ps is None:
-            if self.edges:
-                us, vs, ps = zip(*self.edges)
-            else:
-                us, vs, ps = (), (), ()
-            self._us = np.asarray(us, dtype=np.int64)
-            self._vs = np.asarray(vs, dtype=np.int64)
-            self._ps = np.asarray(ps, dtype=np.float64)
-        return self._us, self._vs, self._ps
-
     @property
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        us, vs, _ = self._arrays()
-        return us, vs
+        return self._us, self._vs
 
     @property
     def probabilities(self) -> np.ndarray:
-        return self._arrays()[2]
+        return self._ps
 
     @property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -169,10 +247,9 @@ class UncertainGraph:
     def degree_vector(self) -> np.ndarray:
         """Expected degree of every vertex (sum of incident probabilities)."""
         if self._degrees is None:
-            us, vs, ps = self._arrays()
             d = np.zeros(self.n)
-            np.add.at(d, us, ps)
-            np.add.at(d, vs, ps)
+            np.add.at(d, self._us, self._ps)
+            np.add.at(d, self._vs, self._ps)
             self._degrees = d
         return self._degrees
 
@@ -368,7 +445,8 @@ def generate_synthetic(
     probs = np.asarray(prob_sampler(rng, m), dtype=np.float64)
     if probs.shape != (m,) or np.any(probs <= 0.0) or np.any(probs > 1.0):
         raise ValueError("prob_sampler must return probabilities in (0, 1]")
-    return UncertainGraph(n, [(u, v, float(p)) for (u, v), p in zip(pairs, probs)])
+    us, vs = zip(*pairs)
+    return UncertainGraph.from_columns(n, us, vs, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +459,16 @@ def load_graph(path, allow_zero: bool = False) -> UncertainGraph:
 
     '#' starts a comment.  Probabilities must lie in (0,1]; pass
     allow_zero=True for sparsified outputs, where p=0 marks a structurally
-    retained edge with no remaining mass.
+    retained edge with no remaining mass.  The parsed columns are validated
+    in one pass, and a bad edge is reported with its line number.
     """
     header_n = None
-    edges = []
-    max_id = -1
-    saw_edge = False
+    us, vs, ps = [], [], []
+    skipped = []  # line numbers of the lines that hold no edge
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             data, _, comment = raw.partition("#")
-            if not saw_edge and header_n is None and not data.strip():
+            if not us and header_n is None and not data.strip():
                 token = comment.strip()
                 if token.startswith("n="):
                     try:
@@ -399,6 +477,7 @@ def load_graph(path, allow_zero: bool = False) -> UncertainGraph:
                         raise GraphFormatError(f"{path}: line {lineno}: bad header {token!r}")
             fields = data.split()
             if not fields:
+                skipped.append(lineno)
                 continue
             if len(fields) != 3:
                 raise GraphFormatError(
@@ -410,31 +489,27 @@ def load_graph(path, allow_zero: bool = False) -> UncertainGraph:
                 raise GraphFormatError(f"{path}: line {lineno}: could not parse {data.strip()!r}")
             if u < 0 or v < 0:
                 raise GraphFormatError(f"{path}: line {lineno}: negative vertex id")
-            saw_edge = True
-            max_id = max(max_id, u, v)
-            edges.append((lineno, u, v, p))
-    n = header_n if header_n is not None else max_id + 1
+            us.append(u)
+            vs.append(v)
+            ps.append(p)
+    n = header_n if header_n is not None else max(max(us, default=-1), max(vs, default=-1)) + 1
     try:
-        return UncertainGraph(n, [(u, v, p) for _, u, v, p in edges], allow_zero=allow_zero)
+        return UncertainGraph.from_columns(n, us, vs, ps, allow_zero=allow_zero)
     except ValueError as exc:
-        if not edges:
+        if not us:
             raise GraphFormatError(f"{path}: {exc}") from exc
-        # Validation runs in input order, so a prefix fails exactly when it
-        # holds the first bad edge: bisect for the shortest failing prefix.
-        lo, hi = 0, len(edges)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                UncertainGraph(n, [(u, v, p) for _, u, v, p in edges[:mid]], allow_zero=allow_zero)
-                lo = mid
-            except ValueError:
-                hi = mid
-        raise GraphFormatError(f"{path}: line {edges[hi - 1][0]}: {exc}") from exc
+        # edge `row` sits on line row + 1, moved down by each edgeless line
+        # before it; an error of no edge (a negative header n) goes to the first
+        line = getattr(exc, "row", 0) + 1
+        for s in skipped:
+            if s > line:
+                break
+            line += 1
+        raise GraphFormatError(f"{path}: line {line}: {exc}") from exc
 
 
 def save_graph(g: UncertainGraph, path) -> None:
     """Write the canonical edge-list representation with an n= header."""
+    body = "".join([f"{u} {v} {p!r}\n" for u, v, p in g.edges])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.n}\n")
-        for u, v, p in g.edges:
-            fh.write(f"{u} {v} {p!r}\n")
+        fh.write(f"# n={g.n}\n" + body)

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from usparse.backbone import (
     iterated_spanning_forests,
     max_spanning_forest,
     random_backbone,
-    spanning_forest,
     target_edge_count,
 )
 from usparse.graph import UncertainGraph, derive_rng, generate_synthetic
@@ -49,11 +49,55 @@ def count_peeled_forests(monkeypatch):
     return peeled
 
 
+def topup(rng, g, taken, need):
+    """The runtime top-up as (u, v, p) triples, for the candidates outside `taken`."""
+    free = [(u, v) not in taken for u, v, _ in g.edges]
+    return [g.edges[i] for i in _probability_topup(rng, g, free, need).tolist()]
+
+
+class UnionFind:
+    """Disjoint-set forest with path compression and union by size."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def kruskal(n, weighted_edges):
+    """Oracle forest: Kruskal over the (-w, u, v) order, in that order."""
+    uf = UnionFind(n)
+    ordered = sorted(weighted_edges, key=lambda e: (-e[2], e[0], e[1]))
+    return [(u, v) for u, v, _ in ordered if uf.union(u, v)]
+
+
+def peeled_pairs(g):
+    """The runtime peel's forests as (u, v) pair lists."""
+    return [[g.edge_pairs[i] for i in forest.tolist()] for forest in iterated_spanning_forests(g)]
+
+
 def resorting_peel(g):
-    """Oracle peel: a fresh maximum spanning forest of the remaining edges each time."""
+    """Oracle peel: a fresh Kruskal forest of the remaining edges each time."""
     remaining = list(g.edges)
     while remaining:
-        forest = max_spanning_forest(g.n, remaining)
+        forest = kruskal(g.n, remaining)
         yield forest
         taken = set(forest)
         remaining = [e for e in remaining if (e[0], e[1]) not in taken]
@@ -103,23 +147,48 @@ class TestMaxSpanningForest:
         assert sorted(max_spanning_forest(4, edges)) == [(0, 1), (2, 3)]
 
 
-class TestSpanningForest:
-    def test_stops_reading_once_spanning(self):
-        read = []
 
-        def pairs():
-            for e in [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]:
-                read.append(e)
-                yield e
+def disconnected_graph():
+    """Two random blocks side by side, plus two isolated vertices."""
+    a = generate_synthetic(10, 0.5, seed=1)
+    b = generate_synthetic(8, 0.6, seed=2)
+    return UncertainGraph(20, list(a.edges) + [(u + 10, v + 10, p) for u, v, p in b.edges])
 
-        assert spanning_forest(4, pairs()) == [(0, 1), (1, 2), (2, 3)]
-        assert read == [(0, 1), (1, 2), (0, 2), (2, 3)]
+
+ORACLE_GRAPHS = {
+    "complete-ties": lambda: complete_graph(12, p=0.5),
+    "const-0.5": lambda: generate_synthetic(
+        40, 0.3, prob_sampler=lambda rng, k: np.full(k, 0.5), seed=3
+    ),
+    "disconnected": disconnected_graph,
+    "single-edge": lambda: UncertainGraph(5, [(1, 3, 0.7)]),
+    **{f"n300-seed{s}": (lambda s=s: generate_synthetic(300, 0.05, seed=s)) for s in range(4)},
+}
+
+
+class TestMaxSpanningForestOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_matches_kruskal(self, name):
+        g = ORACLE_GRAPHS[name]()
+        assert max_spanning_forest(g.n, g.edges) == kruskal(g.n, g.edges)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_peel_matches_kruskal_peel(self, name):
+        g = ORACLE_GRAPHS[name]()
+        assert peeled_pairs(g) == list(resorting_peel(g))
+
+    def test_weights_need_not_be_probabilities(self):
+        edges = [(0, 1, 3), (1, 2, -1), (0, 2, 3), (2, 3, 0), (1, 3, 7)]
+        assert max_spanning_forest(4, edges) == kruskal(4, edges) == [(1, 3), (0, 1), (0, 2)]
+
+    def test_empty_input(self):
+        assert max_spanning_forest(3, []) == []
 
 
 class TestIteratedForests:
     def test_forests_are_edge_disjoint(self):
         g = generate_synthetic(20, 0.4, seed=3)
-        forests = list(iterated_spanning_forests(g))
+        forests = peeled_pairs(g)
         seen = set()
         for f in forests:
             for e in f:
@@ -129,31 +198,28 @@ class TestIteratedForests:
 
     def test_tree_exhausts_in_one_round(self):
         g = UncertainGraph(4, [(0, 1, 0.2), (1, 2, 0.4), (2, 3, 0.9)])
-        forests = list(iterated_spanning_forests(g))
+        forests = peeled_pairs(g)
         assert len(forests) == 1 and len(forests[0]) == 3
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_resorting_peel_on_random_graphs(self, seed):
         g = generate_synthetic(30, 0.3, seed=seed)
-        assert list(iterated_spanning_forests(g)) == list(resorting_peel(g))
+        assert peeled_pairs(g) == list(resorting_peel(g))
 
     def test_matches_resorting_peel_on_ties(self):
         g = complete_graph(12, p=0.5)
-        assert list(iterated_spanning_forests(g)) == list(resorting_peel(g))
+        assert peeled_pairs(g) == list(resorting_peel(g))
 
     def test_matches_resorting_peel_on_disconnected_graph(self):
-        a = generate_synthetic(10, 0.5, seed=1)
-        b = generate_synthetic(8, 0.6, seed=2)
-        edges = list(a.edges) + [(u + 10, v + 10, p) for u, v, p in b.edges]
-        g = UncertainGraph(20, edges)  # two components and two isolated vertices
-        forests = list(iterated_spanning_forests(g))
+        g = disconnected_graph()  # two components and two isolated vertices
+        forests = peeled_pairs(g)
         assert forests == list(resorting_peel(g))
         assert len(forests[0]) == 20 - 4
 
     def test_forests_come_out_most_probable_first(self):
         g = generate_synthetic(25, 0.4, seed=8)
         prob = {(u, v): p for u, v, p in g.edges}
-        for forest in iterated_spanning_forests(g):
+        for forest in peeled_pairs(g):
             assert forest == sorted(forest, key=lambda e: (-prob[e], e))
 
 
@@ -203,13 +269,13 @@ class TestProbabilityTopup:
         g = UncertainGraph(g.n, [(u, v, p * scale) for u, v, p in g.edges])
         taken = {(u, v) for u, v, _ in g.edges[::3]}
         for need in (1, 5, 17):
-            got = _probability_topup(derive_rng(seed), g, taken, need)
+            got = topup(derive_rng(seed), g, taken, need)
             assert got == scalar_topup(derive_rng(seed), g, taken, need)
             assert len(got) == need and not {(u, v) for u, v, _ in got} & taken
 
     def test_matches_scalar_draws_through_the_pass_limit(self):
         g = UncertainGraph(5, [(u, v, 1e-12 * (1 + u + v)) for u, v in combinations(range(5), 2)])
-        got = _probability_topup(derive_rng(3), g, {(3, 4)}, 4)
+        got = topup(derive_rng(3), g, {(3, 4)}, 4)
         assert got == scalar_topup(derive_rng(3), g, {(3, 4)}, 4)
         # nothing is drawn in time, so the most probable remaining edges win
         assert [(u, v) for u, v, _ in got] == [(2, 4), (1, 4), (2, 3), (0, 4)]
@@ -217,7 +283,7 @@ class TestProbabilityTopup:
     def test_too_few_candidates_rejected(self):
         g = UncertainGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
         with pytest.raises(ValueError, match="not enough"):
-            _probability_topup(derive_rng(0), g, {(0, 1)}, 2)
+            topup(derive_rng(0), g, {(0, 1)}, 2)
 
 
 class TestBuildBackbone:
@@ -252,8 +318,7 @@ class TestBuildBackbone:
         b = build_backbone(g, alpha, seed=0)
         assert b.m == g.n - 1
         assert spans_all_vertices(b)
-        tree = max_spanning_forest(g.n, list(g.edges))
-        assert sorted(b.edges) == sorted(tree)
+        assert sorted(b.edges) == sorted(kruskal(g.n, g.edges))
 
     def test_alpha_one_keeps_everything(self):
         g = generate_synthetic(15, 0.5, seed=2)

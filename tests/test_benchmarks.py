@@ -23,7 +23,9 @@ from usparse.benchmarks import (
     to_ss_weights,
     _solve_stretch_parameter,
 )
-from usparse.graph import UncertainGraph, UnionFind, derive_rng, generate_synthetic, save_graph
+from usparse.graph import UncertainGraph, derive_rng, generate_synthetic, save_graph
+
+from test_backbone import UnionFind
 
 
 def lightest_distances(n, edges, source):

@@ -202,6 +202,43 @@ class TestSparsify:
             assert load_graph(out, allow_zero=True).m > 0
 
 
+class TestSparsifyPinned:
+    # sha256 of the edge list and manifest that `sparsify -a 0.3 --seed 7`
+    # writes for each flag set below, on the README's `generate -n 100 -d 0.15
+    # --dist uniform --seed 1` graph, recorded at commit 6bcc60d (the Kruskal
+    # backbone peel and the per-edge graph constructor).
+    PINNED = {
+        "gdb": (("-m", "gdb"), "386f0cad01bc5a7b4c652998c9a4160493667d79312f1a969785692f6eabfa41",
+                "7db05e7da5925c782cf1496ad54f9497364e828e7410b621b78ec7e3e269092f"),
+        "emd": (("-m", "emd"), "4a33697bf03ea3361938b40def1d8a2d20a11c6c3a88290bd4bafc83c3ca3716",
+                "57b0f9c6302adea7cfb5321422829404a4110077b1476ff675b8abd3aedfeebb"),
+        "emdrel": (("-m", "emd", "--mode", "rel"),
+                   "9857cca420f6d7bb7be3363727d98f2332e23e9f84f331013e31d3be978fd5e1",
+                   "7ad9b83320414754822dc4891dcb61023220cbd6201ffab1eef84978513d186b"),
+        "lp": (("-m", "lp"), "9e35e1946c9a904d855f7fd10041ae869eabd46327b33f928248640d561428e1",
+               "a6b720086c22ffd14a227dd571027249781e5093e72a61cfc3fd3c88a92bdfed"),
+        "k2": (("-m", "gdb", "-k", "2"),
+               "cc0e9be6a0c88c62c49884f1e679b28b54e000ccb9e73d4b749ce924648740d1",
+               "3e47f8b08ac5c85cf2b0f066a9dafdcccbb3e06b692012d2c1398b1c6cf3c029"),
+        "kall": (("-m", "gdb", "-k", "all"),
+                 "67bcb1d83bbf5e38dec15f0615b4081db34c6e2ab855bf93939b62c11bd40f97",
+                 "0310da4b73555ce29c313d77455acbe2722eec3826145bfec654a3f4ae88fcc1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_paper_graph_keeps_its_bytes(self, tmp_path, monkeypatch, name):
+        # relative names, because the manifest records the file names
+        monkeypatch.chdir(tmp_path)
+        flags, edges_sha, manifest_sha = self.PINNED[name]
+        assert main(["generate", "-n", "100", "-d", "0.15", "--dist", "uniform", "--seed", "1",
+                     "-o", "g.el"]) == 0
+        assert main(["sparsify", "-i", "g.el", "-o", f"{name}.el", "-a", "0.3", "--seed", "7",
+                     *flags]) == 0
+        digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                        for f in (f"{name}.el", f"{name}.el.manifest.json"))
+        assert digests == (edges_sha, manifest_sha)
+
+
 class TestEval:
     def test_eval_writes_csv_and_json(self, graph_file, tmp_path):
         _, out = run_sparsify(graph_file, tmp_path, "gdb")

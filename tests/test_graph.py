@@ -18,6 +18,8 @@ from usparse.evaluation import (
 )
 from usparse.graph import (
     EXACT_CHUNK_CELLS,
+    MAX_VERTICES,
+    EdgeError,
     GraphFormatError,
     UncertainGraph,
     derive_rng,
@@ -125,6 +127,150 @@ class TestConstruction:
     def test_isolated_vertices_are_legal(self):
         g = UncertainGraph(10, [(0, 1, 0.5)])
         assert g.n == 10 and g.degree_vector()[9] == 0.0
+
+
+def per_edge_canonical(n, edges, allow_zero=False):
+    """Reference constructor: one pass over the edges in input order, raising
+    at the first bad edge; returns the canonical edge tuple."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    n = int(n)
+    canon, seen = [], set()
+    for u, v, p in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        p = float(p)
+        ok = (0.0 <= p <= 1.0) if allow_zero else (0.0 < p <= 1.0)
+        if not ok:
+            rng_txt = "[0,1]" if allow_zero else "(0,1]"
+            raise ValueError(f"probability {p} of edge ({u}, {v}) outside {rng_txt}")
+        canon.append((u, v, p))
+    return tuple(sorted(canon, key=lambda e: (e[0], e[1])))
+
+
+def outcome(build):
+    """What a construction gives: the repr of its edges, or its error's builtin type and text."""
+    kinds = (TypeError, ValueError, OverflowError)
+    try:
+        return "ok", repr(build())
+    except kinds as exc:
+        return next(k.__name__ for k in kinds if isinstance(exc, k)), str(exc)
+
+
+def same_as_per_edge(n, edges, allow_zero=False):
+    rows = list(edges)
+    got = outcome(lambda: UncertainGraph(n, rows, allow_zero=allow_zero).edges)
+    want = outcome(lambda: per_edge_canonical(n, rows, allow_zero=allow_zero))
+    assert got == want
+    return got
+
+
+class TestConstructorMatchesPerEdgePass:
+    GOOD = [(0, 1, 0.5), (3, 1, 0.25), (2, 4, 1.0), (4, 0, 0.75)]
+    DEFECTS = [(2, 2, 0.5), (0, 9, 0.5), (-1, 3, 0.5), (1, 3, 0.5), (1, 0, 0.5), (0, 2, 1.5),
+               (0, 3, 0.0), (3, 4, float("nan")), (2, 3, float("inf")), (1, 2, -0.5)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_bad_row_in_input_order_wins(self, seed):
+        rng = derive_rng(seed)
+        picked = rng.choice(len(self.DEFECTS), 3, replace=False)
+        rows = self.GOOD + [self.DEFECTS[i] for i in picked]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        kind, text = same_as_per_edge(5, rows)
+        assert kind == "ValueError", text
+
+    def test_each_defect_alone(self):
+        for defect in self.DEFECTS:
+            for allow_zero in (False, True):
+                same_as_per_edge(5, self.GOOD + [defect], allow_zero)
+
+    def test_out_of_range_pair_aliasing_a_valid_key(self):
+        # with n=5, (0, 7) and (-1, 8) would share the key u*n+v of (1, 2) and (0, 3)
+        for rows in ([(1, 2, 0.5), (0, 7, 0.5)], [(0, 7, 0.5), (1, 2, 0.5)],
+                     [(0, 3, 0.5), (-1, 8, 0.5)], [(0, 7, 0.5), (1, 2, 0.5), (2, 1, 0.5)]):
+            assert same_as_per_edge(5, rows)[0] == "ValueError"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_probabilities(self, bad):
+        for allow_zero in (False, True):
+            kind, text = same_as_per_edge(4, [(0, 1, 0.5), (1, 2, bad)], allow_zero)
+            assert kind == "ValueError" and "of edge (1, 2) outside" in text
+
+    def test_negative_zero_kept_with_allow_zero(self):
+        kind, text = same_as_per_edge(3, [(1, 2, -0.0), (0, 1, 0.5)], allow_zero=True)
+        assert kind == "ok" and "-0.0" in text
+        assert same_as_per_edge(3, [(1, 2, -0.0)])[0] == "ValueError"
+
+    def test_numpy_scalar_fields(self):
+        rows = [(np.int32(3), np.uint64(1), np.float32(0.1)),
+                (np.int64(0), np.int8(2), np.float64(0.7)),
+                (np.uint8(2), np.int16(3), np.float16(0.3)),
+                (0.9, True, 1)]
+        kind, text = same_as_per_edge(4, rows)
+        assert kind == "ok"
+        assert all(type(x) in (int, float) for e in UncertainGraph(4, rows).edges for x in e)
+        repeat = (np.int64(1), np.int64(3), np.float32(0.2))
+        assert same_as_per_edge(4, rows + [repeat])[0] == "ValueError"
+
+    def test_unconvertible_fields(self):
+        for row in [("x", 1, 0.5), (0, None, 0.5), (0, 1, "p"), (float("nan"), 1, 0.5),
+                    (2**70, 1, 0.5), (0, 1, 10**400), ("3", "1", "0.25")]:
+            same_as_per_edge(4, [(0, 2, 0.5), row])
+            same_as_per_edge(4, [(1, 1, 0.5), row])  # the earlier self-loop wins
+
+    def test_rows_that_do_not_unpack(self):
+        for row in [(0, 1), (0, 1, 0.5, 9), 7]:
+            kind, _ = same_as_per_edge(4, [(0, 2, 0.5), row])
+            assert kind in ("TypeError", "ValueError")
+            same_as_per_edge(4, [(2, 2, 0.5), row])  # the earlier self-loop wins
+
+    def test_generator_input(self):
+        rows = [(3, 0, 0.5), (1, 2, 0.5)]
+        g = UncertainGraph(4, (r for r in rows))
+        assert g.edges == per_edge_canonical(4, rows)
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 3\)"):
+            UncertainGraph(4, (r for r in rows + [(0, 3, 0.1)]))
+
+    def test_empty_input(self):
+        for edges in ([], (), iter([])):
+            g = UncertainGraph(3, edges)
+            assert g.edges == () and g.probabilities.shape == (0,)
+            assert g.endpoint_arrays[0].dtype == np.int64
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            UncertainGraph(-1, [])
+
+    def test_vertex_count_whose_pair_keys_overflow_is_refused(self, tmp_path):
+        assert UncertainGraph(MAX_VERTICES, [(0, MAX_VERTICES - 1, 0.5)]).m == 1
+        with pytest.raises(ValueError, match="vertex count"):
+            UncertainGraph(MAX_VERTICES + 1, [(0, 1, 0.5)])
+        path = tmp_path / "g.el"
+        path.write_text("0 1 0.5\n1 2 0.5\n2 18446744073709551615 0.5\n")
+        too_many = "line 1: vertex count 18446744073709551616 exceeds"
+        with pytest.raises(GraphFormatError, match=too_many):
+            load_graph(path)
+
+    def test_arrays_agree_with_edges_and_are_read_only(self):
+        g = random_graph(12, 30, seed=2)
+        us, vs = g.endpoint_arrays
+        assert list(zip(us.tolist(), vs.tolist(), g.probabilities.tolist())) == list(g.edges)
+        with pytest.raises(ValueError):
+            g.probabilities[0] = 0.5
+
+    def test_from_columns_matches_rows(self):
+        rows = [(3, 0, 0.5), (1, 2, 0.25), (2, 0, 1.0)]
+        us, vs, ps = zip(*rows)
+        assert UncertainGraph.from_columns(4, us, vs, ps).edges == UncertainGraph(4, rows).edges
+        with pytest.raises(EdgeError, match=r"duplicate edge \(0, 3\)") as info:
+            UncertainGraph.from_columns(4, [0, 1, 3], [3, 2, 0], [0.5, 0.5, 0.5])
+        assert info.value.row == 2
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +637,24 @@ class TestFileFormat:
                 built.append(1)
                 super().__init__(*args, **kwargs)
 
+            @classmethod
+            def from_columns(cls, *args, **kwargs):
+                built.append(1)
+                return super().from_columns(*args, **kwargs)
+
         monkeypatch.setattr(graph_mod, "UncertainGraph", CountingGraph)
         with pytest.raises(GraphFormatError, match=f"line {m}: duplicate edge \\(0, 1\\)"):
             load_graph(path)
-        assert len(built) <= 2 * math.log2(m) + 2
+        assert len(built) == 1
+
+    def test_bad_edge_line_counts_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text("# n=5\n0 1 0.5\n\n# note\n1 2 0.5\n  \n2 3 0.5 # ok\n2 1 0.3\n")
+        with pytest.raises(GraphFormatError, match=r"line 8: duplicate edge \(1, 2\)"):
+            load_graph(path)
+        path.write_text("# n=5\n\n0 1 0.5\n1 7 0.5\n")
+        with pytest.raises(GraphFormatError, match=r"line 4: vertex id out of range: \(1, 7\)"):
+            load_graph(path)
 
     def test_zero_probability_only_for_sparsified(self, tmp_path):
         path = tmp_path / "g.el"
