@@ -1,7 +1,6 @@
 """usparse: sparsify uncertain graphs while preserving expected degrees and cuts."""
 
 from usparse.backbone import (
-    BackboneGraph,
     build_backbone,
     default_alpha_prime,
     max_spanning_forest,
@@ -41,7 +40,6 @@ from usparse.graph import (
 from usparse.lp import lp_sparsify, solve_optimal_assignment
 
 __all__ = [
-    "BackboneGraph",
     "DiscrepancyMode",
     "GraphFormatError",
     "QueryKind",

@@ -1,10 +1,12 @@
 """Backbone construction: pick which alpha*|E| edges survive sparsification.
 
-Two builders are provided.  The spanning builder layers edge-disjoint maximum
-spanning forests (probabilities as weights) until a spanning quota is met,
-then tops up by probability-weighted random sampling; on a connected input
-the result is connected.  The random builder uses probability-weighted
-sampling alone and gives no connectivity guarantee.
+A backbone is a (|E|,) bool mask over g.edges, in their canonical order;
+gdb, emd and lp take it as it is.  Two builders are provided.  The spanning
+builder layers edge-disjoint maximum spanning forests (probabilities as
+weights) until a spanning quota is met, then tops up by probability-weighted
+random sampling; on a connected input the result is connected.  The random
+builder uses probability-weighted sampling alone and gives no connectivity
+guarantee.
 
 Both work on whole edge arrays.  The edges are ranked once by (-p, u, v);
 under that strict order the maximum spanning forest is unique, so Borůvka
@@ -15,7 +17,6 @@ vector of uniforms against the candidates' probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, tee
 from typing import Iterable, Iterator
 
@@ -26,19 +27,6 @@ from usparse.graph import UncertainGraph, derive_rng
 # After this many fruitless full passes the top-up loop admits the most
 # probable remaining edges deterministically instead of looping forever.
 MAX_TOPUP_PASSES = 100
-
-
-@dataclass(frozen=True)
-class BackboneGraph:
-    """Unweighted edge subset chosen to survive sparsification."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    source: str  # "spanning" or "random"
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
 
 def target_edge_count(m: int, alpha: float) -> int:
@@ -121,12 +109,18 @@ def iterated_spanning_forests(g: UncertainGraph) -> Iterator[np.ndarray]:
         order = order[~keep]
 
 
+def _require_edges(g: UncertainGraph) -> None:
+    if g.m == 0:
+        raise ValueError("cannot sparsify an empty graph")
+
+
 def default_alpha_prime(g: UncertainGraph, alpha: float, forests: Iterable | None = None) -> float:
     """Spanning quota: min of 0.5*alpha and the first six forests' edge fraction.
 
     Peels only as far as needed: once the forests so far cover 0.5*alpha of
     the edges, six would too.  `forests` lets a caller share its own peel.
     """
+    _require_edges(g)
     half = 0.5 * alpha
     peeled = 0
     for forest in islice(iterated_spanning_forests(g) if forests is None else forests, 6):
@@ -170,9 +164,10 @@ def _probability_topup(rng, g: UncertainGraph, free: np.ndarray, need: int) -> n
     return np.concatenate(admitted)
 
 
-def _backbone(g: UncertainGraph, chosen: np.ndarray, source: str) -> BackboneGraph:
-    us, vs = g.endpoint_arrays
-    return BackboneGraph(g.n, tuple(zip(us[chosen].tolist(), vs[chosen].tolist())), source)
+def check_backbone(g: UncertainGraph, backbone) -> None:
+    """Refuse a backbone that is not a bool mask over g.edges."""
+    if getattr(backbone, "dtype", None) != bool or np.shape(backbone) != (g.m,):
+        raise ValueError(f"a backbone is a bool mask of shape ({g.m},) over the graph's edges")
 
 
 def build_backbone(
@@ -180,8 +175,8 @@ def build_backbone(
     alpha: float,
     alpha_prime: float | None = None,
     seed: int = 0,
-) -> BackboneGraph:
-    """Spanning backbone with exactly round(alpha*|E|) edges.
+) -> np.ndarray:
+    """Spanning backbone with exactly round(alpha*|E|) edges, as a bool mask over g.edges.
 
     Phase one layers maximum spanning forests until a fraction alpha_prime of
     the edges is collected (|E| is always the original edge count).  Phase
@@ -190,8 +185,7 @@ def build_backbone(
     highest-probability edges are kept so the size contract still holds.
     """
     m = g.m
-    if m == 0:
-        raise ValueError("cannot sparsify an empty graph")
+    _require_edges(g)
     floor = (g.n - 1) / m
     if alpha < floor:
         raise ValueError(
@@ -220,13 +214,13 @@ def build_backbone(
         count += len(forest)
 
     chosen[_probability_topup(derive_rng(seed), g, ~chosen, target - count)] = True
-    return _backbone(g, chosen, "spanning")
+    return chosen
 
 
-def random_backbone(g: UncertainGraph, alpha: float, seed: int = 0) -> BackboneGraph:
-    """Probability-weighted random backbone; connectivity is not guaranteed."""
+def random_backbone(g: UncertainGraph, alpha: float, seed: int = 0) -> np.ndarray:
+    """Probability-weighted random backbone mask; connectivity is not guaranteed."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     chosen = np.zeros(g.m, dtype=bool)
     chosen[_probability_topup(derive_rng(seed), g, ~chosen, target_edge_count(g.m, alpha))] = True
-    return _backbone(g, chosen, "random")
+    return chosen

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,23 +35,12 @@ class CalibrationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Deterministic weighted view of an uncertain graph."""
-
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-
-def _topup_edges(g: UncertainGraph, taken, need: int, seed: int) -> list[tuple[int, int, float]]:
-    """The (u, v, p) edges of g outside the pair set `taken` that the top-up
-    admits from the (seed, 1) stream, in admission order."""
-    free = np.fromiter((e not in taken for e in g.edge_pairs), dtype=bool, count=g.m)
-    return [g.edges[i] for i in _probability_topup(derive_rng(seed, 1), g, free, need).tolist()]
+def _topup_edges(g: UncertainGraph, taken: np.ndarray, need: int, seed: int) -> np.ndarray:
+    """The mask `taken` plus the `need` edges outside it that the top-up
+    admits from the (seed, 1) stream."""
+    kept = taken.copy()
+    kept[_probability_topup(derive_rng(seed, 1), g, ~taken, need)] = True
+    return kept
 
 
 def _round_half_up(x: float) -> int:
@@ -64,8 +52,9 @@ def _round_half_up(x: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def to_ni_weights(g: UncertainGraph) -> WeightedGraph:
-    """Integer weights proportional to probabilities: round-half-up of p/p_min.
+def to_ni_weights(g: UncertainGraph) -> list[tuple[int, int, int]]:
+    """(u, v, w) rows of integer weights proportional to probabilities:
+    round-half-up of p/p_min, in g.edges order.
 
     The ratio is at least 1 by construction; the weight is floored at 1
     anyway, defensively.  A p_min so small that p / p_min overflows a float
@@ -76,9 +65,7 @@ def to_ni_weights(g: UncertainGraph) -> WeightedGraph:
     p_min = float(g.probabilities.min())
     if not math.isfinite(float(g.probabilities.max()) / p_min):
         raise ValueError(f"p_min = {p_min!r} is too small for ni: p / p_min overflows a float")
-    return WeightedGraph(
-        g.n, tuple((u, v, max(1, _round_half_up(p / p_min))) for u, v, p in g.edges)
-    )
+    return [(u, v, max(1, _round_half_up(p / p_min))) for u, v, p in g.edges]
 
 
 def _smaller_side(adj: list, u: int, v: int) -> list:
@@ -104,7 +91,7 @@ def _smaller_side(adj: list, u: int, v: int) -> list:
                     side.append(y)
 
 
-def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, dict]:
+def contiguous_forest_rounds(n: int, weighted_edges) -> tuple[dict, dict]:
     """Join and death round per edge under iterated contiguous spanning forests.
 
     Round r builds a spanning forest that must retain every still-alive edge
@@ -125,18 +112,18 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, dict]:
     Returns (edge -> death round, edge -> join round); edge e is in the
     forests of rounds join[e] + 1 .. death[e].
     """
-    ranked = sorted((-int(w), u, v) for u, v, w in wg.edges)
-    free_at: list = [[] for _ in range(wg.n)]  # ranks of the free edges at each vertex, ascending
+    ranked = sorted((-int(w), u, v) for u, v, w in weighted_edges)
+    free_at: list = [[] for _ in range(n)]  # ranks of the free edges at each vertex, ascending
     for k, (_, u, v) in enumerate(ranked):
         free_at[u].append(k)
         free_at[v].append(k)
-    label = list(range(wg.n))
-    adj: list = [set() for _ in range(wg.n)]
+    label = list(range(n))
+    adj: list = [set() for _ in range(n)]
     dying: list = []  # heap of (death round, rank) over the forest
     death_round: dict = {}
     join_round: dict = {}
-    relabelled = range(wg.n)
-    pending = wg.n - 1  # joins left before no free edge can cross two trees
+    relabelled = range(n)
+    pending = n - 1  # joins left before no free edge can cross two trees
     r = 0
     while True:
         # merged from copies: a join removes its edge from the lists
@@ -169,32 +156,33 @@ def contiguous_forest_rounds(wg: WeightedGraph) -> tuple[dict, dict]:
             adj[v].remove(u)
             side = _smaller_side(adj, u, v)
             for x in side:
-                label[x] = wg.n + k  # a label no tree has had: each edge dies once
+                label[x] = n + k  # a label no tree has had: each edge dies once
             relabelled += side
             pending += 1
 
 
-def forest_round_sampler(wg: WeightedGraph, seed: int):
+def forest_round_sampler(n: int, weighted_edges, seed: int):
     """Forest-round connectivity sampling, as a function of epsilon.
 
     Returns (count, sample).  sample(epsilon) keeps an edge dying at round r
     with probability min(ln n / (epsilon^2 r), 1) and inflates its weight by
-    the inverse of that probability; count(epsilon) is len(sample(epsilon)),
-    found by one array comparison.  The forest rounds run once, and the
-    per-edge uniforms are drawn once from the seed in canonical edge order,
-    so every epsilon reuses the same randomness and the output size is
-    monotone in epsilon.  A death round too large for a float is a
-    ValueError.
+    the inverse of that probability: it returns the bool mask of the kept
+    edges, over the edges in canonical (u, v) order, and their inflated
+    weights.  count(epsilon) is the number kept, found by one array
+    comparison.  The forest rounds run once, and the per-edge uniforms are
+    drawn once from the seed in canonical edge order, so every epsilon reuses
+    the same randomness and the output size is monotone in epsilon.  A death
+    round too large for a float is a ValueError.
     """
-    death_round, _ = contiguous_forest_rounds(wg)
-    weight = {(u, v): w for u, v, w in wg.edges}
-    ordered = sorted(death_round)
+    rows = sorted(weighted_edges)
+    death_round, _ = contiguous_forest_rounds(n, rows)
     try:
-        rounds = np.array([float(death_round[e]) for e in ordered])
+        rounds = np.array([float(death_round[(u, v)]) for u, v, _ in rows])
     except OverflowError:
         raise ValueError("death rounds overflow a float: p_min is too small for ni") from None
-    uniforms = derive_rng(seed).random(len(ordered))
-    log_n = math.log(wg.n)
+    weights = np.array([float(w) for _, _, w in rows])  # w <= its death round
+    uniforms = derive_rng(seed).random(len(rows))
+    log_n = math.log(n)
 
     def keep_probabilities(epsilon: float) -> np.ndarray:
         if epsilon <= 0:
@@ -204,13 +192,10 @@ def forest_round_sampler(wg: WeightedGraph, seed: int):
     def count(epsilon: float) -> int:
         return int(np.count_nonzero(uniforms < keep_probabilities(epsilon)))
 
-    def sample(epsilon: float) -> list[tuple[int, int, float]]:
+    def sample(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
         keep_p = keep_probabilities(epsilon)
-        return [
-            (e[0], e[1], weight[e] / p)
-            for e, x, p in zip(ordered, uniforms.tolist(), keep_p.tolist())
-            if x < p
-        ]
+        kept = uniforms < keep_p
+        return kept, weights[kept] / keep_p[kept]
 
     return count, sample
 
@@ -231,12 +216,13 @@ def ni_sparsify(
         raise ValueError("theta must exceed 1")
     m = g.m
     target = target_edge_count(m, alpha)
-    wg = to_ni_weights(g)
+    rows = to_ni_weights(g)
     p_min = float(g.probabilities.min())
     n = g.n
 
     # Calibration is pure thresholding: one forest pass, one set of uniforms.
-    count, sample = forest_round_sampler(wg, seed)
+    # The rows are in g.edges order, so the sample's mask is over g.edges.
+    count, sample = forest_round_sampler(n, rows, seed)
     epsilon = math.sqrt(n * math.log(n) ** 2 / (alpha * m))
     steps = 0
     size = count(epsilon)
@@ -254,16 +240,18 @@ def ni_sparsify(
             if count(trial_eps) > target:
                 break
             epsilon = trial_eps
-    core_edges = sample(epsilon)
-    edges = [(u, v, min(w * p_min, 1.0)) for u, v, w in core_edges]
-    deficit = target - len(edges)
-    kept = {(u, v) for u, v, _ in core_edges}
-    edges.extend(_topup_edges(g, kept, deficit, seed))
-    out = UncertainGraph(g.n, edges)
+    core, inflated = sample(epsilon)
+    probs = g.probabilities.copy()
+    probs[core] = np.minimum(inflated * p_min, 1.0)
+    core_edges = int(np.count_nonzero(core))
+    deficit = target - core_edges
+    kept = _topup_edges(g, core, deficit, seed)
+    us, vs = g.endpoint_arrays
+    out = UncertainGraph.from_columns(n, us[kept], vs[kept], probs[kept])
     info = {
         "epsilon": epsilon,
         "calibration_steps": steps,
-        "core_edges": len(core_edges),
+        "core_edges": core_edges,
         "topped_up": deficit,
     }
     return out, info
@@ -274,13 +262,14 @@ def ni_sparsify(
 # ---------------------------------------------------------------------------
 
 
-def to_ss_weights(g: UncertainGraph) -> WeightedGraph:
-    """Path-probability weights: w = -ln p, so the lightest path is the most
-    probable one.  p = 1 maps to weight 0, which is legal for shortest paths."""
-    return WeightedGraph(g.n, tuple((u, v, -math.log(p)) for u, v, p in g.edges))
+def to_ss_weights(g: UncertainGraph) -> list[tuple[int, int, float]]:
+    """(u, v, w) rows of path-probability weights: w = -ln p, so the lightest
+    path is the most probable one.  p = 1 maps to weight 0, which is legal
+    for shortest paths."""
+    return [(u, v, -math.log(p)) for u, v, p in g.edges]
 
 
-def ss_core(wg: WeightedGraph, t: int, seed: int) -> frozenset:
+def ss_core(n: int, weighted_edges, t: int, seed: int) -> frozenset:
     """(2t-1)-spanner edge set by randomized cluster growth.
 
     t-1 rounds: clusters are sampled with probability n^(-1/t); a vertex in
@@ -295,11 +284,10 @@ def ss_core(wg: WeightedGraph, t: int, seed: int) -> frozenset:
     if t < 1:
         raise ValueError("t must be a positive integer")
     if t == 1:
-        return frozenset((u, v) for u, v, _ in wg.edges)
-    n = wg.n
+        return frozenset((u, v) for u, v, _ in weighted_edges)
     rng = derive_rng(seed)
     adj: list[dict] = [dict() for _ in range(n)]
-    for u, v, w in wg.edges:
+    for u, v, w in weighted_edges:
         adj[u][v] = w
         adj[v][u] = w
     cluster: list = list(range(n))
@@ -397,30 +385,35 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
         raise ValueError("alpha must be in (0, 1]")
     m = g.m
     target = target_edge_count(m, alpha)
-    wg = to_ss_weights(g)
-    prob = {(u, v): p for u, v, p in g.edges}
+    rows = to_ss_weights(g)
     t = _solve_stretch_parameter(g.n, alpha * m)
     t_last = t + MAX_CALIBRATION_STEPS
     step, attempts = 1, 0
     best_t = t
-    spanner = ss_core(wg, t, seed)
+    spanner = ss_core(g.n, rows, t, seed)
     while len(spanner) > target and t < t_last:
         attempts += 1
         t = min(t + step, t_last)
-        trial = ss_core(wg, t, seed)
+        trial = ss_core(g.n, rows, t, seed)
         if len(trial) < len(spanner):
             best_t, spanner = t, trial
         else:
             step *= 2
     spanner_edges = len(spanner)
+    chosen = np.fromiter((e in spanner for e in g.edge_pairs), dtype=bool, count=m)
+    us, vs = g.endpoint_arrays
+    ps = g.probabilities
     trimmed = max(spanner_edges - target, 0)
     if trimmed:
-        keep = set(max_spanning_forest(g.n, [(u, v, prob[(u, v)]) for u, v in spanner]))
-        spanner = frozenset(sorted(spanner, key=lambda e: (e in keep, prob[e], e))[trimmed:])
-    edges = [(u, v, prob[(u, v)]) for u, v in sorted(spanner)]
-    deficit = target - len(edges)
-    edges.extend(_topup_edges(g, spanner, deficit, seed))
-    out = UncertainGraph(g.n, edges)
+        # Least probable first, outside the forest before in it, ties in (u, v) order.
+        kept = np.flatnonzero(chosen)
+        spanned = zip(us[kept].tolist(), vs[kept].tolist(), ps[kept].tolist())
+        forest = set(max_spanning_forest(g.n, spanned))
+        in_forest = [g.edge_pairs[i] in forest for i in kept.tolist()]
+        chosen[kept[np.lexsort((ps[kept], in_forest))[:trimmed]]] = False
+    deficit = max(target - spanner_edges, 0)
+    kept = _topup_edges(g, chosen, deficit, seed)
+    out = UncertainGraph.from_columns(g.n, us[kept], vs[kept], ps[kept])
     info = {
         "t": best_t,
         "attempts": attempts,

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import heapq
 
-from usparse.backbone import BackboneGraph
+import numpy as np
+
 from usparse.gdb import (
     DEFAULT_H,
     DEFAULT_MAX_SWEEPS,
@@ -148,14 +149,14 @@ def e_phase(
 
 def emd_run(
     g: UncertainGraph,
-    backbone: BackboneGraph,
+    backbone: np.ndarray,
     h: float = DEFAULT_H,
     mode: DiscrepancyMode = DiscrepancyMode.ABSOLUTE,
     tau: float | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> tuple[UncertainGraph, dict]:
-    """Alternate swap and descent phases until the objective stalls.
+    """Alternate swap and descent phases on the backbone mask until the objective stalls.
 
     The descent phase continues from the probabilities the swap phase left
     behind, so the objective is non-increasing across a full iteration.  The
@@ -166,7 +167,7 @@ def emd_run(
     if tau is not None and tau < 0.0:
         raise ValueError("tau must be non-negative")
     rule = Rule(1, mode)
-    state = SparsifierState(g, backbone.edges)
+    state = SparsifierState(g, backbone)
     previous = degree_objective(state, mode)
     tau_eff = tau if tau is not None else DEFAULT_TAU_FRACTION * previous
     history = [previous]

@@ -451,23 +451,6 @@ def emd_report(
                      _sorted_means(left), _sorted_means(right))
 
 
-def mc_point_estimates(
-    g: UncertainGraph,
-    kind: QueryKind,
-    units,
-    n_samples: int,
-    seed: int,
-    key: tuple = (),
-) -> dict:
-    """One Monte-Carlo point estimate per unit (mean over worlds).
-
-    Shortest path averages over the worlds where the pair is connected and
-    gives NaN when there are none; reliability is a plain frequency.
-    """
-    units, values = _unit_values(g, kind, units, n_samples, seed, key)
-    return dict(zip(units, _sorted_means(values).tolist()))
-
-
 def variance_protocol(
     g: UncertainGraph,
     kind: QueryKind,

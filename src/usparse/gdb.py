@@ -17,7 +17,7 @@ from itertools import compress
 
 import numpy as np
 
-from usparse.backbone import BackboneGraph
+from usparse.backbone import check_backbone
 from usparse.graph import DiscrepancyMode, UncertainGraph, edge_entropy
 
 DEFAULT_H = 0.05
@@ -133,27 +133,23 @@ class SparsifierState:
     """Working probabilities and incrementally maintained discrepancies.
 
     Tracks, for every original edge, whether it is currently in the backbone
-    and its working probability (0 when excluded).  Per-vertex absolute
-    discrepancies d_u - sum of incident working probabilities are kept in
-    sync on every change and can be recomputed from scratch to bound drift.
+    (starting from the backbone mask) and its working probability (0 when
+    excluded).  Per-vertex absolute discrepancies d_u - sum of incident
+    working probabilities are kept in sync on every change and can be
+    recomputed from scratch to bound drift.
     """
 
-    def __init__(self, g: UncertainGraph, backbone_edges):
+    def __init__(self, g: UncertainGraph, backbone: np.ndarray):
+        check_backbone(g, backbone)
         self.g = g
         self.n = g.n
         self.m = g.m
         self.orig = [p for _, _, p in g.edges]
         self.total_orig = float(sum(self.orig))
-        self.edge_index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
-        self.in_backbone = [False] * self.m
-        self.probs = [0.0] * self.m
-        for u, v in backbone_edges:
-            key = (u, v) if u < v else (v, u)
-            idx = self.edge_index.get(key)
-            if idx is None:
-                raise ValueError(f"backbone edge {key} does not exist in the graph")
-            self.in_backbone[idx] = True
-            self.probs[idx] = self.orig[idx]
+        self.in_backbone = backbone.tolist()
+        # orig's own float objects, not fresh copies: the sweeps' speed depends
+        # on where the floats they read and replace were allocated
+        self.probs = [p if kept else 0.0 for p, kept in zip(self.orig, self.in_backbone)]
         self.vertex_disc = list(map(float, self._scratch_disc()))
         self.mass_in = float(sum(self.probs))
         self.retained_orig = float(sum(compress(self.orig, self.in_backbone)))
@@ -233,12 +229,11 @@ class SparsifierState:
 
     def to_graph(self) -> UncertainGraph:
         """Snapshot of the current backbone as an uncertain graph (p=0 kept)."""
-        edges = [
-            (u, v, self.probs[i])
-            for i, (u, v, _) in enumerate(self.g.edges)
-            if self.in_backbone[i]
-        ]
-        return UncertainGraph(self.n, edges, allow_zero=True)
+        kept = np.flatnonzero(self.in_backbone)
+        us, vs = self.g.endpoint_arrays
+        return UncertainGraph.from_columns(
+            self.n, us[kept], vs[kept], np.asarray(self.probs)[kept], allow_zero=True
+        )
 
 
 def _weighted_sq_sum(disc: np.ndarray, norms: np.ndarray) -> float:
@@ -322,7 +317,7 @@ def descend(
 
 def gdb_run(
     g: UncertainGraph,
-    backbone: BackboneGraph,
+    backbone: np.ndarray,
     h: float = DEFAULT_H,
     rule: Rule = Rule(),
     tau: float | None = None,
@@ -330,11 +325,12 @@ def gdb_run(
 ) -> tuple[UncertainGraph, dict]:
     """Assign probabilities to the backbone edges by coordinate descent.
 
-    Probabilities start at their original values; the output keeps exactly the
-    backbone's edge set (edges driven to probability 0 stay in the set).
+    `backbone` is a bool mask over g.edges.  Probabilities start at their
+    original values; the output keeps exactly the backbone's edge set (edges
+    driven to probability 0 stay in the set).
     Returns the sparsified graph plus a run report with the per-sweep
     from-scratch objective history.
     """
-    state = SparsifierState(g, backbone.edges)
+    state = SparsifierState(g, backbone)
     info = descend(state, rule, h, tau=tau, max_sweeps=max_sweeps)
     return state.to_graph(), info

@@ -202,6 +202,10 @@ class UncertainGraph:
     @classmethod
     def from_columns(cls, n: int, us, vs, ps, allow_zero: bool = False) -> "UncertainGraph":
         """The graph whose i-th edge is (us[i], vs[i], ps[i]); validated as __init__ does."""
+        if not len(us) == len(vs) == len(ps):
+            raise ValueError(
+                f"edge columns differ in length: {len(us)} u, {len(vs)} v and {len(ps)} p values"
+            )
         g = cls.__new__(cls)
         g._set_columns(_vertex_count(n), us, vs, ps, allow_zero)
         return g

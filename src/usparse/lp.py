@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from usparse.backbone import BackboneGraph
+from usparse.backbone import check_backbone
 from usparse.graph import UncertainGraph
 
 RESIDUAL_TOL = 1e-12  # residual capacity at or below this counts as saturated
@@ -107,25 +107,23 @@ def max_flow(n_nodes: int, arcs, source: int, sink: int) -> tuple[np.ndarray, np
 
 
 def solve_optimal_assignment(
-    g: UncertainGraph, backbone: BackboneGraph
+    g: UncertainGraph, backbone: np.ndarray
 ) -> tuple[np.ndarray, LpResult]:
     """Probabilities on the backbone edges maximizing total mass under degree caps.
 
-    Returns the per-edge assignment (aligned with backbone.edges) and the
-    solver result.  Raises if the minimum cut exceeds the flow value by
-    CERTIFICATE_TOL or more, or if the assignment is infeasible.
+    `backbone` is a bool mask over g.edges.  Returns the assignment of the
+    edges it keeps, in canonical order, and the solver result.  Raises if the
+    minimum cut exceeds the flow value by CERTIFICATE_TOL or more, or if the
+    assignment is infeasible.
     """
-    if backbone.vertex_count != g.n:
-        raise ValueError("dimension mismatch: backbone and graph vertex counts differ")
-    known = {(u, v) for u, v, _ in g.edges}
-    for e in backbone.edges:
-        if e not in known:
-            raise ValueError(f"backbone edge {e} does not exist in the graph")
-    n, mb = g.n, backbone.m
+    check_backbone(g, backbone)
+    us, vs = g.endpoint_arrays
+    bu, bv = us[backbone], vs[backbone]
+    n, mb = g.n, len(bu)
     d = g.degree_vector()
     source, sink = 2 * n, 2 * n + 1
     arcs = [(source, v, d[v]) for v in range(n)]
-    for u, v in backbone.edges:
+    for u, v in zip(bu.tolist(), bv.tolist()):
         arcs += ((u, n + v, 1.0), (v, n + u, 1.0))
     arcs += [(n + v, sink, d[v]) for v in range(n)]
     flow, source_side = max_flow(2 * n + 2, arcs, source, sink)
@@ -136,19 +134,17 @@ def solve_optimal_assignment(
     if gap >= CERTIFICATE_TOL:
         raise CertificateError(f"optimality certificate failed: gap {gap:.3e}")
     x = (flow[n:n + 2 * mb:2] + flow[n + 1:n + 2 * mb:2]) / 2.0
-    u_idx = np.array([u for u, _ in backbone.edges], dtype=int)
-    v_idx = np.array([v for _, v in backbone.edges], dtype=int)
-    load = np.bincount(u_idx, x, minlength=n) + np.bincount(v_idx, x, minlength=n)
+    load = np.bincount(bu, x, minlength=n) + np.bincount(bv, x, minlength=n)
     if np.any(load - d > 1e-9) or np.any(x < -1e-9) or np.any(x > 1 + 1e-9):
         raise CertificateError("solution violates feasibility beyond tolerance")
     return np.clip(x, 0.0, 1.0), LpResult(objective=value / 2.0, certificate_gap=gap)
 
 
-def lp_sparsify(g: UncertainGraph, backbone: BackboneGraph) -> tuple[UncertainGraph, dict]:
-    """Sparsified graph carrying the LP-optimal probabilities on the backbone."""
+def lp_sparsify(g: UncertainGraph, backbone: np.ndarray) -> tuple[UncertainGraph, dict]:
+    """Sparsified graph carrying the LP-optimal probabilities on the backbone mask."""
     assignment, result = solve_optimal_assignment(g, backbone)
-    edges = [(u, v, float(p)) for (u, v), p in zip(backbone.edges, assignment)]
-    out = UncertainGraph(g.n, edges, allow_zero=True)
+    us, vs = g.endpoint_arrays
+    out = UncertainGraph.from_columns(g.n, us[backbone], vs[backbone], assignment, allow_zero=True)
     info = {
         "objective": result.objective,
         "certificate_gap": result.certificate_gap,

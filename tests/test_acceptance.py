@@ -17,7 +17,6 @@ import pytest
 from usparse import evaluation
 from usparse.backbone import build_backbone, target_edge_count
 from usparse.benchmarks import (
-    WeightedGraph,
     contiguous_forest_rounds,
     ni_sparsify,
     ss_core,
@@ -220,15 +219,15 @@ def test_criterion_08_cardinality_contract_all_methods():
 def test_criterion_09_spanner_stretch():
     started = time.perf_counter()
     g = generate_synthetic(200, 0.15, seed=42)
-    wg = to_ss_weights(g)
+    rows = to_ss_weights(g)
     t = _solve_stretch_parameter(g.n, 0.3 * g.m)
-    spanner = ss_core(wg, t, seed=9)
-    weight = {(u, v): w for u, v, w in wg.edges}
+    spanner = ss_core(g.n, rows, t, seed=9)
+    weight = {(u, v): w for u, v, w in rows}
     # every vertex is a node, so a vertex missing from a Dijkstra result is unreachable
     full, sparse_graph = nx.Graph(), nx.Graph()
     full.add_nodes_from(range(g.n))
     sparse_graph.add_nodes_from(range(g.n))
-    full.add_weighted_edges_from(wg.edges)
+    full.add_weighted_edges_from(rows)
     sparse_graph.add_weighted_edges_from((u, v, weight[(u, v)]) for u, v in spanner)
     rng = derive_rng(4242)
     checked = 0
@@ -248,8 +247,7 @@ def test_criterion_09_spanner_stretch():
 
 def test_criterion_10_forest_trace_and_inverse_transform():
     started = time.perf_counter()
-    wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
-    death, join = contiguous_forest_rounds(wg)
+    death, join = contiguous_forest_rounds(3, [(0, 1, 1), (0, 2, 2), (1, 2, 1)])
     assert join == {(0, 1): 0, (0, 2): 0, (1, 2): 1}
     # edge e is in the forests of rounds join[e] + 1 .. death[e]
     forests = [sorted(e for e in death if join[e] < r <= death[e]) for r in (1, 2)]

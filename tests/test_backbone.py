@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import usparse.backbone as backbone_mod
 from usparse.backbone import (
     MAX_TOPUP_PASSES,
-    BackboneGraph,
     _probability_topup,
     build_backbone,
+    check_backbone,
     default_alpha_prime,
     iterated_spanning_forests,
     max_spanning_forest,
@@ -23,11 +23,22 @@ from usparse.backbone import (
 from usparse.graph import UncertainGraph, derive_rng, generate_synthetic
 
 
-def spans_all_vertices(b):
-    """networkx connectivity of the backbone on all of its vertices."""
+def backbone_pairs(g, b):
+    """The (u, v) pairs the backbone mask b keeps, in canonical order."""
+    return [g.edge_pairs[i] for i in np.flatnonzero(b)]
+
+
+def pair_mask(g, pairs):
+    """The backbone mask keeping the given (u, v) pairs of g."""
+    pairs = set(pairs)
+    return np.array([e in pairs for e in g.edge_pairs], dtype=bool)
+
+
+def spans_all_vertices(g, b):
+    """networkx connectivity of the backbone on all of g's vertices."""
     world = nx.Graph()
-    world.add_nodes_from(range(b.vertex_count))
-    world.add_edges_from(b.edges)
+    world.add_nodes_from(range(g.n))
+    world.add_edges_from(backbone_pairs(g, b))
     return nx.is_connected(world)
 
 
@@ -260,6 +271,11 @@ class TestDefaultAlphaPrime:
         g = generate_synthetic(30, 0.3, seed=5)
         assert default_alpha_prime(g, 0.4) > 0.0
 
+    def test_empty_graph_rejected(self):
+        # the quota is a fraction of |E|, so an edgeless graph has none
+        with pytest.raises(ValueError, match="cannot sparsify an empty graph"):
+            default_alpha_prime(UncertainGraph(3, []), 0.5)
+
 
 class TestProbabilityTopup:
     @pytest.mark.parametrize("seed", range(3))
@@ -299,7 +315,7 @@ class TestBuildBackbone:
             explicit = build_backbone(g, alpha, alpha_prime=alpha_prime, seed=4)
             # the default quota reads the quota loop's own forests, so it adds none
             assert with_default == len(peeled) > 0
-            assert shared.edges == explicit.edges
+            assert np.array_equal(shared, explicit)
 
     def test_default_quota_peels_at_most_six_forests(self, monkeypatch):
         # six forests of 41 cover 246/775 < 0.4 of the edges, so the quota is
@@ -310,28 +326,27 @@ class TestBuildBackbone:
         peeled.clear()
         b = build_backbone(g, 0.8, seed=7)
         assert peeled == [41] * 6
-        assert b.m == target_edge_count(g.m, 0.8)
+        assert np.count_nonzero(b) == target_edge_count(g.m, 0.8)
 
     def test_alpha_at_floor_gives_one_spanning_tree(self):
         g = generate_synthetic(25, 0.3, seed=1)
         alpha = (g.n - 1) / g.m
         b = build_backbone(g, alpha, seed=0)
-        assert b.m == g.n - 1
-        assert spans_all_vertices(b)
-        assert sorted(b.edges) == sorted(kruskal(g.n, g.edges))
+        assert np.count_nonzero(b) == g.n - 1
+        assert spans_all_vertices(g, b)
+        assert backbone_pairs(g, b) == sorted(kruskal(g.n, g.edges))
 
     def test_alpha_one_keeps_everything(self):
         g = generate_synthetic(15, 0.5, seed=2)
-        b = build_backbone(g, 1.0, seed=0)
-        assert set(b.edges) == {(u, v) for u, v, _ in g.edges}
+        assert build_backbone(g, 1.0, seed=0).all()
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.77])
     def test_exact_cardinality_and_connected(self, alpha):
         g = generate_synthetic(50, 0.35, seed=7)
         b = build_backbone(g, alpha, seed=4)
-        assert b.m == target_edge_count(g.m, alpha)
-        assert spans_all_vertices(b)
-        assert set(b.edges) <= {(u, v) for u, v, _ in g.edges}
+        assert b.dtype == bool and b.shape == (g.m,)
+        assert np.count_nonzero(b) == target_edge_count(g.m, alpha)
+        assert spans_all_vertices(g, b)
 
     def test_alpha_below_floor_rejected(self):
         g = generate_synthetic(40, 0.1, seed=1)
@@ -347,40 +362,60 @@ class TestBuildBackbone:
         g = generate_synthetic(30, 0.3, seed=9)
         alpha = 0.5
         b = build_backbone(g, alpha, alpha_prime=alpha, seed=0)
-        assert b.m == target_edge_count(g.m, alpha)
+        assert np.count_nonzero(b) == target_edge_count(g.m, alpha)
 
     def test_deterministic_given_seed(self):
         g = generate_synthetic(40, 0.2, seed=3)
-        assert build_backbone(g, 0.3, seed=11).edges == build_backbone(g, 0.3, seed=11).edges
+        assert np.array_equal(build_backbone(g, 0.3, seed=11), build_backbone(g, 0.3, seed=11))
 
-    def test_source_tag(self):
-        g = generate_synthetic(20, 0.4, seed=1)
-        assert build_backbone(g, 0.5, seed=0).source == "spanning"
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="cannot sparsify an empty graph"):
+            build_backbone(UncertainGraph(3, []), 0.5)
 
 
 class TestRandomBackbone:
     def test_alpha_one_keeps_everything(self):
         g = generate_synthetic(12, 0.6, seed=2)
-        b = random_backbone(g, 1.0, seed=0)
-        assert set(b.edges) == {(u, v) for u, v, _ in g.edges}
+        assert random_backbone(g, 1.0, seed=0).all()
 
     def test_exact_cardinality(self):
         g = generate_synthetic(40, 0.3, seed=6)
         for alpha in (0.2, 0.45):
-            assert random_backbone(g, alpha, seed=1).m == target_edge_count(g.m, alpha)
+            b = random_backbone(g, alpha, seed=1)
+            assert b.dtype == bool and b.shape == (g.m,)
+            assert np.count_nonzero(b) == target_edge_count(g.m, alpha)
 
     def test_deterministic_given_seed(self):
         g = generate_synthetic(25, 0.3, seed=6)
-        assert random_backbone(g, 0.4, seed=5).edges == random_backbone(g, 0.4, seed=5).edges
+        assert np.array_equal(random_backbone(g, 0.4, seed=5), random_backbone(g, 0.4, seed=5))
 
     def test_tiny_probabilities_still_terminate(self):
         g = UncertainGraph(6, [(u, v, 1e-9) for u, v in combinations(range(6), 2)])
         b = random_backbone(g, 0.5, seed=0)
-        assert b.m == target_edge_count(g.m, 0.5)
+        assert np.count_nonzero(b) == target_edge_count(g.m, 0.5)
 
-    def test_source_tag(self):
+
+class TestCheckBackbone:
+    def test_builders_pass_it(self):
         g = generate_synthetic(20, 0.4, seed=1)
-        assert random_backbone(g, 0.5, seed=0).source == "random"
+        check_backbone(g, build_backbone(g, 0.5, seed=0))
+        check_backbone(g, random_backbone(g, 0.5, seed=0))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m: np.ones(m + 1, dtype=bool),  # one position past the graph's edges
+            lambda m: np.ones(m - 1, dtype=bool),
+            lambda m: np.ones((1, m), dtype=bool),
+            lambda m: np.ones(m, dtype=np.int64),  # positions or 0/1 ints, not a mask
+            lambda m: [True] * m,
+        ],
+        ids=["longer", "shorter", "2-d", "int", "list"],
+    )
+    def test_refuses_anything_but_a_bool_mask_over_the_edges(self, make):
+        g = generate_synthetic(20, 0.4, seed=1)
+        with pytest.raises(ValueError, match=rf"bool mask of shape \({g.m},\)"):
+            check_backbone(g, make(g.m))
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.25, 0.35, 0.6, 0.9]))
@@ -388,5 +423,5 @@ class TestRandomBackbone:
 def test_backbone_size_property(seed, alpha):
     g = generate_synthetic(24, 0.5, seed=seed % 7)
     b = build_backbone(g, alpha, seed=seed)
-    assert b.m == target_edge_count(g.m, alpha)
-    assert spans_all_vertices(b)
+    assert np.count_nonzero(b) == target_edge_count(g.m, alpha)
+    assert spans_all_vertices(g, b)

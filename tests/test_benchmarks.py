@@ -6,6 +6,7 @@ import math
 from collections import Counter, defaultdict
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import usparse.benchmarks as benchmarks
@@ -13,7 +14,6 @@ from usparse.backbone import target_edge_count
 from usparse.benchmarks import (
     MAX_CALIBRATION_STEPS,
     CalibrationError,
-    WeightedGraph,
     contiguous_forest_rounds,
     forest_round_sampler,
     ni_sparsify,
@@ -40,22 +40,22 @@ def lightest_distances(n, edges, source):
 class TestNiWeights:
     def test_transform_examples(self):
         g = UncertainGraph(4, [(0, 1, 0.2), (1, 2, 0.4), (2, 3, 1.0)])
-        wg = to_ni_weights(g)
-        assert [w for _, _, w in wg.edges] == [1, 2, 5]
+        assert to_ni_weights(g) == [(0, 1, 1), (1, 2, 2), (2, 3, 5)]
 
     def test_all_equal_probabilities(self):
         g = UncertainGraph(3, [(0, 1, 0.77), (1, 2, 0.77)])
-        assert [w for _, _, w in to_ni_weights(g).edges] == [1, 1]
+        assert [w for _, _, w in to_ni_weights(g)] == [1, 1]
 
     def test_round_half_up(self):
         g = UncertainGraph(3, [(0, 1, 0.1), (1, 2, 0.349)])
         # 0.349/0.1 = 3.49 rounds down to 3
-        assert [w for _, _, w in to_ni_weights(g).edges] == [1, 3]
+        assert [w for _, _, w in to_ni_weights(g)] == [1, 3]
 
     def test_weight_floor(self):
         g = generate_synthetic(15, 0.4, seed=0)
-        wg = to_ni_weights(g)
-        assert min(w for _, _, w in wg.edges) == 1
+        rows = to_ni_weights(g)
+        assert [(u, v) for u, v, _ in rows] == list(g.edge_pairs)
+        assert min(w for _, _, w in rows) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -71,13 +71,13 @@ def per_round(death, join):
     ]
 
 
-def one_round_at_a_time(wg):
+def one_round_at_a_time(n, weighted_edges):
     """Independent oracle: every round rebuilt, one unit of weight per round."""
-    residual = {(u, v): w for u, v, w in wg.edges}
+    residual = {(u, v): w for u, v, w in weighted_edges}
     prev, death, trace, r = [], {}, [], 0
     while residual:
         r += 1
-        uf = UnionFind(wg.n)
+        uf = UnionFind(n)
         kept = [e for e in sorted(prev) if e in residual and uf.union(*e)]
         rest = sorted((e for e in residual if e not in prev), key=lambda e: (-residual[e], e))
         forest = sorted(kept + [e for e in rest if uf.union(*e)])
@@ -92,23 +92,23 @@ def one_round_at_a_time(wg):
 
 
 def random_ni(seed):
-    """ni weights of a random 14-vertex graph."""
-    return to_ni_weights(generate_synthetic(14, 0.4, seed=seed))
+    """n and ni weight rows of a random 14-vertex graph."""
+    return 14, to_ni_weights(generate_synthetic(14, 0.4, seed=seed))
 
 
 def disconnected(seed):
-    """ni weights of two random blocks side by side, plus two isolated vertices."""
+    """n and ni weight rows of two random blocks side by side, plus two isolated vertices."""
     a = generate_synthetic(8, 0.5, seed=seed)
     b = generate_synthetic(6, 0.6, seed=seed + 10)
     edges = list(a.edges) + [(u + 8, v + 8, p) for u, v, p in b.edges]
-    return to_ni_weights(UncertainGraph(16, edges))
+    return 16, to_ni_weights(UncertainGraph(16, edges))
 
 
 def tied(seed):
     """Integer weights 1-3, so one round kills several forest edges at once."""
     rng = derive_rng(seed)
     g = generate_synthetic(14, 0.4, seed=seed)
-    return WeightedGraph(g.n, tuple((u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges))
+    return g.n, [(u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges]
 
 
 ORACLE_CASES = (
@@ -122,29 +122,25 @@ class TestForestRounds:
     def test_three_edge_hand_trace(self):
         # triangle weights [1, 2, 1]: round 1 takes (0,2) [residual 2] and
         # (0,1); (0,1) dies.  Round 2 must retain (0,2) and adds (1,2); both die.
-        wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
-        death, join = contiguous_forest_rounds(wg)
+        death, join = contiguous_forest_rounds(3, [(0, 1, 1), (0, 2, 2), (1, 2, 1)])
         assert join == {(0, 1): 0, (0, 2): 0, (1, 2): 1}
         assert per_round(death, join) == [[(0, 1), (0, 2)], [(0, 2), (1, 2)]]
         assert death == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
 
     def test_forest_held_until_its_lightest_member_dies(self):
         # a path is its own forest every round: built once, held 3 rounds
-        wg = WeightedGraph(3, ((0, 1, 3), (1, 2, 5)))
-        death, join = contiguous_forest_rounds(wg)
+        death, join = contiguous_forest_rounds(3, [(0, 1, 3), (1, 2, 5)])
         assert join == {(0, 1): 0, (1, 2): 0}
         assert per_round(death, join) == [[(0, 1), (1, 2)]] * 3 + [[(1, 2)]] * 2
         assert death == {(0, 1): 3, (1, 2): 5}
 
     def test_edge_with_weight_w_spans_w_rounds(self):
-        wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 3), (1, 2, 1)))
-        death, join = contiguous_forest_rounds(wg)
+        death, join = contiguous_forest_rounds(3, [(0, 1, 1), (0, 2, 3), (1, 2, 1)])
         rounds_02 = [r for r, f in enumerate(per_round(death, join), start=1) if (0, 2) in f]
         assert len(rounds_02) == 3 and death[(0, 2)] == rounds_02[-1]
 
     def test_single_tree_all_die_round_one(self):
-        wg = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
-        death, join = contiguous_forest_rounds(wg)
+        death, join = contiguous_forest_rounds(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         assert set(death.values()) == {1} and set(join.values()) == {0}
         assert per_round(death, join) == [[(0, 1), (1, 2), (2, 3)]]
 
@@ -152,15 +148,13 @@ class TestForestRounds:
     def test_forest_membership_contiguous_until_death(self, seed):
         rng = derive_rng(seed)
         g = generate_synthetic(15, 0.3, seed=seed)
-        wg = WeightedGraph(
-            g.n, tuple((u, v, int(rng.integers(1, 5))) for u, v, _ in g.edges)
-        )
-        death, join = contiguous_forest_rounds(wg)
+        rows = [(u, v, int(rng.integers(1, 5))) for u, v, _ in g.edges]
+        death, join = contiguous_forest_rounds(g.n, rows)
         appearances = defaultdict(list)
         for r, forest in enumerate(per_round(death, join), start=1):
             for e in forest:
                 appearances[e].append(r)
-        weight = {(u, v): w for u, v, w in wg.edges}
+        weight = {(u, v): w for u, v, w in rows}
         assert set(appearances) == set(weight)
         for e, rounds in appearances.items():
             assert rounds == list(range(rounds[0], rounds[0] + len(rounds)))
@@ -169,8 +163,8 @@ class TestForestRounds:
     def test_alive_prior_forest_edges_persist(self):
         rng = derive_rng(9)
         g = generate_synthetic(12, 0.4, seed=9)
-        wg = WeightedGraph(g.n, tuple((u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges))
-        death, join = contiguous_forest_rounds(wg)
+        rows = [(u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges]
+        death, join = contiguous_forest_rounds(g.n, rows)
         trace = per_round(death, join)
         for r in range(1, len(trace)):
             survivors = {e for e in trace[r - 1] if death[e] > r}
@@ -178,13 +172,13 @@ class TestForestRounds:
 
     @pytest.mark.parametrize("build, seed", ORACLE_CASES)
     def test_matches_one_round_at_a_time(self, build, seed):
-        wg = build(seed)
-        death, join = contiguous_forest_rounds(wg)
-        assert (death, per_round(death, join)) == one_round_at_a_time(wg)
+        n, rows = build(seed)
+        death, join = contiguous_forest_rounds(n, rows)
+        assert (death, per_round(death, join)) == one_round_at_a_time(n, rows)
 
     def test_tied_cases_kill_several_forest_edges_in_one_round(self):
         for seed in range(4):
-            death, _ = contiguous_forest_rounds(tied(seed))
+            death, _ = contiguous_forest_rounds(*tied(seed))
             assert max(Counter(death.values()).values()) >= 2
 
     def test_tiny_p_min_builds_at_most_m_forests(self):
@@ -194,11 +188,11 @@ class TestForestRounds:
         for p_min, last_round in [(1e-9, 10**9), (1e-300, 10**299)]:
             edges = [(u, v, p_min if i == 0 else p) for i, (u, v, p) in enumerate(g.edges)]
             tiny = UncertainGraph(g.n, edges)
-            wg = to_ni_weights(tiny)
-            death, join = contiguous_forest_rounds(wg)
+            rows = to_ni_weights(tiny)
+            death, join = contiguous_forest_rounds(g.n, rows)
             assert len(set(death.values())) <= g.m
             assert all(type(r) is int for r in [*death.values(), *join.values()])
-            assert all(death[(u, v)] - join[(u, v)] == w for u, v, w in wg.edges)
+            assert all(death[(u, v)] - join[(u, v)] == w for u, v, w in rows)
             assert max(death.values()) > last_round
             assert ni_sparsify(tiny, 0.3, seed=1)[0].m == target_edge_count(g.m, 0.3)
 
@@ -206,38 +200,39 @@ class TestForestRounds:
 class TestNiCore:
     def test_tiny_epsilon_keeps_everything_at_original_weight(self):
         g = generate_synthetic(12, 0.4, seed=1)
-        wg = to_ni_weights(g)
-        _, sample = forest_round_sampler(wg, 3)
-        out = sample(1e-6)
-        assert sorted((u, v) for u, v, _ in out) == sorted((u, v) for u, v, _ in wg.edges)
-        original = {(u, v): w for u, v, w in wg.edges}
-        assert all(w == original[(u, v)] for u, v, w in out)
+        rows = to_ni_weights(g)
+        _, sample = forest_round_sampler(g.n, rows, 3)
+        kept, weights = sample(1e-6)
+        assert kept.tolist() == [True] * g.m
+        assert weights.tolist() == [w for _, _, w in rows]
 
     def test_single_tree_sampled_at_round_one_probability(self):
-        wg = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
         eps = 2.0
         keep_p = min(math.log(4) / eps**2, 1.0)
         uniforms = derive_rng(11).random(3)
-        _, sample = forest_round_sampler(wg, 11)
-        out = sample(eps)
-        expected = [e for e, u in zip(sorted((u, v) for u, v, _ in wg.edges), uniforms) if u < keep_p]
-        assert sorted((u, v) for u, v, _ in out) == expected
+        # rows out of canonical order: the mask is over the canonical order
+        _, sample = forest_round_sampler(4, [(2, 3, 1), (0, 1, 1), (1, 2, 1)], 11)
+        kept, weights = sample(eps)
+        assert kept.tolist() == [u < keep_p for u in uniforms]
+        assert weights.tolist() == [1 / keep_p] * int(kept.sum())
 
     def test_kept_weight_is_original_over_keep_probability(self):
-        wg = WeightedGraph(3, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
+        rows = [(0, 1, 1), (0, 2, 2), (1, 2, 1)]
         eps = 1.0
-        _, sample = forest_round_sampler(wg, 0)
-        out = sample(eps)
-        death, _ = contiguous_forest_rounds(wg)
-        original = {(0, 1): 1, (0, 2): 2, (1, 2): 1}
-        for u, v, w in out:
+        _, sample = forest_round_sampler(3, rows, 0)
+        kept, weights = sample(eps)
+        death, _ = contiguous_forest_rounds(3, rows)
+        kept_rows = [row for row, k in zip(rows, kept) if k]
+        assert len(kept_rows) == len(weights)
+        for (u, v, original), w in zip(kept_rows, weights):
             keep_p = min(math.log(3) / (eps**2 * death[(u, v)]), 1.0)
-            assert w == pytest.approx(original[(u, v)] / keep_p)
+            assert w == pytest.approx(original / keep_p)
 
     def test_count_is_the_sample_size(self):
-        count, sample = forest_round_sampler(to_ni_weights(generate_synthetic(20, 0.4, seed=2)), 5)
+        count, sample = forest_round_sampler(20, to_ni_weights(generate_synthetic(20, 0.4, seed=2)), 5)
         for eps in (0.05, 0.3, 0.7, 1.5, 4.0):
-            assert count(eps) == len(sample(eps))
+            kept, weights = sample(eps)
+            assert count(eps) == np.count_nonzero(kept) == len(weights)
 
 
 class TestNiSparsify:
@@ -290,7 +285,7 @@ class TestNiPinned:
         assert hashlib.sha256(json.dumps(info, sort_keys=True).encode()).hexdigest() == self.PINNED_INFO
 
     def test_paper_graph_forest_count(self, graph):
-        death, _ = contiguous_forest_rounds(to_ni_weights(graph))
+        death, _ = contiguous_forest_rounds(graph.n, to_ni_weights(graph))
         assert len(set(death.values())) == 717
         assert max(death.values()) == 19039
 
@@ -298,17 +293,16 @@ class TestNiPinned:
 class TestSsWeights:
     def test_certain_edge_weight_zero(self):
         g = UncertainGraph(2, [(0, 1, 1.0)])
-        assert to_ss_weights(g).edges[0][2] == 0.0
+        assert to_ss_weights(g) == [(0, 1, 0.0)]
 
     def test_inverse_e(self):
         g = UncertainGraph(2, [(0, 1, math.exp(-1))])
-        assert to_ss_weights(g).edges[0][2] == pytest.approx(1.0)
+        assert to_ss_weights(g)[0][2] == pytest.approx(1.0)
 
     def test_most_probable_path_is_lightest(self):
         # two routes 0->3: probability products 0.9*0.9=0.81 vs direct 0.5
         g = UncertainGraph(4, [(0, 1, 0.9), (1, 3, 0.9), (0, 3, 0.5), (1, 2, 0.2)])
-        wg = to_ss_weights(g)
-        dist = lightest_distances(4, wg.edges, 0)
+        dist = lightest_distances(4, to_ss_weights(g), 0)
         assert dist[3] == pytest.approx(-math.log(0.81))
         assert math.exp(-dist[3]) > 0.5
 
@@ -316,30 +310,28 @@ class TestSsWeights:
 class TestSsCore:
     def test_t1_returns_all_edges(self):
         g = generate_synthetic(20, 0.3, seed=6)
-        wg = to_ss_weights(g)
-        assert ss_core(wg, 1, seed=0) == frozenset((u, v) for u, v, _ in wg.edges)
+        assert ss_core(g.n, to_ss_weights(g), 1, seed=0) == frozenset(g.edge_pairs)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_tree_is_preserved(self, t):
         edges = [(i, i + 1, 0.5 + 0.4 * (i % 2)) for i in range(9)]
         g = UncertainGraph(10, edges)
-        wg = to_ss_weights(g)
-        spanner = ss_core(wg, t, seed=7)
-        assert spanner == frozenset((u, v) for u, v, _ in wg.edges)
+        spanner = ss_core(g.n, to_ss_weights(g), t, seed=7)
+        assert spanner == frozenset(g.edge_pairs)
 
     @pytest.mark.parametrize("seed,t", [(0, 2), (1, 2), (2, 3), (3, 4)])
     def test_stretch_property_on_sampled_pairs(self, seed, t):
         g = generate_synthetic(50, 0.15, seed=seed)
-        wg = to_ss_weights(g)
-        spanner = ss_core(wg, t, seed=seed + 50)
-        wmap = {(u, v): w for u, v, w in wg.edges}
+        rows = to_ss_weights(g)
+        spanner = ss_core(g.n, rows, t, seed=seed + 50)
+        wmap = {(u, v): w for u, v, w in rows}
         sp_edges = [(u, v, wmap[(u, v)]) for u, v in spanner]
         rng = derive_rng(seed)
         for _ in range(60):
             a, b = rng.integers(0, g.n, size=2)
             if a == b:
                 continue
-            d_orig = lightest_distances(g.n, wg.edges, int(a))[int(b)]
+            d_orig = lightest_distances(g.n, rows, int(a))[int(b)]
             d_span = lightest_distances(g.n, sp_edges, int(a))[int(b)]
             if math.isinf(d_orig):
                 assert math.isinf(d_span)
@@ -349,13 +341,13 @@ class TestSsCore:
     @pytest.mark.parametrize("seed", range(3))
     def test_per_edge_stretch_for_discarded_edges(self, seed):
         g = generate_synthetic(40, 0.2, seed=seed + 20)
-        wg = to_ss_weights(g)
+        rows = to_ss_weights(g)
         t = 2
-        spanner = ss_core(wg, t, seed=seed)
-        wmap = {(u, v): w for u, v, w in wg.edges}
+        spanner = ss_core(g.n, rows, t, seed=seed)
+        wmap = {(u, v): w for u, v, w in rows}
         sp_edges = [(u, v, wmap[(u, v)]) for u, v in spanner]
         by_source = defaultdict(list)
-        for u, v, w in wg.edges:
+        for u, v, w in rows:
             if (u, v) not in spanner:
                 by_source[u].append((v, w))
         for u, targets in by_source.items():
@@ -365,8 +357,8 @@ class TestSsCore:
 
     def test_deterministic(self):
         g = generate_synthetic(30, 0.3, seed=8)
-        wg = to_ss_weights(g)
-        assert ss_core(wg, 3, seed=4) == ss_core(wg, 3, seed=4)
+        rows = to_ss_weights(g)
+        assert ss_core(g.n, rows, 3, seed=4) == ss_core(g.n, rows, 3, seed=4)
 
 
 class TestStretchParameter:
@@ -436,7 +428,7 @@ class TestSsScan:
             turned = pairs[t % len(pairs):] + pairs[:t % len(pairs)]
             return frozenset(turned[: size_at(t - t0)])
 
-        def scripted(wg, t, seed):
+        def scripted(n, weighted_edges, t, seed):
             tried.append(t - t0)
             return spanner_at(t)
 
@@ -504,8 +496,8 @@ class TestSsPinned:
         built = []
         original = benchmarks.ss_core
 
-        def counted(wg, t, seed):
-            spanner = original(wg, t, seed)
+        def counted(n, weighted_edges, t, seed):
+            spanner = original(n, weighted_edges, t, seed)
             built.append((len(spanner), t))
             return spanner
 

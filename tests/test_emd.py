@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usparse import emd
-from usparse.backbone import BackboneGraph, build_backbone
+from usparse.backbone import build_backbone
 from usparse.emd import VertexHeap, e_phase, emd_run, gain_value
 from usparse.evaluation import quality
 from usparse.gdb import (
@@ -21,9 +21,11 @@ from usparse.gdb import (
 )
 from usparse.graph import DiscrepancyMode, UncertainGraph, derive_rng, generate_synthetic
 
+from test_backbone import pair_mask
+
 
 def full_backbone(g):
-    return BackboneGraph(g.n, tuple((u, v) for u, v, _ in g.edges), source="spanning")
+    return np.ones(g.m, dtype=bool)
 
 
 class TestVertexHeap:
@@ -71,7 +73,7 @@ class TestGain:
         g = UncertainGraph(
             5, [(0, 1, 0.6), (0, 2, 0.5), (1, 2, 0.4), (2, 3, 0.7), (3, 4, 0.8)]
         )
-        state = SparsifierState(g, [(0, 1), (2, 3), (3, 4)])
+        state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3), (3, 4)]))
         for idx in (1, 2):  # excluded edges (0,2) and (1,2)
             u, v, _ = g.edges[idx]
             du, dv = state.vertex_disc[u], state.vertex_disc[v]
@@ -88,7 +90,7 @@ class TestGain:
         )
         rel = DiscrepancyMode.RELATIVE
         norms = degree_norms(g, rel)
-        state = SparsifierState(g, [(0, 1), (2, 3), (3, 4)])
+        state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3), (3, 4)]))
         for idx in (1, 2):
             u, v, _ = g.edges[idx]
             du, dv = state.vertex_disc[u], state.vertex_disc[v]
@@ -116,7 +118,7 @@ class TestGain:
 class TestEPhase:
     def test_fixed_point_when_discrepancies_zero(self):
         g = generate_synthetic(12, 0.5, seed=1)
-        state = SparsifierState(g, [(u, v) for u, v, _ in g.edges])
+        state = SparsifierState(g, full_backbone(g))
         swaps = e_phase(state, h=0.05)
         assert swaps == 0
         assert state.probs == [p for _, _, p in g.edges]
@@ -124,7 +126,7 @@ class TestEPhase:
     def test_backbone_cardinality_invariant(self):
         g = generate_synthetic(25, 0.4, seed=2)
         backbone = build_backbone(g, 0.4, seed=2)
-        state = SparsifierState(g, backbone.edges)
+        state = SparsifierState(g, backbone)
         size_before = sum(state.in_backbone)
         swaps = e_phase(state, h=0.05)
         assert sum(state.in_backbone) == size_before
@@ -134,7 +136,7 @@ class TestEPhase:
         for seed in range(5):
             g = generate_synthetic(20, 0.45, seed=seed)
             backbone = build_backbone(g, 0.35, seed=seed)
-            state = SparsifierState(g, backbone.edges)
+            state = SparsifierState(g, backbone)
             before = degree_objective(state)
             e_phase(state, h=0.05)
             assert degree_objective(state) <= before + 1e-9
@@ -142,7 +144,7 @@ class TestEPhase:
     def test_bookkeeping_consistent_after_phase(self):
         g = generate_synthetic(18, 0.5, seed=3)
         backbone = build_backbone(g, 0.4, seed=3)
-        state = SparsifierState(g, backbone.edges)
+        state = SparsifierState(g, backbone)
         e_phase(state, h=0.05)
         assert np.max(np.abs(state._scratch_disc() - np.asarray(state.vertex_disc))) < 1e-9
 
@@ -192,8 +194,8 @@ class TestEPhaseReference:
     @staticmethod
     def assert_same_passes(g, alpha, seed, h, mode, shuffle=False, passes=2):
         backbone = build_backbone(g, alpha, seed=seed)
-        fast = SparsifierState(g, backbone.edges)
-        slow = SparsifierState(g, backbone.edges)
+        fast = SparsifierState(g, backbone)
+        slow = SparsifierState(g, backbone)
         if shuffle:
             # Random probabilities give discrepancies of both signs, so the
             # closed form's 0, h*step and 1 branches all win some slots.
@@ -271,7 +273,7 @@ class TestEmdRun:
         g = generate_synthetic(30, 0.4, seed=5)
         backbone = build_backbone(g, 0.3, seed=5)
         out, info = emd_run(g, backbone, h=0.05)
-        assert out.m == backbone.m
+        assert out.m == np.count_nonzero(backbone)
         assert all(0.0 <= p <= 1.0 for _, _, p in out.edges)
         assert set((u, v) for u, v, _ in out.edges) <= {(u, v) for u, v, _ in g.edges}
 
@@ -315,7 +317,7 @@ class TestEmdRun:
         g = generate_synthetic(20, 0.5, seed=7)
         backbone = build_backbone(g, 0.4, seed=7)
         out, info = emd_run(g, backbone, h=0.05, mode=DiscrepancyMode.RELATIVE)
-        assert out.m == backbone.m
+        assert out.m == np.count_nonzero(backbone)
         assert info["objective_final"] <= info["objective_initial"] + 1e-9
 
     def test_deterministic(self):

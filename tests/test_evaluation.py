@@ -18,7 +18,6 @@ from usparse.evaluation import (
     earth_movers_distance,
     emd_report,
     mc_distributions,
-    mc_point_estimates,
     pagerank_world,
     quality,
     sample_masks,
@@ -31,6 +30,13 @@ from usparse.graph import (
     generate_synthetic,
     graph_entropy,
 )
+
+
+def point_estimates(g, kind, units, n_samples, seed, key=()):
+    """Each unit's Monte-Carlo point estimate: the mean of its mc_distributions
+    samples, NaN for a shortest-path unit connected in no world."""
+    dists = mc_distributions(g, kind, units, n_samples, seed, key)
+    return {unit: float(np.mean(d)) if len(d) else math.nan for unit, d in dists.items()}
 
 
 def kernel_values(g, kind, units, masks):
@@ -422,7 +428,7 @@ class TestVarianceProtocol:
         n_runs, n_samples = 6, 20
         var = variance_protocol(g, QueryKind.RELIABILITY, [unit], n_samples, n_runs, seed=11)
         estimates = [
-            mc_point_estimates(g, QueryKind.RELIABILITY, [unit], n_samples, 11, key=(r,))[unit]
+            point_estimates(g, QueryKind.RELIABILITY, [unit], n_samples, 11, key=(r,))[unit]
             for r in range(n_runs)
         ]
         assert var[unit] == pytest.approx(np.var(estimates, ddof=1), abs=1e-15)
@@ -433,7 +439,7 @@ class TestVarianceProtocol:
         unit = (0, 1)
         var = variance_protocol(g, QueryKind.RELIABILITY, [unit], 5, 2, seed=3)
         estimates = [
-            mc_point_estimates(g, QueryKind.RELIABILITY, [unit], 5, 3, key=(r,))[unit]
+            point_estimates(g, QueryKind.RELIABILITY, [unit], 5, 3, key=(r,))[unit]
             for r in range(2)
         ]
         assert var[unit] == pytest.approx((estimates[0] - estimates[1]) ** 2 / 2, abs=1e-15)
@@ -447,12 +453,12 @@ class TestVarianceProtocol:
 
     @pytest.mark.parametrize("kind", list(QueryKind))
     def test_each_run_is_its_point_estimate(self, kind):
-        # bit for bit: run r's estimate is mc_point_estimates on key (r,)
+        # bit for bit: run r's estimate is the mc_distributions mean on key (r,)
         g = oracle_graph(3)
         units = default_units(g, kind, n_pairs=30, seed=2)
         n_runs, n_samples = 20, 24
         var = variance_protocol(g, kind, units, n_samples, n_runs, seed=6)
-        runs = [mc_point_estimates(g, kind, units, n_samples, 6, key=(r,)) for r in range(n_runs)]
+        runs = [point_estimates(g, kind, units, n_samples, 6, key=(r,)) for r in range(n_runs)]
         for unit in units:
             estimates = [run[unit] for run in runs]
             if any(math.isnan(e) for e in estimates):
@@ -483,7 +489,7 @@ class TestQueryValueBounds:
 
     def test_reliability_estimates_in_unit_interval(self):
         g = generate_synthetic(10, 0.4, seed=1)
-        est = mc_point_estimates(g, QueryKind.RELIABILITY, [(0, 5), (1, 2)], 50, seed=4)
+        est = point_estimates(g, QueryKind.RELIABILITY, [(0, 5), (1, 2)], 50, seed=4)
         assert all(0.0 <= v <= 1.0 for v in est.values())
 
 

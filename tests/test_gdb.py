@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from usparse.backbone import BackboneGraph, build_backbone
+from usparse.backbone import build_backbone
+from usparse.emd import emd_run
 from usparse.evaluation import quality
 from usparse.gdb import (
     Rule,
@@ -27,9 +28,11 @@ from usparse.gdb import (
 )
 from usparse.graph import DiscrepancyMode, UncertainGraph, derive_rng, generate_synthetic
 
+from test_backbone import backbone_pairs, pair_mask
+
 
 def full_backbone(g):
-    return BackboneGraph(g.n, tuple((u, v) for u, v, _ in g.edges), source="spanning")
+    return np.ones(g.m, dtype=bool)
 
 
 class TestRule:
@@ -180,7 +183,7 @@ class TestStateBookkeeping:
     def make_state(self, seed=3):
         g = generate_synthetic(20, 0.4, seed=seed)
         backbone = build_backbone(g, 0.5, seed=seed)
-        return g, SparsifierState(g, backbone.edges)
+        return g, SparsifierState(g, backbone)
 
     def test_initial_discrepancy_is_removed_mass(self):
         g, state = self.make_state()
@@ -205,8 +208,8 @@ class TestStateBookkeeping:
             6,
             [(0, 1, 0.5), (0, 2, 0.4), (1, 2, 0.3), (2, 3, 0.8), (3, 4, 0.6), (4, 5, 0.9)],
         )
-        state = SparsifierState(g, [(0, 1), (2, 3), (4, 5)])
-        state.set_prob(state.edge_index[(0, 1)], 0.2)
+        state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3), (4, 5)]))
+        state.set_prob(g.edge_pairs.index((0, 1)), 0.2)
         for idx, (u, v, _) in enumerate(g.edges):
             expected = sum(
                 state.orig[j] - state.probs[j]
@@ -217,7 +220,7 @@ class TestStateBookkeeping:
 
     def test_disjoint_gap_two_disjoint_edges(self):
         g = UncertainGraph(4, [(0, 1, 0.7), (2, 3, 0.4)])
-        state = SparsifierState(g, [(0, 1)])  # (2,3) removed at p=0.4
+        state = SparsifierState(g, pair_mask(g, [(0, 1)]))  # (2,3) removed at p=0.4
         assert state.disjoint_mass_gap(0) == pytest.approx(0.4)
         assert state.global_mass_gap == pytest.approx(0.4)
 
@@ -235,7 +238,7 @@ class TestStateBookkeeping:
 
 def perturbed_state(g, alpha, seed, zero_share=0.0):
     """State on a random backbone with mixed probabilities; a share of them 0."""
-    state = SparsifierState(g, build_backbone(g, alpha, seed=seed).edges)
+    state = SparsifierState(g, build_backbone(g, alpha, seed=seed))
     rng = derive_rng(seed, 1)
     for idx in state.backbone_indices():
         r = float(rng.random())
@@ -294,7 +297,7 @@ class TestExactBookkeeping:
     )
     def test_descend_last_objective_is_from_scratch(self, rule):
         g = generate_synthetic(50, 0.2, seed=4)
-        state = SparsifierState(g, build_backbone(g, 0.3, seed=4).edges)
+        state = SparsifierState(g, build_backbone(g, 0.3, seed=4))
         info = descend(state, rule, h=0.05)
         assert info["sweeps"] >= 2
         assert info["objective_history"][-1] == degree_objective(state, rule.mode)
@@ -302,7 +305,7 @@ class TestExactBookkeeping:
 
     def test_descend_rejects_negative_tau_accepts_zero(self):
         g = generate_synthetic(12, 0.4, seed=2)
-        state = SparsifierState(g, build_backbone(g, 0.5, seed=2).edges)
+        state = SparsifierState(g, build_backbone(g, 0.5, seed=2))
         with pytest.raises(ValueError, match="tau must be non-negative"):
             descend(state, Rule(), h=0.05, tau=-1e-9)
         assert descend(state, Rule(), h=0.05, tau=0.0, max_sweeps=3)["sweeps"] >= 1
@@ -311,18 +314,18 @@ class TestExactBookkeeping:
 class TestCutAllStep:
     def test_zero_gap_zero_step(self):
         g = UncertainGraph(4, [(0, 1, 0.5), (2, 3, 0.5)])
-        state = SparsifierState(g, [(0, 1), (2, 3)])
+        state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3)]))
         assert cut_all_step(state, 0) == pytest.approx(0.0)
 
     def test_single_other_edge_short_by_03(self):
         g = UncertainGraph(4, [(0, 1, 0.5), (2, 3, 0.8)])
-        state = SparsifierState(g, [(0, 1), (2, 3)])
+        state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3)]))
         state.set_prob(1, 0.5)  # edge (2,3) now 0.3 below its original mass
         assert cut_all_step(state, 0) == pytest.approx(0.3, abs=1e-12)
 
     def test_assorted_gaps_match_direct_sum(self):
         g = UncertainGraph(5, [(0, 1, 0.9), (1, 2, 0.7), (2, 3, 0.6), (3, 4, 0.5)])
-        state = SparsifierState(g, [(u, v) for u, v, _ in g.edges])
+        state = SparsifierState(g, full_backbone(g))
         rng = derive_rng(2)
         for idx in range(4):
             state.set_prob(idx, float(rng.random()))
@@ -336,7 +339,7 @@ class TestCutAllStep:
 
     def test_unclamped_update_moves_by_pre_update_gap(self):
         g = UncertainGraph(6, [(0, 1, 0.4), (2, 3, 0.5), (4, 5, 0.6)])
-        state = SparsifierState(g, [(u, v) for u, v, _ in g.edges])
+        state = SparsifierState(g, full_backbone(g))
         state.set_prob(1, 0.45)
         state.set_prob(2, 0.55)
         gap_excl = sum(
@@ -352,7 +355,7 @@ class TestCutAllStep:
 class TestObjective:
     def test_zero_discrepancy(self):
         g = generate_synthetic(10, 0.5, seed=0)
-        state = SparsifierState(g, [(u, v) for u, v, _ in g.edges])
+        state = SparsifierState(g, full_backbone(g))
         assert degree_objective(state) == pytest.approx(0.0, abs=1e-18)
 
     def test_sum_of_squares(self):
@@ -376,9 +379,8 @@ class TestGdbRun:
             4,
             [(0, 1, 0.3), (0, 2, 0.3), (0, 3, 0.2), (1, 3, 0.5), (2, 3, 0.5)],
         )
-        backbone = BackboneGraph(4, ((0, 3), (1, 3), (2, 3)), source="spanning")
-        state = SparsifierState(g, backbone.edges)
-        idx = state.edge_index[(0, 3)]
+        state = SparsifierState(g, pair_mask(g, [(0, 3), (1, 3), (2, 3)]))
+        idx = g.edge_pairs.index((0, 3))
         assert state.vertex_disc[0] == pytest.approx(0.6)
         assert state.vertex_disc[3] == pytest.approx(0.0)
         sweep(state, Rule(), h=1.0)
@@ -402,7 +404,7 @@ class TestGdbRun:
         g = generate_synthetic(30, 0.4, seed=3)
         backbone = build_backbone(g, 0.35, seed=3)
         out, _ = gdb_run(g, backbone, h=0.05)
-        assert tuple((u, v) for u, v, _ in out.edges) == backbone.edges
+        assert [(u, v) for u, v, _ in out.edges] == backbone_pairs(g, backbone)
 
     def test_probabilities_in_unit_interval(self):
         g = generate_synthetic(30, 0.4, seed=4)
@@ -440,15 +442,21 @@ class TestGdbRun:
         g = generate_synthetic(25, 0.5, seed=15)
         backbone = build_backbone(g, 0.4, seed=15)
         out, info = gdb_run(g, backbone, h=0.05, rule=Rule(2))
-        assert tuple((u, v) for u, v, _ in out.edges) == backbone.edges
+        assert [(u, v) for u, v, _ in out.edges] == backbone_pairs(g, backbone)
         assert all(0.0 <= p <= 1.0 for _, _, p in out.edges)
         assert info["sweeps"] >= 1
 
     def test_invalid_backbone_rejected(self):
+        # a pair list, a mask one entry past g's edges and a 0/1 int array
         g = generate_synthetic(10, 0.5, seed=1)
-        bad = BackboneGraph(g.n, ((0, 9),) if (0, 9) not in {(u, v) for u, v, _ in g.edges} else ((1, 9),), source="random")
-        with pytest.raises(ValueError, match="does not exist"):
-            gdb_run(g, bad)
+        for bad in (
+            g.edge_pairs[:5],
+            np.ones(g.m + 1, dtype=bool),
+            np.ones(g.m, dtype=np.int64),
+        ):
+            for run in (gdb_run, emd_run):
+                with pytest.raises(ValueError, match=rf"bool mask of shape \({g.m},\)"):
+                    run(g, bad)
 
     def test_h_out_of_range(self):
         g = generate_synthetic(10, 0.5, seed=1)

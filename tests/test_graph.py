@@ -272,6 +272,16 @@ class TestConstructorMatchesPerEdgePass:
             UncertainGraph.from_columns(4, [0, 1, 3], [3, 2, 0], [0.5, 0.5, 0.5])
         assert info.value.row == 2
 
+    @pytest.mark.parametrize(
+        "us, vs, ps",
+        [([0], [1], [0.5, 0.7]), ([0, 1], [1, 2], [0.5]), ([0, 1, 2], [1, 2], [0.5, 0.5])],
+        ids=["extra-p", "short-p", "short-v"],
+    )
+    def test_from_columns_refuses_columns_of_unequal_length(self, us, vs, ps):
+        lengths = rf"{len(us)} u, {len(vs)} v and {len(ps)} p values"
+        with pytest.raises(ValueError, match=f"edge columns differ in length: {lengths}"):
+            UncertainGraph.from_columns(4, us, vs, ps)
+
 
 # ---------------------------------------------------------------------------
 # Entropy

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from usparse.backbone import BackboneGraph, build_backbone
+from usparse.backbone import build_backbone
 from usparse.evaluation import quality
 from usparse.gdb import gdb_run
 from usparse.graph import UncertainGraph, derive_rng, generate_synthetic
@@ -15,14 +15,17 @@ from usparse.lp import (
     solve_optimal_assignment,
 )
 
+from test_backbone import backbone_pairs, pair_mask
+
 
 def scipy_reference(g, backbone):
-    A = np.zeros((g.n, backbone.m))
-    for j, (u, v) in enumerate(backbone.edges):
+    pairs = backbone_pairs(g, backbone)
+    A = np.zeros((g.n, len(pairs)))
+    for j, (u, v) in enumerate(pairs):
         A[u, j] = 1.0
         A[v, j] = 1.0
     res = linprog(
-        -np.ones(backbone.m), A_ub=A, b_ub=g.degree_vector(), bounds=(0, 1), method="highs"
+        -np.ones(len(pairs)), A_ub=A, b_ub=g.degree_vector(), bounds=(0, 1), method="highs"
     )
     assert res.success
     return -res.fun
@@ -101,14 +104,14 @@ class TestMaxFlow:
 class TestOptimalAssignment:
     def test_full_backbone_recovers_total_mass(self):
         g = generate_synthetic(12, 0.5, seed=0)
-        backbone = BackboneGraph(g.n, tuple((u, v) for u, v, _ in g.edges), source="spanning")
+        backbone = np.ones(g.m, dtype=bool)
         _, result = solve_optimal_assignment(g, backbone)
         assert result.objective == pytest.approx(float(g.probabilities.sum()), abs=1e-9)
         assert degree_mae(g, lp_sparsify(g, backbone)[0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_edge_binds_smaller_degree(self):
         g = UncertainGraph(3, [(0, 1, 0.4), (1, 2, 0.9)])
-        backbone = BackboneGraph(3, ((0, 1),), source="random")
+        backbone = pair_mask(g, {(0, 1)})
         assignment, _ = solve_optimal_assignment(g, backbone)
         # vertex 0 caps the edge at its expected degree 0.4
         assert assignment[0] == pytest.approx(0.4, abs=1e-9)
@@ -118,7 +121,7 @@ class TestOptimalAssignment:
         backbone = build_backbone(g, 0.4, seed=1)
         assignment, _ = solve_optimal_assignment(g, backbone)
         d_new = np.zeros(g.n)
-        for (u, v), p in zip(backbone.edges, assignment):
+        for (u, v), p in zip(backbone_pairs(g, backbone), assignment, strict=True):
             d_new[u] += p
             d_new[v] += p
         assert np.all(d_new <= g.degree_vector() + 1e-9)
@@ -145,23 +148,24 @@ class TestOptimalAssignment:
         # above the 2,000 edges a dense solver used to refuse
         g = generate_synthetic(100, 0.5, seed=2)
         backbone = build_backbone(g, 0.85, seed=2)
-        assert backbone.m > 2000
+        assert np.count_nonzero(backbone) > 2000
         out, info = lp_sparsify(g, backbone)
         assert info["certificate_gap"] < 1e-7
         assert info["objective"] == pytest.approx(scipy_reference(g, backbone), abs=1e-7)
         assert degree_mae(g, out) > 0.0
 
     def test_unknown_backbone_edge_rejected(self):
+        # a mask can only name edges of g: one entry past them is refused
         g = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.5)])
-        backbone = BackboneGraph(4, ((0, 3),), source="random")
-        with pytest.raises(ValueError, match="does not exist"):
-            solve_optimal_assignment(g, backbone)
+        with pytest.raises(ValueError, match=r"bool mask of shape \(2,\)"):
+            solve_optimal_assignment(g, np.array([True, False, True]))
 
-    def test_vertex_count_mismatch_rejected(self):
+    def test_other_graphs_mask_or_int_mask_rejected(self):
         g = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.5)])
-        backbone = BackboneGraph(5, ((0, 1),), source="random")
-        with pytest.raises(ValueError, match="vertex counts"):
-            solve_optimal_assignment(g, backbone)
+        other = UncertainGraph(5, [(0, 1, 0.5), (1, 2, 0.5), (3, 4, 0.5)])
+        for backbone in (np.ones(other.m, dtype=bool), np.array([1, 1])):
+            with pytest.raises(ValueError, match=r"bool mask of shape \(2,\)"):
+                lp_sparsify(g, backbone)
 
 
 class TestLpSparsify:
@@ -169,8 +173,7 @@ class TestLpSparsify:
         g = generate_synthetic(15, 0.5, seed=3)
         backbone = build_backbone(g, 0.4, seed=3)
         out, info = lp_sparsify(g, backbone)
-        assert out.m == backbone.m
-        assert tuple((u, v) for u, v, _ in out.edges) == backbone.edges
+        assert [(u, v) for u, v, _ in out.edges] == backbone_pairs(g, backbone)
         assert info["certificate_gap"] < 1e-7
         assert set(info) == {"objective", "certificate_gap"}
 
