@@ -15,6 +15,7 @@ import csv
 import sys
 
 from usparse import RunConfig, cut_mae_profile, generate_synthetic, quality, sparsify
+from usparse.evaluation import DEFAULT_N_CUTS
 
 
 def main(argv=None):
@@ -23,10 +24,12 @@ def main(argv=None):
     parser.add_argument("--densities", default="0.15,0.3,0.5,0.9")
     parser.add_argument("--methods", default="gdb,emd,ni,ss")
     parser.add_argument("--alpha", type=float, default=0.16)
-    parser.add_argument("--cut-samples", type=int, default=200)
+    parser.add_argument("--cut-samples", type=int, default=DEFAULT_N_CUTS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", default="density_sweep.csv")
     args = parser.parse_args(argv)
+    if args.cut_samples < 1:
+        parser.error(f"argument --cut-samples: must be at least 1, got {args.cut_samples}")
 
     densities = [float(d) for d in args.densities.split(",")]
     methods = [m.strip() for m in args.methods.split(",")]

@@ -12,12 +12,13 @@ from usparse.config import RunConfig
 from usparse.dispatch import sparsify
 from usparse.emd import emd_run
 from usparse.evaluation import (
+    Answers,
     QueryKind,
     cut_mae_profile,
     earth_movers_distance,
     emd_report,
-    mc_distributions,
     quality,
+    sample_answers,
     sample_masks,
     variance_protocol,
 )
@@ -40,6 +41,7 @@ from usparse.graph import (
 from usparse.lp import lp_sparsify, solve_optimal_assignment
 
 __all__ = [
+    "Answers",
     "DiscrepancyMode",
     "GraphFormatError",
     "QueryKind",
@@ -62,10 +64,10 @@ __all__ = [
     "load_graph",
     "lp_sparsify",
     "max_spanning_forest",
-    "mc_distributions",
     "ni_sparsify",
     "quality",
     "random_backbone",
+    "sample_answers",
     "sample_masks",
     "sample_world",
     "sampled_k_discrepancy_mae",

@@ -141,45 +141,42 @@ def _unit_id(unit) -> str:
     return f"{unit[0]}-{unit[1]}" if isinstance(unit, tuple) else str(unit)
 
 
-def run_eval(g, sparsified, kind, n_samples, n_runs, n_pairs, seed, with_variance=True):
-    """Evaluate one query; returns (csv rows, summary dict)."""
-    units = evaluation.default_units(g, kind, n_pairs=n_pairs, seed=seed)
-    report = evaluation.emd_report(g, sparsified, kind, units, n_samples=n_samples, seed=seed)
+def run_eval(kind, original, sparsified):
+    """Score two graphs' answers to one query; returns (csv rows, summary dict)."""
+    report = evaluation.emd_report(original, sparsified)
     rows = [
         {"unit": _unit_id(unit), "mean_original": left, "mean_sparsified": right, "emd": emd}
-        for unit, left, right, emd in zip(units, report.mean_left.tolist(),
+        for unit, left, right, emd in zip(report.units, report.mean_left.tolist(),
                                           report.mean_right.tolist(), report.emd.tolist())
         if not math.isnan(emd)
     ]
     summary = {
         "query": kind.value,
         "units_evaluated": len(rows),
-        "units_skipped": len(units) - len(rows),
+        "units_skipped": len(report.units) - len(rows),
         "emd_mean": report.mean if rows else None,
         "emd_median": report.median if rows else None,
         "emd_max": report.max if rows else None,
     }
-    if with_variance:
-        var_orig = evaluation.variance_protocol(g, kind, units, n_samples, n_runs, seed)
-        var_sparse = evaluation.variance_protocol(sparsified, kind, units, n_samples, n_runs, seed)
-        total_orig = float(np.nansum(list(var_orig.values())))
-        total_sparse = float(np.nansum(list(var_sparse.values())))
-        summary["relative_variance"] = (
-            total_sparse / total_orig if total_orig > 0 else None
-        )
+    if original.variances is not None:
+        total_orig = float(np.nansum(original.variances))
+        total_sparse = float(np.nansum(sparsified.variances))
+        summary["relative_variance"] = total_sparse / total_orig if total_orig > 0 else None
     return rows, summary
 
 
 def cmd_eval(args) -> int:
     g = load_graph(args.input)
     sparsified = load_graph(args.sparsified, allow_zero=True)
-    if args.samples == 1:
-        _log("warning: a single sample makes distribution estimates degenerate")
+    if g.n != sparsified.n:
+        raise ValueError(f"vertex-count mismatch: the original graph has {g.n} vertices, "
+                         f"the sparsified {sparsified.n}")
     kind = evaluation.QueryKind(args.query)
-    rows, summary = run_eval(
-        g, sparsified, kind, args.samples, args.runs, args.pairs, args.seed,
-        with_variance=not args.no_variance,
-    )
+    units = evaluation.default_units(g, kind, args.pairs, args.seed)
+    n_runs = None if args.no_variance else args.runs
+    original, answers = (evaluation.sample_answers(graph, kind, units, args.samples, args.seed,
+                                                   n_runs) for graph in (g, sparsified))
+    rows, summary = run_eval(kind, original, answers)
     csv_path = args.output + ".csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["unit", "mean_original", "mean_sparsified", "emd"])
@@ -217,8 +214,11 @@ COMPARE_FIELDS = [
 ]
 
 
-def _compare_cell(g, config, queries, args):
-    """One (method, alpha) cell of the sweep; returns one row per query."""
+def _compare_cell(g, config, originals, args):
+    """One (method, alpha) cell of the sweep; returns one row per query.
+
+    originals holds (kind, the original graph's answers) per query, shared by every cell.
+    """
     sparsified, _ = sparsify(g, config)
     quality = evaluation.quality(g, sparsified)
     cut_mae = evaluation.cut_mae_profile(g, sparsified, args.cut_samples, config.seed)
@@ -230,26 +230,23 @@ def _compare_cell(g, config, queries, args):
         "relative_entropy": quality["relative_entropy"],
     }
     rows = []
-    for query in queries:
-        kind = evaluation.QueryKind(query)
-        _, summary = run_eval(
-            g, sparsified, kind, args.samples, args.runs, args.pairs, config.seed
-        )
-        rows.append(
-            {
-                **base,
-                "query": query,
-                "mean_emd": summary["emd_mean"],
-                "relative_variance": summary["relative_variance"],
-                "error": "",
-            }
-        )
+    for kind, original in originals:
+        answers = evaluation.sample_answers(sparsified, kind, original.units, args.samples,
+                                            config.seed, args.runs)
+        _, summary = run_eval(kind, original, answers)
+        rows.append({**base, "query": kind.value, "mean_emd": summary["emd_mean"],
+                     "relative_variance": summary["relative_variance"], "error": ""})
     return rows
 
 
 def cmd_compare(args) -> int:
     g = load_graph(args.input)
     methods, alphas, queries = args.methods, args.alphas, args.queries
+    originals = []
+    for kind in map(evaluation.QueryKind, queries):
+        units = evaluation.default_units(g, kind, args.pairs, args.seed)
+        originals.append((kind, evaluation.sample_answers(g, kind, units, args.samples,
+                                                          args.seed, args.runs)))
     rows = []
     for method in methods:
         for alpha in alphas:
@@ -258,7 +255,7 @@ def cmd_compare(args) -> int:
                 mode=args.mode, h=args.h, seed=args.seed,
             )
             try:
-                rows += _compare_cell(g, config, queries, args)
+                rows += _compare_cell(g, config, originals, args)
             except (ValueError, RuntimeError) as exc:  # domain errors: recorded, sweep goes on
                 blank = dict.fromkeys(COMPARE_FIELDS, "")
                 rows += [{**blank, "method": method, "alpha": alpha, "query": query,
@@ -396,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--samples", type=_at_least(1), default=evaluation.DEFAULT_N_SAMPLES)
     p_cmp.add_argument("--runs", type=int, default=evaluation.DEFAULT_N_RUNS)
     p_cmp.add_argument("--pairs", type=_at_least(1), default=evaluation.DEFAULT_N_PAIRS)
-    p_cmp.add_argument("--cut-samples", type=_at_least(1), default=200,
+    p_cmp.add_argument("--cut-samples", type=_at_least(1), default=evaluation.DEFAULT_N_CUTS,
                        help="sampled cuts per cardinality for the cut MAE column")
     p_cmp.add_argument("--seed", type=int, default=defaults["seed"])
     p_cmp.add_argument("-o", "--output", required=True, help="consolidated CSV path")
@@ -419,6 +416,8 @@ def main(argv=None) -> int:
     if getattr(args, "runs", 2) < 2 and not getattr(args, "no_variance", False):
         parser.error(f"argument --runs: the variance protocol needs at least 2 runs, "
                      f"got {args.runs}")
+    if getattr(args, "samples", None) == 1:
+        _log("warning: a single sample makes distribution estimates degenerate")
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError, GraphFormatError) as exc:

@@ -1,13 +1,13 @@
 """Monte-Carlo evaluation of sparsified graphs.
 
 Queries (pagerank, shortest path, reliability, clustering coefficient) are
-evaluated in every sampled world, which gives each graph a (worlds, units)
-value matrix; NaN marks an undefined shortest path.  The two graphs' matrices
-are scored column-wise: one sort over all columns yields every unit's
-one-dimensional earth mover's distance between its samples on the original
-and on the sparsified graph.  A repeated-run protocol estimates the variance
-of the Monte-Carlo point estimators, whose ratio tells how many samples the
-sparsified graph saves at equal confidence width.
+evaluated in every sampled world.  `sample_answers` gives one graph's answers
+to one query as a value: a (worlds, units) matrix, NaN marking an undefined
+shortest path, and optionally each unit's Monte-Carlo estimator variance over
+repeated runs, whose ratio between two graphs tells how many samples the
+sparsified one saves at equal confidence width.  `emd_report` scores two such
+values and samples nothing: one sort over all columns yields every unit's
+one-dimensional earth mover's distance between its samples on the two graphs.
 
 World i is always drawn from the (seed, i)-derived generator, so every
 report is deterministic.  The worlds are sampled as rows of one edge-mask
@@ -34,6 +34,7 @@ from usparse.graph import (
 DEFAULT_N_SAMPLES = 500
 DEFAULT_N_RUNS = 100
 DEFAULT_N_PAIRS = 1000
+DEFAULT_N_CUTS = 200
 PAGERANK_DAMPING = 0.85
 # Upper bound on the cells of one chunk's widest array (worlds times the
 # per-world width of its masks, frontiers, triangle flags or unit values), so
@@ -349,30 +350,28 @@ def default_units(g: UncertainGraph, kind: QueryKind, n_pairs: int = DEFAULT_N_P
     return pairs
 
 
-def _unit_values(g: UncertainGraph, kind: QueryKind, units, n_samples: int, seed: int,
-                 key: tuple = ()) -> tuple[list, np.ndarray]:
-    """(units, (n_samples, U) values) of the worlds of stream (seed, *key)."""
-    units = validate_units(g, kind, units)
-    return units, next(_sampled_values(g, kind, units, n_samples, seed, [key]))
+@dataclass(frozen=True)
+class Answers:
+    """One graph's answers to one query over its units.
 
-
-def mc_distributions(
-    g: UncertainGraph,
-    kind: QueryKind,
-    units,
-    n_samples: int = DEFAULT_N_SAMPLES,
-    seed: int = 0,
-    key: tuple = (),
-) -> dict:
-    """Each unit's sorted result samples over n_samples sampled worlds.
-
-    Shortest-path units record a value only in worlds where the pair is
-    connected; a unit connected in no sampled world gets an empty array.
-    `key` extends the seed derivation path (used by the repeated-run
-    variance protocol).
+    values[i, j] is units[j]'s value in world i of stream (seed,), NaN where
+    it is undefined; variances[j] is the run variance of units[j]'s point
+    estimator over streams (seed, r), or None when no runs were drawn.
     """
-    units, values = _unit_values(g, kind, units, n_samples, seed, key)
-    return {unit: np.sort(col[~np.isnan(col)]) for unit, col in zip(units, values.T)}
+
+    units: list
+    values: np.ndarray
+    variances: np.ndarray | None
+
+
+def sample_answers(g: UncertainGraph, kind: QueryKind, units, n_samples: int, seed: int,
+                   n_runs: int | None = None) -> Answers:
+    """g's answers: worlds 0..n_samples-1 of stream (seed,), and n_runs runs if given."""
+    units = validate_units(g, kind, units)
+    values = next(_sampled_values(g, kind, units, n_samples, seed, [()]))
+    variances = (None if n_runs is None
+                 else variance_protocol(g, kind, units, n_samples, n_runs, seed))
+    return Answers(units, values, variances)
 
 
 def earth_movers_distance(xs, ys) -> float:
@@ -430,36 +429,21 @@ class EmdReport:
     max = property(lambda self: self._over_scored(np.max))
 
 
-def emd_report(
-    g: UncertainGraph,
-    g2: UncertainGraph,
-    kind: QueryKind,
-    units,
-    n_samples: int = DEFAULT_N_SAMPLES,
-    seed: int = 0,
-) -> EmdReport:
-    """Earth mover's distance of every unit between the two graphs, scored column-wise.
+def emd_report(left: Answers, right: Answers) -> EmdReport:
+    """Earth mover's distance of every unit between two graphs' answers, scored column-wise.
 
-    Both graphs are sampled from the same seed, so comparing a graph against
-    itself reports exactly zero.
+    Answers sampled from the same seed share their worlds' draws, so a graph
+    scored against itself reports exactly zero.
     """
-    if g.n != g2.n:
-        raise ValueError(f"vertex-count mismatch: the first graph has {g.n}, the second {g2.n}")
-    units, left = _unit_values(g, kind, units, n_samples, seed)
-    _, right = _unit_values(g2, kind, units, n_samples, seed)
-    return EmdReport(units, _transport_costs(left, right),
-                     _sorted_means(left), _sorted_means(right))
+    if left.units != right.units:
+        raise ValueError("the two answers are over different units")
+    return EmdReport(left.units, _transport_costs(left.values, right.values),
+                     _sorted_means(left.values), _sorted_means(right.values))
 
 
-def variance_protocol(
-    g: UncertainGraph,
-    kind: QueryKind,
-    units,
-    n_samples: int = 100,
-    n_runs: int = DEFAULT_N_RUNS,
-    seed: int = 0,
-) -> dict:
-    """Unbiased per-unit variance of the MC point estimator over n_runs runs.
+def variance_protocol(g: UncertainGraph, kind: QueryKind, units, n_samples: int,
+                      n_runs: int = DEFAULT_N_RUNS, seed: int = 0) -> np.ndarray:
+    """(U,) unbiased variance of each unit's MC point estimator over n_runs runs.
 
     Run r draws its worlds from the (seed, r, i)-derived generators; the
     variance uses the n_runs - 1 divisor.  Units with no defined estimate in
@@ -471,5 +455,4 @@ def variance_protocol(
     runs = _sampled_values(g, kind, units, n_samples, seed, [(r,) for r in range(n_runs)])
     # (U, R): run r's point estimate of each unit, the mean of its defined values
     estimates = np.column_stack([_sorted_means(values) for values in runs])
-    variances = np.var(estimates, axis=1, ddof=1)
-    return {unit: float(v) for unit, v in zip(units, variances)}
+    return np.var(estimates, axis=1, ddof=1)

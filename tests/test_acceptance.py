@@ -141,8 +141,8 @@ def test_criterion_07_monte_carlo_matches_exact_oracle(monkeypatch):
     started = time.perf_counter()
     n_samples = 100_000
     # Both estimates read the evaluation engine's worlds: reliability is the
-    # mean of mc_distributions, and connectivity is counted on the very mask
-    # rows it draws, row i being world i of sample_masks(g, seed, (), n_samples).
+    # mean of the sample_answers column, and connectivity is counted on the
+    # very mask rows it draws, row i being world i of sample_masks(g, seed, (), n_samples).
     drawn = []
 
     def recording_sample_masks(*args, **kwargs):
@@ -162,9 +162,10 @@ def test_criterion_07_monte_carlo_matches_exact_oracle(monkeypatch):
         )
         pair = (0, g.n - 1)
         drawn.clear()
-        reliability = evaluation.mc_distributions(
+        column = evaluation.sample_answers(
             g, QueryKind.RELIABILITY, [pair], n_samples, seed=seed + 31
-        )
+        ).values[:, 0]
+        reliability = np.sort(column[~np.isnan(column)])
         masks = np.concatenate(drawn)
         assert masks.shape == (n_samples, g.m)
         for i in (0, n_samples - 1):
@@ -180,7 +181,7 @@ def test_criterion_07_monte_carlo_matches_exact_oracle(monkeypatch):
             return (labels == labels[:, :1]).all(axis=1)
 
         reach_freq = np.count_nonzero(reaches(masks)) / n_samples
-        assert reliability[pair].mean() == reach_freq
+        assert reliability.mean() == reach_freq
         for predicate, freq in (
             (reaches, reach_freq),
             (connected, np.count_nonzero(connected(masks)) / n_samples),
@@ -310,7 +311,7 @@ def test_criterion_12_variance_protocol_matches_binomial_theory():
     for repetition in range(5):
         estimate = variance_protocol(
             g, QueryKind.RELIABILITY, [unit], n_samples=100, n_runs=100, seed=1000 + repetition
-        )[unit]
+        )[0]
         assert theory / 3.0 <= estimate <= 3.0 * theory
     report(12, "100-run variance estimate within 3x of 0.25/N five times", time.perf_counter() - started)
 

@@ -257,17 +257,18 @@ class TestEval:
         assert summary["relative_variance"] is None or summary["relative_variance"] >= 0
 
     def test_each_world_sampled_once(self, graph_file, tmp_path, monkeypatch):
-        # the report's distributions give the means: S worlds per graph, plus
+        # eval samples each graph once: S worlds of stream () per graph, plus
         # S per graph for each of the R variance runs
-        from usparse import cli, evaluation
+        from usparse import evaluation
 
         _, out = run_sparsify(graph_file, tmp_path, "gdb")
-        g, sparsified = load_graph(graph_file), load_graph(out, allow_zero=True)
         calls = []
         original = evaluation.sample_world
         monkeypatch.setattr(evaluation, "sample_world", lambda *a: calls.append(1) or original(*a))
         n_samples, n_runs = 7, 3
-        cli.run_eval(g, sparsified, evaluation.QueryKind.RELIABILITY, n_samples, n_runs, 5, 2)
+        assert main(["eval", "-i", str(graph_file), "-s", str(out), "-q", "rl",
+                     "--samples", str(n_samples), "--runs", str(n_runs), "--pairs", "5",
+                     "--seed", "2", "-o", str(tmp_path / "report")]) == 0
         assert len(calls) == 2 * n_samples * (1 + n_runs)
 
     # sha256 of each eval output, recorded at commit 32a0c1a (the per-world
@@ -311,11 +312,14 @@ class TestEval:
 
     def test_single_sample_warns_but_runs(self, graph_file, tmp_path, capsys):
         _, out = run_sparsify(graph_file, tmp_path, "ss")
-        code = main(["eval", "-i", str(graph_file), "-s", str(out), "-q", "cc",
-                     "--samples", "1", "--no-variance", "-o", str(tmp_path / "one")])
-        assert code == 0
-        assert "warning" in capsys.readouterr().err
-
+        capsys.readouterr()
+        for argv in (["eval", "-i", str(graph_file), "-s", str(out), "-q", "cc",
+                      "--no-variance", "-o", str(tmp_path / "one")],
+                     ["compare", "-i", str(graph_file), "--methods", "ss", "--alphas", "0.5",
+                      "--queries", "cc", "--runs", "2", "--cut-samples", "5",
+                      "-o", str(tmp_path / "one.csv")]):
+            assert main([*argv, "--samples", "1"]) == 0
+            assert capsys.readouterr().err.count("warning") == 1
 
     def test_empty_sp_report_is_strict_json(self, graph_file, tmp_path):
         # every edge has p = 0, so no pair is connected in any sparsified world
@@ -389,8 +393,8 @@ class TestEval:
 
 class TestCompare:
     # sha256 of this sweep's CSV, recorded at commit 19ee552, before eval
-    # scored its units column-wise; mean_emd and relative_variance go through
-    # run_eval.
+    # scored its units column-wise; mean_emd and relative_variance score each
+    # cell's answers against the original graph's, sampled once per query.
     PINNED_SWEEP_SHA256 = "435f35226a00f1e33d26fe86f1c62f70ba34780010e5dc96ed5a7620dc92d2b9"
 
     def test_sweep_keeps_pinned_bytes(self, tmp_path, monkeypatch):
@@ -402,6 +406,25 @@ class TestCompare:
                      "-o", "sweep.csv"]) == 0
         digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
         assert digest == self.PINNED_SWEEP_SHA256
+
+    def test_original_sampled_once_per_query(self, graph_file, tmp_path, monkeypatch):
+        # each of the Q queries samples the original graph once and each of the
+        # C cells' sparsified graphs once: S worlds plus S per variance run
+        from usparse import evaluation
+
+        calls = []
+        original = evaluation.sample_world
+        monkeypatch.setattr(evaluation, "sample_world", lambda *a: calls.append(1) or original(*a))
+        n_samples, n_runs = 6, 2
+        out = tmp_path / "sweep.csv"
+        assert main(["compare", "-i", str(graph_file), "--methods", "gdb,ss",
+                     "--alphas", "0.4,0.6", "--queries", "rl,pr", "--samples", str(n_samples),
+                     "--runs", str(n_runs), "--pairs", "5", "--cut-samples", "5",
+                     "-o", str(out)]) == 0
+        rows = list(csv.DictReader(open(out)))
+        n_cells, n_queries = 4, 2
+        assert len(rows) == n_cells * n_queries and all(r["error"] == "" for r in rows)
+        assert len(calls) == n_queries * n_samples * (1 + n_runs) * (1 + n_cells)
 
     def test_sweep_row_count_and_round_trip(self, graph_file, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from usparse import evaluation
 from usparse.evaluation import (
+    Answers,
     QueryKind,
     component_labels,
     default_units,
     earth_movers_distance,
     emd_report,
-    mc_distributions,
     pagerank_world,
     quality,
+    sample_answers,
     sample_masks,
     variance_protocol,
 )
@@ -32,11 +33,25 @@ from usparse.graph import (
 )
 
 
-def point_estimates(g, kind, units, n_samples, seed, key=()):
-    """Each unit's Monte-Carlo point estimate: the mean of its mc_distributions
-    samples, NaN for a shortest-path unit connected in no world."""
-    dists = mc_distributions(g, kind, units, n_samples, seed, key)
+def columns(answers):
+    """Each unit's sorted defined values: the Answers columns with NaNs dropped."""
+    return {unit: np.sort(column[~np.isnan(column)])
+            for unit, column in zip(answers.units, answers.values.T)}
+
+
+def point_estimates(g, kind, units, n_samples, seed, key):
+    """Each unit's Monte-Carlo point estimate over worlds 0..n_samples-1 of stream
+    (seed, *key): the mean of its sorted defined values, NaN for a shortest-path
+    unit connected in no world."""
+    values = kernel_values(g, kind, units, sample_masks(g, seed, key, n_samples))
+    dists = columns(Answers(units, values, None))
     return {unit: float(np.mean(d)) if len(d) else math.nan for unit, d in dists.items()}
+
+
+def answers_report(g, g2, kind, units, n_samples, seed):
+    """The EMD report of g2 against g, each sampled once on the same stream."""
+    return emd_report(sample_answers(g, kind, units, n_samples, seed),
+                      sample_answers(g2, kind, units, n_samples, seed))
 
 
 def kernel_values(g, kind, units, masks):
@@ -134,14 +149,14 @@ class TestClusteringCoefficient:
 class TestMcDistributions:
     def test_deterministic_graph_point_mass(self):
         g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        dists = mc_distributions(g, QueryKind.PAGERANK, [0, 1], n_samples=20, seed=0)
+        dists = columns(sample_answers(g, QueryKind.PAGERANK, [0, 1], n_samples=20, seed=0))
         for d in dists.values():
             assert len(np.unique(d)) == 1
 
     def test_reliability_single_edge_frequency(self):
         g = UncertainGraph(2, [(0, 1, 0.3)])
         n = 20_000
-        dists = mc_distributions(g, QueryKind.RELIABILITY, [(0, 1)], n_samples=n, seed=3)
+        dists = columns(sample_answers(g, QueryKind.RELIABILITY, [(0, 1)], n_samples=n, seed=3))
         freq = dists[(0, 1)].mean()
 
         def reaches(masks):
@@ -156,7 +171,8 @@ class TestMcDistributions:
     def test_shortest_path_conditional_on_connected(self):
         # end-to-end distance on a 3-vertex path is 2 in every connected world
         g = UncertainGraph(3, [(0, 1, 1.0), (1, 2, 0.5)])
-        dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2)], n_samples=400, seed=1)
+        dists = columns(sample_answers(g, QueryKind.SHORTEST_PATH, [(0, 2)], n_samples=400,
+                                       seed=1))
         d = dists[(0, 2)]
         assert len(d) > 0
         assert np.all(d == 2.0)
@@ -164,22 +180,23 @@ class TestMcDistributions:
 
     def test_shortest_path_never_connected_is_empty(self):
         g = UncertainGraph(3, [(0, 1, 0.9)])
-        dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2)], n_samples=50, seed=2)
+        dists = columns(sample_answers(g, QueryKind.SHORTEST_PATH, [(0, 2)], n_samples=50,
+                                       seed=2))
         assert len(dists[(0, 2)]) == 0
 
     def test_deterministic_given_seed(self):
         g = generate_synthetic(12, 0.4, seed=4)
-        a = mc_distributions(g, QueryKind.PAGERANK, [0, 3], n_samples=30, seed=9)
-        b = mc_distributions(g, QueryKind.PAGERANK, [0, 3], n_samples=30, seed=9)
+        a = columns(sample_answers(g, QueryKind.PAGERANK, [0, 3], n_samples=30, seed=9))
+        b = columns(sample_answers(g, QueryKind.PAGERANK, [0, 3], n_samples=30, seed=9))
         for u in (0, 3):
             assert np.array_equal(a[u], b[u])
 
     def test_invalid_units_rejected(self):
         g = generate_synthetic(10, 0.4, seed=1)
         with pytest.raises(ValueError):
-            mc_distributions(g, QueryKind.PAGERANK, [99], n_samples=5, seed=0)
+            sample_answers(g, QueryKind.PAGERANK, [99], n_samples=5, seed=0)
         with pytest.raises(ValueError):
-            mc_distributions(g, QueryKind.RELIABILITY, [(0, 0)], n_samples=5, seed=0)
+            sample_answers(g, QueryKind.RELIABILITY, [(0, 0)], n_samples=5, seed=0)
 
     def test_default_units(self):
         g = generate_synthetic(10, 0.4, seed=1)
@@ -341,9 +358,9 @@ class TestTransportCosts:
         g = oracle_graph(4)
         g2 = UncertainGraph(g.n, [(u, v, p / 2) for u, v, p in g.edges], allow_zero=True)
         units = default_units(g, QueryKind.SHORTEST_PATH, n_pairs=60, seed=1)
-        report = emd_report(g, g2, QueryKind.SHORTEST_PATH, units, n_samples=40, seed=2)
-        left = mc_distributions(g, QueryKind.SHORTEST_PATH, units, 40, 2)
-        right = mc_distributions(g2, QueryKind.SHORTEST_PATH, units, 40, 2)
+        report = answers_report(g, g2, QueryKind.SHORTEST_PATH, units, n_samples=40, seed=2)
+        left = columns(sample_answers(g, QueryKind.SHORTEST_PATH, units, 40, 2))
+        right = columns(sample_answers(g2, QueryKind.SHORTEST_PATH, units, 40, 2))
         assert np.isnan(report.emd).any() and not np.isnan(report.emd).all()
         for j, unit in enumerate(units):
             xs, ys = left[unit], right[unit]
@@ -380,13 +397,13 @@ class TestRelativeEntropy:
 class TestEmdReport:
     def test_self_comparison_same_seed_is_zero(self):
         g = generate_synthetic(12, 0.4, seed=7)
-        report = emd_report(g, g, QueryKind.PAGERANK, [0, 1, 2], n_samples=40, seed=3)
+        report = answers_report(g, g, QueryKind.PAGERANK, [0, 1, 2], n_samples=40, seed=3)
         assert report.mean == 0.0 and report.max == 0.0
 
     def test_self_comparison_different_worlds_noise_floor(self):
         g = generate_synthetic(12, 0.4, seed=7)
-        left = mc_distributions(g, QueryKind.PAGERANK, [0], n_samples=60, seed=1)
-        right = mc_distributions(g, QueryKind.PAGERANK, [0], n_samples=60, seed=2)
+        left = columns(sample_answers(g, QueryKind.PAGERANK, [0], n_samples=60, seed=1))
+        right = columns(sample_answers(g, QueryKind.PAGERANK, [0], n_samples=60, seed=2))
         noise = earth_movers_distance(left[0], right[0])
         assert noise > 0.0  # measured baseline, small but nonzero
 
@@ -394,14 +411,14 @@ class TestEmdReport:
         g = generate_synthetic(12, 0.4, seed=8)
         g2 = UncertainGraph(g.n, [(u, v, min(1.0, p * 1.5)) for u, v, p in g.edges])
         units = [0, 1, 2, 3]
-        report = emd_report(g, g2, QueryKind.PAGERANK, units, n_samples=30, seed=4)
+        report = answers_report(g, g2, QueryKind.PAGERANK, units, n_samples=30, seed=4)
         assert not np.isnan(report.emd).any()
         assert report.mean == pytest.approx(np.mean(report.emd))
 
     def test_sp_empty_units_skipped_and_counted(self):
         g = UncertainGraph(4, [(0, 1, 0.9), (2, 3, 0.9)])
         g2 = UncertainGraph(4, [(0, 1, 0.9)])
-        report = emd_report(
+        report = answers_report(
             g, g2, QueryKind.SHORTEST_PATH, [(0, 1), (2, 3)], n_samples=30, seed=5
         )
         assert report.units == [(0, 1), (2, 3)]
@@ -410,17 +427,37 @@ class TestEmdReport:
         assert report.mean == report.max == report.emd[0]
 
     def test_vertex_count_mismatch(self):
+        # each graph's answers are over its own vertices: a units mismatch
         g = generate_synthetic(10, 0.4, seed=1)
         g2 = generate_synthetic(11, 0.4, seed=1)
-        with pytest.raises(ValueError):
-            emd_report(g, g2, QueryKind.PAGERANK, [0], n_samples=5, seed=0)
+        left, right = (sample_answers(graph, QueryKind.PAGERANK,
+                                      default_units(graph, QueryKind.PAGERANK), 5, seed=0)
+                       for graph in (g, g2))
+        with pytest.raises(ValueError, match="different units"):
+            emd_report(left, right)
+
+    def test_units_mismatch(self):
+        # answers over other units, or the same units in another order
+        g = generate_synthetic(10, 0.4, seed=1)
+        left = sample_answers(g, QueryKind.PAGERANK, [0, 1], n_samples=5, seed=0)
+        for units in ([0], [0, 2], [1, 0]):
+            right = sample_answers(g, QueryKind.PAGERANK, units, n_samples=5, seed=0)
+            with pytest.raises(ValueError, match="different units"):
+                emd_report(left, right)
+
+    def test_scoring_samples_nothing(self, monkeypatch):
+        g = generate_synthetic(10, 0.4, seed=1)
+        left, right = (sample_answers(g, QueryKind.PAGERANK, [0, 1], n_samples=5, seed=seed)
+                       for seed in (0, 1))
+        monkeypatch.setattr(evaluation, "sample_masks", None)
+        assert emd_report(left, right).mean > 0.0
 
 
 class TestVarianceProtocol:
     def test_deterministic_graph_zero_variance(self):
         g = UncertainGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         var = variance_protocol(g, QueryKind.RELIABILITY, [(0, 2)], n_samples=10, n_runs=5, seed=0)
-        assert var[(0, 2)] == 0.0
+        assert var.tolist() == [0.0]
 
     def test_matches_definitional_recomputation(self):
         g = UncertainGraph(2, [(0, 1, 0.5)])
@@ -431,7 +468,7 @@ class TestVarianceProtocol:
             point_estimates(g, QueryKind.RELIABILITY, [unit], n_samples, 11, key=(r,))[unit]
             for r in range(n_runs)
         ]
-        assert var[unit] == pytest.approx(np.var(estimates, ddof=1), abs=1e-15)
+        assert var[0] == pytest.approx(np.var(estimates, ddof=1), abs=1e-15)
 
     def test_two_runs_formula(self):
         # with two runs the unbiased variance is (x0-x1)^2 / 2
@@ -442,29 +479,30 @@ class TestVarianceProtocol:
             point_estimates(g, QueryKind.RELIABILITY, [unit], 5, 3, key=(r,))[unit]
             for r in range(2)
         ]
-        assert var[unit] == pytest.approx((estimates[0] - estimates[1]) ** 2 / 2, abs=1e-15)
+        assert var[0] == pytest.approx((estimates[0] - estimates[1]) ** 2 / 2, abs=1e-15)
 
     def test_binomial_theory_band(self):
         g = UncertainGraph(2, [(0, 1, 0.5)])
         unit = (0, 1)
         theory = 0.25 / 100
         var = variance_protocol(g, QueryKind.RELIABILITY, [unit], n_samples=100, n_runs=100, seed=7)
-        assert theory / 3 <= var[unit] <= 3 * theory
+        assert theory / 3 <= var[0] <= 3 * theory
 
     @pytest.mark.parametrize("kind", list(QueryKind))
     def test_each_run_is_its_point_estimate(self, kind):
-        # bit for bit: run r's estimate is the mc_distributions mean on key (r,)
+        # bit for bit: run r's estimate is the mean of stream (r,)'s defined values
         g = oracle_graph(3)
         units = default_units(g, kind, n_pairs=30, seed=2)
         n_runs, n_samples = 20, 24
         var = variance_protocol(g, kind, units, n_samples, n_runs, seed=6)
+        assert var.shape == (len(units),)
         runs = [point_estimates(g, kind, units, n_samples, 6, key=(r,)) for r in range(n_runs)]
-        for unit in units:
+        for j, unit in enumerate(units):
             estimates = [run[unit] for run in runs]
             if any(math.isnan(e) for e in estimates):
-                assert math.isnan(var[unit])
+                assert math.isnan(var[j])
             else:
-                assert var[unit] == float(np.var(estimates, ddof=1))
+                assert var[j] == float(np.var(estimates, ddof=1))
 
     def test_needs_two_runs(self):
         g = UncertainGraph(2, [(0, 1, 0.5)])
@@ -489,8 +527,8 @@ class TestQueryValueBounds:
 
     def test_reliability_estimates_in_unit_interval(self):
         g = generate_synthetic(10, 0.4, seed=1)
-        est = point_estimates(g, QueryKind.RELIABILITY, [(0, 5), (1, 2)], 50, seed=4)
-        assert all(0.0 <= v <= 1.0 for v in est.values())
+        answers = sample_answers(g, QueryKind.RELIABILITY, [(0, 5), (1, 2)], 50, seed=4)
+        assert all(0.0 <= d.mean() <= 1.0 for d in columns(answers).values())
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +577,9 @@ class TestEngineMatchesNetworkx:
         atol = 1e-8 if kind is QueryKind.PAGERANK else 0.0
         got = kernel_values(g, kind, units, masks)
         np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
-        # mc_distributions reads the same worlds, one chunk per world
+        # sample_answers reads the same worlds, one chunk per world
         monkeypatch.setattr(evaluation, "CHUNK_CELLS", 1)
-        dists = mc_distributions(g, kind, units, n_worlds, seed)
+        dists = columns(sample_answers(g, kind, units, n_worlds, seed))
         for unit, column in zip(units, got[:n_worlds].T):
             assert np.array_equal(dists[unit], np.sort(column[~np.isnan(column)]))
 
@@ -551,9 +589,9 @@ class TestEngineMatchesNetworkx:
         units = default_units(g, kind, n_pairs=40, seed=1)
 
         def run():
-            dists = mc_distributions(g, kind, units, 9, seed=4)
+            dists = columns(sample_answers(g, kind, units, 9, seed=4))
             var = variance_protocol(g, kind, units, n_samples=5, n_runs=4, seed=4)
-            return [dists[u].tolist() for u in units], [var[u] for u in units]
+            return [dists[u].tolist() for u in units], var
 
         whole_values, whole_var = run()
         # one world per chunk, runs split over chunks, and one chunk per run
@@ -578,6 +616,6 @@ class TestEngineMatchesNetworkx:
         monkeypatch.setattr(evaluation, "sample_masks", recording_sample_masks)
         monkeypatch.setattr(evaluation, "CHUNK_CELLS", 8000)
         assert 2 * (g.m + g.n) < 1000
-        mc_distributions(g, kind, units, 20, seed=1)
+        sample_answers(g, kind, units, 20, seed=1)
         assert sum(rows) == 20
         assert max(rows) * len(units) <= 8000

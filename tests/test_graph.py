@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from usparse.evaluation import (
     QueryKind,
     component_labels,
-    mc_distributions,
     quality,
+    sample_answers,
     sample_masks,
 )
 from usparse.graph import (
@@ -41,6 +41,11 @@ def world_frequency(g, predicate, n_samples, seed):
     The predicate maps the (n_samples, |E|) edge-mask matrix to one bool per world.
     """
     return float(np.mean(predicate(sample_masks(g, seed, (), n_samples))))
+
+
+def defined_sorted(column):
+    """One Answers column with its NaNs dropped and its values sorted."""
+    return np.sort(column[~np.isnan(column)]).tolist()
 
 
 def connected(g):
@@ -472,14 +477,16 @@ class TestWorlds:
 
     def test_world_hop_distances_match_the_engine(self):
         g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0)])
-        dists = mc_distributions(g, QueryKind.SHORTEST_PATH, [(0, 2), (0, 3)], n_samples=1, seed=0)
-        assert [d.tolist() for d in dists.values()] == [[2.0], []]
+        values = sample_answers(g, QueryKind.SHORTEST_PATH, [(0, 2), (0, 3)], n_samples=1,
+                                seed=0).values
+        assert [defined_sorted(column) for column in values.T] == [[2.0], []]
 
     def test_hop_distances(self):
         g = UncertainGraph(4, [(0, 1, 1.0), (1, 2, 1.0)])
         units = [(0, 1), (0, 2), (0, 3), (2, 0)]
-        dists = mc_distributions(g, QueryKind.SHORTEST_PATH, units, n_samples=3, seed=0)
-        assert [dists[u].tolist() for u in units] == [[1.0] * 3, [2.0] * 3, [], [2.0] * 3]
+        values = sample_answers(g, QueryKind.SHORTEST_PATH, units, n_samples=3, seed=0).values
+        assert [defined_sorted(column) for column in values.T] == [
+            [1.0] * 3, [2.0] * 3, [], [2.0] * 3]
 
 
 class TestExactOracle:
@@ -550,7 +557,8 @@ class TestExactOracle:
         pair = (0, g.n - 1)
         q = exact_query_probability(g, reaches(g, *pair))
         n = 100_000
-        freq = mc_distributions(g, QueryKind.RELIABILITY, [pair], n, seed=seed + 100)[pair].mean()
+        answers = sample_answers(g, QueryKind.RELIABILITY, [pair], n, seed=seed + 100)
+        freq = np.mean(defined_sorted(answers.values[:, 0]))
         assert abs(freq - q) <= 5 * math.sqrt(q * (1 - q) / n) + 1e-12
 
 

@@ -30,3 +30,15 @@ def test_script_writes_csv(name, argv, rows, tmp_path, capsys):
     written = list(csv.DictReader(open(out)))
     assert len(written) == rows
     assert f"wrote {rows} rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_density_sweep_refuses_cut_samples_below_one(value, tmp_path, capsys):
+    out = tmp_path / "density_sweep.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("density_sweep").main(["--vertices", "20", "--densities", "0.4",
+                                           "--cut-samples", value, "-o", str(out)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--cut-samples" in captured.err and captured.out == ""
+    assert not out.exists()
