@@ -93,11 +93,11 @@ def e_phase(
     An excluded edge (a, b) competes at its rule-optimal probability
     apply_step(0.0, degree_step(disc[a], disc[b], norm_a, norm_b), h), and
     its gain is gain_value at that probability.  Starting from p_hat = 0 the
-    entropy gate compares against edge_entropy(0) == 0, and every probability
-    strictly inside (0, 1) has positive entropy, so the gate fires exactly on
-    interior steps, where the damped h*step needs no clamp.  The candidate
-    probability is therefore 0 for step <= 0, 1 for step >= 1 and h*step in
-    between.  The scan computes that closed form and both formulas inline,
+    gate asks whether the candidate lies strictly closer to 1/2 than 0 does,
+    which every probability strictly inside (0, 1) does, so the gate fires
+    exactly on interior steps, where the damped h*step needs no clamp.  The
+    candidate probability is therefore 0 for step <= 0, 1 for step >= 1 and
+    h*step in between.  The scan computes that closed form and both formulas inline,
     with the same terms in the same order up to the commutativity of + and *,
     so it picks the same winner with the same bits as the calls would.
     """

@@ -1,11 +1,17 @@
 """Coordinate-descent probability assignment on a fixed backbone.
 
 Given the backbone edge set, probabilities start at their original values and
-are swept edge by edge.  Each visit moves one probability to the minimizer of
-the convex quadratic objective (sum of squared degree discrepancies, or its
-cut-size generalization), clamped to [0, 1].  When the optimal move would
-raise the edge's entropy, only a fraction h of the step is taken, which trades
-accuracy for a less uncertain output.
+are swept one coordinate at a time.  Each update moves one probability to the
+minimizer of the convex quadratic objective (sum of squared degree
+discrepancies, or its cut-size generalization), clamped to [0, 1].  When the
+optimal move would raise the edge's entropy, only a fraction h of the step is
+taken, which trades accuracy for a less uncertain output.
+
+The degree rule sweeps the backbone matching by matching: a greedy proper
+edge colouring splits it into classes of edges that share no vertex, and one
+numpy update of a class equals the sequential updates of its edges in any
+order (multicolour Gauss-Seidel).  The cut rules sweep edge by edge in
+canonical order, because every step reads the mass gap of other edges.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from itertools import compress
 import numpy as np
 
 from usparse.backbone import check_backbone
-from usparse.graph import DiscrepancyMode, UncertainGraph, edge_entropy
+from usparse.graph import DiscrepancyMode, UncertainGraph
 
 DEFAULT_H = 0.05
 DEFAULT_MAX_SWEEPS = 100
@@ -88,7 +94,7 @@ def degree_norms(g: UncertainGraph, mode: DiscrepancyMode) -> np.ndarray:
 
 
 def degree_step(delta_u: float, delta_v: float, norm_u: float = 1.0, norm_v: float = 1.0) -> float:
-    """Optimal unclamped coordinate step for the degree rule."""
+    """Optimal unclamped coordinate step for the degree rule (elementwise on arrays)."""
     return (norm_v * delta_u + norm_u * delta_v) / (norm_u + norm_v)
 
 
@@ -110,16 +116,22 @@ def cut_all_step(state: "SparsifierState", idx: int) -> float:
 def apply_step(p_hat: float, step: float, h: float) -> float:
     """Clamp the candidate to [0,1]; damp by h if its entropy would rise.
 
-    The gate compares against the current value p_hat.  A clamped candidate
-    lands on 0 or 1 where entropy is zero, so the gate can only fire on
-    interior candidates, and the damped step stays inside [0,1] by convexity.
+    Bernoulli entropy is symmetric about 1/2 and strictly decreasing in
+    |p - 1/2|, so entropy rises exactly when the candidate lies strictly
+    closer to 1/2 than the current value p_hat.  The gate tests that as
+    min(c, 1-c) > min(p_hat, 1-p_hat), with no log: each side is the exact
+    distance to the nearer end (1-x is exact for x >= 1/2), whereas
+    abs(x - 1/2) rounds every x in (0, 2**-55] to distance 1/2 and would let
+    such a step from 0 through undamped.  A clamped candidate lands on 0 or
+    1, so the gate can only fire on interior candidates, and the damped step
+    stays inside [0,1] by convexity.
     """
     cand = p_hat + step
     if cand < 0.0:
         cand = 0.0
     elif cand > 1.0:
         cand = 1.0
-    if edge_entropy(cand) > edge_entropy(p_hat):
+    if min(cand, 1.0 - cand) > min(p_hat, 1.0 - p_hat):
         damped = p_hat + h * step
         if damped < 0.0:
             return 0.0
@@ -127,6 +139,39 @@ def apply_step(p_hat: float, step: float, h: float) -> float:
             return 1.0
         return damped
     return cand
+
+
+def apply_steps(p_hat: np.ndarray, step: np.ndarray, h: float) -> np.ndarray:
+    """apply_step over arrays, elementwise, with the same bits for h in [0, 1].
+
+    A candidate closer to 1/2 was not clamped, and p_hat + h*step rounds to a
+    value between p_hat and it, so the damped step needs no clamp here.
+    """
+    cand = p_hat + step
+    np.minimum(cand, 1.0, out=cand)
+    np.maximum(cand, 0.0, out=cand)
+    closer = np.minimum(cand, 1.0 - cand) > np.minimum(p_hat, 1.0 - p_hat)
+    np.copyto(cand, p_hat + h * step, where=closer)
+    return cand
+
+
+def greedy_edge_colouring(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Colour edge i = (us[i], vs[i]) with the smallest colour free at both ends.
+
+    Edges are coloured in the given order, so the colouring is deterministic.
+    It is proper (no two edges of one colour share a vertex) and uses at most
+    2*D - 1 colours for maximum degree D, since at most 2*(D - 1) colours are
+    taken at an edge's two ends.  Every colour below the largest is used.
+    """
+    taken = [0] * n  # bit c set when colour c is on an edge at the vertex
+    colours = []
+    for u, v in zip(us.tolist(), vs.tolist()):
+        free = ~(taken[u] | taken[v])
+        bit = free & -free
+        taken[u] |= bit
+        taken[v] |= bit
+        colours.append(bit.bit_length() - 1)
+    return np.array(colours, dtype=np.int64)
 
 
 class SparsifierState:
@@ -147,8 +192,8 @@ class SparsifierState:
         self.orig = [p for _, _, p in g.edges]
         self.total_orig = float(sum(self.orig))
         self.in_backbone = backbone.tolist()
-        # orig's own float objects, not fresh copies: the sweeps' speed depends
-        # on where the floats they read and replace were allocated
+        # orig's own float objects, not fresh copies: the cut-rule sweeps' speed
+        # depends on where the floats they read and replace were allocated
         self.probs = [p if kept else 0.0 for p, kept in zip(self.orig, self.in_backbone)]
         self.vertex_disc = list(map(float, self._scratch_disc()))
         self.mass_in = float(sum(self.probs))
@@ -181,15 +226,7 @@ class SparsifierState:
         return self.global_mass_gap - self.vertex_disc[u] - self.vertex_disc[v] + own
 
     def _scratch_disc(self) -> np.ndarray:
-        # Scatter per-edge gaps rather than degree-minus-mass: retained edges
-        # at their original probability then contribute exact zeros.  The
-        # graph's cached probability array holds the same doubles as orig.
-        gaps = self.g.probabilities - np.asarray(self.probs)
-        d = np.zeros(self.n)
-        us, vs = self.g.endpoint_arrays
-        np.add.at(d, us, gaps)
-        np.add.at(d, vs, gaps)
-        return d
+        return _scratch_disc(self.g, np.asarray(self.probs))
 
     def resync(self) -> float:
         """Recompute discrepancies and mass from scratch; returns the max drift."""
@@ -236,6 +273,74 @@ class SparsifierState:
         )
 
 
+def _scratch_disc(g: UncertainGraph, probs: np.ndarray) -> np.ndarray:
+    # Scatter per-edge gaps rather than degree-minus-mass: retained edges at
+    # their original probability then contribute exact zeros.  The graph's
+    # cached probability array holds the same doubles as SparsifierState.orig.
+    gaps = g.probabilities - probs
+    d = np.zeros(g.n)
+    us, vs = g.endpoint_arrays
+    np.add.at(d, us, gaps)
+    np.add.at(d, vs, gaps)
+    return d
+
+
+class ClassSweep:
+    """The degree rule's descent in array form, one matching at a time.
+
+    Loads the working probabilities and vertex discrepancies from a state
+    once, as float64 arrays.  The backbone edges are greedily edge-coloured in
+    canonical order and kept class by class, so each colour class (a
+    matching) is a contiguous slice of `probs`: no two of its edges share a
+    vertex, so one numpy update of the class equals the sequential updates
+    of its edges in any order.
+    """
+
+    def __init__(self, state: SparsifierState, mode: DiscrepancyMode):
+        g = state.g
+        backbone = np.array(state.backbone_indices(), dtype=np.int64)
+        us, vs = (ends[backbone] for ends in g.endpoint_arrays)
+        colours = greedy_edge_colouring(g.n, us, vs)
+        by_class = np.argsort(colours, kind="stable")
+        # row 0 holds each slot's u, row 1 its v
+        ends = np.stack([us, vs])[:, by_class]
+        self.g = g
+        self.order = backbone[by_class]  # canonical edge index of each slot
+        self.full = np.array(state.probs)  # every edge's probability, canonical order
+        self.probs = self.full[self.order]
+        self.disc = np.array(state.vertex_disc)
+        norms = degree_norms(g, mode)[ends]
+        stops = np.cumsum(np.bincount(colours)).tolist()
+        self.classes = [
+            (ends[:, a:b], norms[0, a:b], norms[1, a:b], self.probs[a:b])
+            for a, b in zip([0, *stops], stops)
+        ]
+
+    def sweep(self, h: float) -> int:
+        """One pass, class by class in colour order; returns updates made."""
+        disc = self.disc
+        before = self.probs.copy()
+        for ends, norm_us, norm_vs, p in self.classes:
+            d = disc[ends]
+            new = apply_steps(p, degree_step(d[0], d[1], norm_us, norm_vs), h)
+            d -= new - p
+            p[:] = new
+            disc[ends] = d
+        return int(np.count_nonzero(self.probs != before))
+
+    def resync(self) -> np.ndarray:
+        """Recompute the discrepancies from scratch, as SparsifierState does."""
+        self.full[self.order] = self.probs
+        self.disc = _scratch_disc(self.g, self.full)
+        return self.disc
+
+    def store(self, state: SparsifierState) -> None:
+        """Write the probabilities back to the state and resync it."""
+        self.full[self.order] = self.probs
+        state.probs[:] = self.full.tolist()
+        state.resync()
+
+
 def _weighted_sq_sum(disc: np.ndarray, norms: np.ndarray) -> float:
     scaled = disc / norms
     return float(np.dot(scaled, scaled))
@@ -246,22 +351,32 @@ def degree_objective(state: SparsifierState, mode=DiscrepancyMode.ABSOLUTE) -> f
     return _weighted_sq_sum(state._scratch_disc(), degree_norms(state.g, mode))
 
 
-def sweep(state: SparsifierState, rule: Rule, h: float) -> int:
-    """One full pass over the backbone in canonical order; returns updates made."""
+def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | None = None) -> int:
+    """One full pass over the backbone; returns updates made.
+
+    The degree rule sweeps matching by matching (ClassSweep.sweep): on
+    `classes` when the caller holds the descent's arrays, else on arrays
+    loaded from and stored back to `state`.  The cut rules sweep `state` edge
+    by edge in canonical order, because every step reads the mass gap of
+    edges at other vertices.
+    """
+    if rule.k == 1:
+        if classes is not None:
+            return classes.sweep(h)
+        classes = ClassSweep(state, rule.mode)
+        changed = classes.sweep(h)
+        classes.store(state)
+        return changed
     g = state.g
     disc = state.vertex_disc
     probs = state.probs
     changed = 0
     k = rule.k
-    if k == 1:
-        norms = degree_norms(g, rule.mode).tolist()
-    elif k is not None:
+    if k is not None:
         c_deg, c_gap = cut_rule_coefficients(state.n, k)
     for idx in state.backbone_indices():
         u, v, _ = g.edges[idx]
-        if k == 1:
-            step = degree_step(disc[u], disc[v], norms[u], norms[v])
-        elif k is None:
+        if k is None:
             step = cut_all_step(state, idx)
         else:
             step = cut_step(disc[u], disc[v], state.disjoint_mass_gap(idx), c_deg, c_gap)
@@ -281,10 +396,12 @@ def descend(
 ) -> dict:
     """Sweep until the objective improves by at most tau (or the sweep cap).
 
-    Operates on the state in place and resyncs the discrepancies from scratch
-    at every sweep boundary, which both bounds incremental drift and gives an
-    honest convergence signal: each sweep's objective is computed from those
-    fresh discrepancies.
+    Resyncs the discrepancies from scratch at every sweep boundary, which both
+    bounds incremental drift and gives an honest convergence signal: each
+    sweep's objective is computed from those fresh discrepancies.  The degree
+    rule holds the backbone probabilities and the discrepancies as arrays
+    (ClassSweep) for the whole descent and writes them back to the state once
+    at the end; the cut rules sweep the state in place.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("h must lie in [0, 1]")
@@ -296,16 +413,23 @@ def descend(
     previous = degree_objective(state, rule.mode)
     history = [previous]
     tau_eff = tau if tau is not None else DEFAULT_TAU_FRACTION * previous
+    classes = ClassSweep(state, rule.mode) if rule.k == 1 else None
     sweeps = 0
     for _ in range(max_sweeps):
-        sweep(state, rule, h)
+        sweep(state, rule, h, classes)
         sweeps += 1
-        state.resync()
-        current = _weighted_sq_sum(np.asarray(state.vertex_disc), norms)
+        if classes is None:
+            state.resync()
+            disc = np.asarray(state.vertex_disc)
+        else:
+            disc = classes.resync()
+        current = _weighted_sq_sum(disc, norms)
         history.append(current)
         if abs(previous - current) <= tau_eff:
             break
         previous = current
+    if classes is not None:
+        classes.store(state)
     return {
         "sweeps": sweeps,
         "objective_history": history,

@@ -271,16 +271,17 @@ class TestEval:
                      "--seed", "2", "-o", str(tmp_path / "report")]) == 0
         assert len(calls) == 2 * n_samples * (1 + n_runs)
 
-    # sha256 of each eval output, recorded at commit 32a0c1a (the per-world
-    # evaluation path) for `generate -n 40 -d 0.12 --seed 3`, `sparsify -m gdb
-    # -a 0.5 --seed 7` and the eval flags below.
+    # sha256 of each eval output for `generate -n 40 -d 0.12 --seed 3`,
+    # `sparsify -m gdb -a 0.5 --seed 7` and the eval flags below, recorded
+    # when the degree rule began sweeping matching by matching (which changed
+    # the gdb input; cc's answers kept their bytes).
     PINNED_EVAL_SHA256 = {
-        "pr": ("f0a28b58af5e23d73dd7e715a40a0089091be23aed6c8e7260058390fb01345b",
-               "a7aefc40096c0e5a96ebe3b7916a80c6426928bb835b26ec79223eed008d9e4f"),
-        "sp": ("c840b302453142a666e801742eabe770f3227e72e464f1a32e8508c5a4d02fdd",
-               "546cf03744d5e05555f6e58d1c07f89a99b4f41dfee388e28b03055f5d9658ad"),
-        "rl": ("4ff1cd50a1a8e05e449bf57f0c482e934fd96011055fb5b1dd3f7f290208afa4",
-               "e98b489c691f256bd415c1b4ec7cb2d2c44deca450e53bae0a9d4390bb0b3859"),
+        "pr": ("3d9c3dc745cc786d2fc0e07760467c35fc0459fdcfea07a6163ba4109f4b209a",
+               "4407df523af3c09d9e0b520533efb5bc48f63089dafbfeb4aed3b25d673c7167"),
+        "sp": ("164507802e97fee4a79ad7bf80d0fe0ee0db186ddcd4ba1850db3931f61b0ca3",
+               "87b86773a58c291f1dc6bd47ed12623f7f71be39ab08777c779a122b4f2e7cd7"),
+        "rl": ("d34a02ecda372d954906ee9c80c4a8bc69a99296b9bd6f903eb9d15ff219de52",
+               "6cc81addbd25c37a26fd7ca6947033bc75f0859d2424a0c334714c4968db3ed6"),
         "cc": ("f90f59af94ba8719af0fb406f9ca4cf00ad202db82ef1f9973f94d33572ad299",
                "36243c04916015a020c71d6f189dd811db68d67eb163297364aacce9d6cacf43"),
     }
@@ -392,10 +393,11 @@ class TestEval:
 
 
 class TestCompare:
-    # sha256 of this sweep's CSV, recorded at commit 19ee552, before eval
-    # scored its units column-wise; mean_emd and relative_variance score each
-    # cell's answers against the original graph's, sampled once per query.
-    PINNED_SWEEP_SHA256 = "435f35226a00f1e33d26fe86f1c62f70ba34780010e5dc96ed5a7620dc92d2b9"
+    # sha256 of this sweep's CSV, recorded when the degree rule began sweeping
+    # matching by matching (which changed the gdb cells); mean_emd and
+    # relative_variance score each cell's answers against the original
+    # graph's, sampled once per query.
+    PINNED_SWEEP_SHA256 = "44069f465b2c94d485897dbecdf2e38100c935e2e79a284788108a69ecfe24a0"
 
     def test_sweep_keeps_pinned_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

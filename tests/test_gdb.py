@@ -12,9 +12,11 @@ from usparse.backbone import build_backbone
 from usparse.emd import emd_run
 from usparse.evaluation import quality
 from usparse.gdb import (
+    ClassSweep,
     Rule,
     SparsifierState,
     apply_step,
+    apply_steps,
     binomial_prefix_sum,
     cut_all_step,
     cut_rule_coefficients,
@@ -24,9 +26,16 @@ from usparse.gdb import (
     degree_step,
     descend,
     gdb_run,
+    greedy_edge_colouring,
     sweep,
 )
-from usparse.graph import DiscrepancyMode, UncertainGraph, derive_rng, generate_synthetic
+from usparse.graph import (
+    DiscrepancyMode,
+    UncertainGraph,
+    derive_rng,
+    edge_entropy,
+    generate_synthetic,
+)
 
 from test_backbone import backbone_pairs, pair_mask
 
@@ -177,6 +186,34 @@ class TestApplyStep:
     @given(st.floats(0, 1), st.floats(-3, 3), st.floats(0, 1))
     def test_result_always_in_unit_interval(self, p, step, h):
         assert 0.0 <= apply_step(p, step, h) <= 1.0
+
+    def test_gate_agrees_with_entropy_comparison(self):
+        # oracle: the gate written with edge_entropy, as a rise in entropy
+        def entropy_gated(p, step, h):
+            cand = min(max(p + step, 0.0), 1.0)
+            if edge_entropy(cand) > edge_entropy(p):
+                return min(max(p + h * step, 0.0), 1.0)
+            return cand
+
+        rng = derive_rng(17)
+        ps, steps, hs = rng.random(10**5), rng.uniform(-1.5, 1.5, 10**5), rng.random(10**5)
+        compared = 0
+        for p, step, h in zip(ps.tolist(), steps.tolist(), hs.tolist()):
+            cand = min(max(p + step, 0.0), 1.0)
+            if abs(edge_entropy(cand) - edge_entropy(p)) > 1e-12:
+                assert apply_step(p, step, h) == entropy_gated(p, step, h), (p, step, h)
+                compared += 1
+        assert compared > 0.99 * 10**5
+
+    @pytest.mark.parametrize("h", [0.0, 0.05, 0.5, 1.0])
+    def test_array_form_matches_scalar_bit_for_bit(self, h):
+        rng = derive_rng(18)
+        p = rng.random(5000)
+        p[::7] = 0.0
+        p[3::7] = 1.0
+        step = np.concatenate([rng.normal(0.0, 0.5, 4000), rng.normal(0.0, 1e-17, 1000)])
+        expected = np.array([apply_step(a, b, h) for a, b in zip(p.tolist(), step.tolist())])
+        assert apply_steps(p, step, h).tobytes() == expected.tobytes()
 
 
 class TestStateBookkeeping:
@@ -383,7 +420,11 @@ class TestGdbRun:
         idx = g.edge_pairs.index((0, 3))
         assert state.vertex_disc[0] == pytest.approx(0.6)
         assert state.vertex_disc[3] == pytest.approx(0.0)
-        sweep(state, Rule(), h=1.0)
+        # the three edges share vertex 3: three classes, (0,3) first
+        classes = ClassSweep(state, DiscrepancyMode.ABSOLUTE)
+        assert len(classes.classes) == 3 and classes.order[0] == idx
+        sweep(state, Rule(), h=1.0, classes=classes)
+        classes.store(state)
         assert state.probs[idx] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
@@ -462,3 +503,107 @@ class TestGdbRun:
         g = generate_synthetic(10, 0.5, seed=1)
         with pytest.raises(ValueError, match="h must"):
             gdb_run(g, full_backbone(g), h=1.5)
+
+
+def scalar_degree_update(state, idx, norms, h):
+    """One degree-rule coordinate update through the scalar functions."""
+    u, v, _ = state.g.edges[idx]
+    disc = state.vertex_disc
+    step = degree_step(disc[u], disc[v], norms[u], norms[v])
+    state.set_prob(idx, apply_step(state.probs[idx], step, h))
+
+
+def canonical_order_descend(state, mode, h, max_sweeps=100):
+    """Reference descent: scalar updates edge by edge in canonical order."""
+    norms = degree_norms(state.g, mode).tolist()
+    previous = degree_objective(state, mode)
+    tau = 1e-6 * previous
+    for _ in range(max_sweeps):
+        for idx in state.backbone_indices():
+            scalar_degree_update(state, idx, norms, h)
+        state.resync()
+        current = degree_objective(state, mode)
+        if abs(previous - current) <= tau:
+            break
+        previous = current
+    return current
+
+
+class TestClassSweep:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_colouring_is_proper_and_covers_backbone_once(self, seed):
+        g = generate_synthetic(60, 0.2, seed=seed)
+        state = SparsifierState(g, build_backbone(g, 0.4, seed=seed))
+        classes = ClassSweep(state, DiscrepancyMode.ABSOLUTE)
+        assert sorted(classes.order.tolist()) == state.backbone_indices()
+        us, vs = g.endpoint_arrays
+        start = 0
+        for ends, _, _, probs in classes.classes:
+            stop = start + ends.shape[1]
+            assert ends.shape[1] > 0 and len(set(ends.ravel().tolist())) == ends.size
+            slots = classes.order[start:stop]
+            assert ends.tolist() == [us[slots].tolist(), vs[slots].tolist()]
+            assert probs.tolist() == [state.probs[i] for i in slots.tolist()]
+            start = stop
+        assert start == len(classes.order)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_colouring_bound_and_determinism(self, seed):
+        g = generate_synthetic(80, 0.3, seed=seed)
+        backbone = np.flatnonzero(build_backbone(g, 0.5, seed=seed))
+        us, vs = (ends[backbone] for ends in g.endpoint_arrays)
+        colours = greedy_edge_colouring(g.n, us, vs)
+        max_degree = int(np.bincount(np.concatenate([us, vs])).max())
+        assert colours.max() + 1 <= 2 * max_degree - 1
+        assert set(colours.tolist()) == set(range(colours.max() + 1))
+        assert greedy_edge_colouring(g.n, us, vs).tobytes() == colours.tobytes()
+        for c in range(colours.max() + 1):
+            ends = np.concatenate([us[colours == c], vs[colours == c]])
+            assert len(np.unique(ends)) == len(ends)
+
+    def test_greedy_needs_more_than_max_degree_on_a_path_order(self):
+        # path 0-1-2-3 coloured as (0,1), (2,3), (1,2): the last edge sees
+        # colour 0 at both ends, so it takes colour 1 (D = 2, 2D - 1 = 3)
+        colours = greedy_edge_colouring(4, np.array([0, 2, 1]), np.array([1, 3, 2]))
+        assert colours.tolist() == [0, 0, 1]
+        triangle = greedy_edge_colouring(3, np.array([0, 0, 1]), np.array([1, 2, 2]))
+        assert triangle.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+    def test_class_updates_equal_sequential_scalar_updates(self, mode, h):
+        # independent oracle: each class's edges updated one at a time through
+        # degree_step, apply_step and set_prob, in a random order per class
+        g = generate_synthetic(50, 0.25, seed=21)
+        state = perturbed_state(g, 0.4, 21, zero_share=0.1)
+        state.resync()
+        classes = ClassSweep(state, mode)
+        classes.sweep(h)
+        norms = degree_norms(g, mode).tolist()
+        rng = derive_rng(22)
+        start = 0
+        for ends, *_ in classes.classes:
+            stop = start + ends.shape[1]
+            for idx in rng.permutation(classes.order[start:stop]).tolist():
+                scalar_degree_update(state, idx, norms, h)
+            start = stop
+        expected = np.array([state.probs[i] for i in classes.order.tolist()])
+        assert classes.probs.tobytes() == expected.tobytes()
+        assert classes.disc.tobytes() == np.array(state.vertex_disc).tobytes()
+
+    @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
+    def test_objective_close_to_canonical_order_reference(self, mode):
+        for seed in range(10):
+            g = generate_synthetic(60, 0.2, seed=seed)
+            backbone = build_backbone(g, 0.3, seed=seed)
+            _, info = gdb_run(g, backbone, rule=Rule(1, mode))
+            reference = canonical_order_descend(SparsifierState(g, backbone), mode, h=0.05)
+            assert info["objective_final"] == pytest.approx(reference, rel=1e-4), seed
+
+    def test_descend_writes_state_back_once_in_sync(self):
+        g = generate_synthetic(40, 0.3, seed=23)
+        state = SparsifierState(g, build_backbone(g, 0.3, seed=23))
+        info = descend(state, Rule(), h=0.05)
+        assert np.asarray(state.vertex_disc).tobytes() == state._scratch_disc().tobytes()
+        assert state.mass_in == float(sum(state.probs))
+        assert info["objective_final"] == degree_objective(state)
