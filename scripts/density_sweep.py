@@ -14,8 +14,8 @@ import argparse
 import csv
 import sys
 
-from usparse import RunConfig, cut_mae_profile, generate_synthetic, quality, sparsify
-from usparse.evaluation import DEFAULT_N_CUTS
+from usparse import RunConfig, generate_synthetic, quality, sparsify
+from usparse.evaluation import DEFAULT_N_CUTS, CutProfile
 
 
 def main(argv=None):
@@ -36,6 +36,7 @@ def main(argv=None):
     rows = []
     for density in densities:
         g = generate_synthetic(args.vertices, density, seed=args.seed)
+        cuts = CutProfile(g, args.cut_samples, args.seed)  # one draw for every method
         for method in methods:
             out, _ = sparsify(g, RunConfig(method=method, alpha=args.alpha, seed=args.seed))
             scores = quality(g, out)
@@ -45,7 +46,7 @@ def main(argv=None):
                     "method": method,
                     "edges": g.m,
                     "mae_degree": scores["degree_mae"],
-                    "mae_cut_sampled": cut_mae_profile(g, out, args.cut_samples, args.seed),
+                    "mae_cut_sampled": cuts.mae(out),
                     "relative_entropy": scores["relative_entropy"],
                 }
             )

@@ -4,9 +4,11 @@ Two adaptations are provided.  The cut-based one (ni) maps probabilities to
 integer weights, runs iterated contiguous spanning forests to estimate edge
 connectivities, samples edges inversely to that estimate, and maps surviving
 weights back to probabilities capped at 1.  The spanner-based one (ss) maps
-probabilities to -log weights so light paths are probable paths, builds a
-randomized (2t-1)-spanner by cluster sampling, and keeps original
-probabilities.  ni rescales its epsilon until the sample is the largest one
+probabilities to -log weights (one math.log per edge) so light paths are
+probable paths, builds a randomized (2t-1)-spanner by cluster sampling, and
+keeps original probabilities.  The spanner is built in synchronous
+Baswana-Sen rounds over whole arc arrays: both directions of every edge,
+ordered once by lightness (src, w, dst) and compacted as arcs drop.  ni rescales its epsilon until the sample is the largest one
 not above the target; ss scans the stretch parameter t with a step that
 doubles whenever the spanner does not shrink, keeps the smallest spanner and
 trims it if even that one overshoots.  Both top the deficit up by
@@ -20,11 +22,7 @@ import math
 
 import numpy as np
 
-from usparse.backbone import (
-    _probability_topup,
-    max_spanning_forest,
-    target_edge_count,
-)
+from usparse.backbone import _boruvka_forest, _probability_topup, target_edge_count
 from usparse.graph import UncertainGraph, derive_rng
 
 MAX_CALIBRATION_STEPS = 100
@@ -269,86 +267,75 @@ def to_ss_weights(g: UncertainGraph) -> list[tuple[int, int, float]]:
     return [(u, v, -math.log(p)) for u, v, p in g.edges]
 
 
-def ss_core(n: int, weighted_edges, t: int, seed: int) -> frozenset:
-    """(2t-1)-spanner edge set by randomized cluster growth.
+def ss_core(n: int, weighted_edges, t: int, seed: int) -> np.ndarray:
+    """(2t-1)-spanner by randomized cluster growth, as positions in weighted_edges.
 
-    t-1 rounds: clusters are sampled with probability n^(-1/t); a vertex in
-    no sampled cluster either joins the sampled neighbor cluster reachable by
-    its lightest edge (also keeping the lightest edge to every cluster whose
-    connection is lighter still, dropping those cluster connections), or, if
-    none is adjacent, keeps its lightest edge to every adjacent cluster and
-    retires.  A final pass keeps, for every vertex, the lightest edge to each
-    adjacent surviving cluster.  t=1 must preserve all distances exactly, so
-    it returns every edge.
+    Baswana-Sen in synchronous rounds over one arc array: both directions of
+    every edge, in lightness order (src, w, dst), with their edge positions.
+    Each of the t-1 rounds reads only the arcs and clusters it started with.
+    It samples the live clusters with probability n^(-1/t), one uniform per
+    cluster id in ascending order.  A vertex in an unsampled cluster takes
+    the lightest arc to each adjacent cluster.  If some such cluster is
+    sampled, the vertex joins the sampled one with the smallest (w, dst) and
+    keeps that arc and the arc to every strictly lighter cluster; otherwise
+    it keeps every arc taken and retires.  At the round's end every arc
+    between a vertex and a cluster it kept an arc to is dropped in both
+    directions, and the arcs are compacted, so none is left at a retired
+    vertex.  A final pass keeps every vertex's lightest arc to each adjacent
+    cluster.  t=1 must preserve all distances exactly, so it keeps every
+    edge.  Returns the kept edge positions, ascending.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
+    rows = np.asarray(weighted_edges, dtype=float).reshape(-1, 3)
+    m = len(rows)
     if t == 1:
-        return frozenset((u, v) for u, v, _ in weighted_edges)
+        return np.arange(m)
+    ends = rows[:, :2].astype(np.int64)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
+    w = np.concatenate((rows[:, 2], rows[:, 2]))
+    # (src, w, dst) as one integer key over the distinct weights' ranks, when it fits
+    levels, rank = np.unique(rows[:, 2], return_inverse=True)
+    if n * n * len(levels) < 2**63:
+        order = np.argsort((src * len(levels) + np.concatenate((rank, rank))) * n + dst)
+    else:
+        order = np.lexsort((dst, w, src))
+    src, dst, w, pos = src[order], dst[order], w[order], order % m
     rng = derive_rng(seed)
-    adj: list[dict] = [dict() for _ in range(n)]
-    for u, v, w in weighted_edges:
-        adj[u][v] = w
-        adj[v][u] = w
-    cluster: list = list(range(n))
-    spanner = set()
     sample_p = n ** (-1.0 / t)
-
-    def canon(a, b):
-        return (a, b) if a < b else (b, a)
-
-    def cluster_buckets(v):
-        # adjacent cluster -> (weight, neighbor) of the lightest connecting edge
-        buckets: dict = {}
-        for x, w in adj[v].items():
-            c = cluster[x]
-            if c is None:
-                continue
-            key = buckets.get(c)
-            if key is None or (w, x) < key:
-                buckets[c] = (w, x)
-        return buckets
-
-    def drop_cluster_edges(v, cid):
-        for x in [x for x in adj[v] if cluster[x] == cid]:
-            del adj[v][x]
-            del adj[x][v]
-
+    cluster = np.arange(n)
+    ids = np.arange(n)
+    alive = np.ones(m, dtype=bool)
+    kept = []
     for _ in range(t - 1):
-        ids = sorted({c for c in cluster if c is not None})
-        sampled = {cid for cid in ids if rng.random() < sample_p}
-        next_cluster = list(cluster)
-        for v in range(n):
-            cv = cluster[v]
-            if cv is None or cv in sampled:
-                continue
-            buckets = cluster_buckets(v)
-            candidates = {c: wx for c, wx in buckets.items() if c in sampled}
-            if not candidates:
-                next_cluster[v] = None
-                for c in sorted(buckets):
-                    w, x = buckets[c]
-                    spanner.add(canon(v, x))
-                    drop_cluster_edges(v, c)
-            else:
-                joined = min(candidates, key=lambda c: (candidates[c], c))
-                w_join, x_join = candidates[joined]
-                spanner.add(canon(v, x_join))
-                next_cluster[v] = joined
-                drop_cluster_edges(v, joined)
-                for c in sorted(buckets):
-                    if c == joined:
-                        continue
-                    w, x = buckets[c]
-                    if w < w_join:
-                        spanner.add(canon(v, x))
-                        drop_cluster_edges(v, c)
-        cluster = next_cluster
-
-    for v in range(n):
-        for c, (w, x) in sorted(cluster_buckets(v).items()):
-            spanner.add(canon(v, x))
-    return frozenset(spanner)
+        if not src.size:
+            break
+        ids = ids[rng.random(ids.size) < sample_p]
+        sampled = np.zeros(n, dtype=bool)
+        sampled[ids] = True
+        arcs = np.flatnonzero(~sampled[cluster[src]])  # a retired vertex has no arcs left
+        if not arcs.size:
+            continue
+        a_src, a_pos, a_w = src[arcs], pos[arcs], w[arcs]
+        a_c = cluster[dst[arcs]]
+        # np.unique's return_index finds first occurrences: the lightest arcs
+        join = np.flatnonzero(sampled[a_c])
+        join = join[np.unique(a_src[join], return_index=True)[1]]
+        joiner, joined = a_src[join], a_c[join]
+        w_join = np.full(n, np.inf)
+        w_join[joiner] = a_w[join]
+        c_join = np.full(n, -1)
+        c_join[joiner] = joined
+        _, first, bucket = np.unique(a_src * n + a_c, return_index=True, return_inverse=True)
+        keep = (a_w[first] < w_join[a_src[first]]) | (a_c[first] == c_join[a_src[first]])
+        kept.append(a_pos[first[keep]])
+        alive[a_pos[keep[bucket]]] = False
+        cluster[joiner] = joined
+        live = alive[pos]
+        src, dst, w, pos = src[live], dst[live], w[live], pos[live]
+    kept.append(pos[np.unique(src * n + cluster[dst], return_index=True)[1]])
+    return np.unique(np.concatenate(kept))
 
 
 def _solve_stretch_parameter(n: int, target: float) -> int:
@@ -385,7 +372,7 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
         raise ValueError("alpha must be in (0, 1]")
     m = g.m
     target = target_edge_count(m, alpha)
-    rows = to_ss_weights(g)
+    rows = np.array(to_ss_weights(g))
     t = _solve_stretch_parameter(g.n, alpha * m)
     t_last = t + MAX_CALIBRATION_STEPS
     step, attempts = 1, 0
@@ -400,17 +387,17 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
         else:
             step *= 2
     spanner_edges = len(spanner)
-    chosen = np.fromiter((e in spanner for e in g.edge_pairs), dtype=bool, count=m)
+    chosen = np.zeros(m, dtype=bool)
+    chosen[spanner] = True
     us, vs = g.endpoint_arrays
     ps = g.probabilities
     trimmed = max(spanner_edges - target, 0)
     if trimmed:
         # Least probable first, outside the forest before in it, ties in (u, v) order.
-        kept = np.flatnonzero(chosen)
-        spanned = zip(us[kept].tolist(), vs[kept].tolist(), ps[kept].tolist())
-        forest = set(max_spanning_forest(g.n, spanned))
-        in_forest = [g.edge_pairs[i] in forest for i in kept.tolist()]
-        chosen[kept[np.lexsort((ps[kept], in_forest))[:trimmed]]] = False
+        ranked = spanner[np.argsort(-ps[spanner], kind="stable")]
+        in_forest = np.zeros(m, dtype=bool)
+        in_forest[ranked[_boruvka_forest(g.n, us[ranked], vs[ranked])]] = True
+        chosen[spanner[np.lexsort((ps[spanner], in_forest[spanner]))[:trimmed]]] = False
     deficit = max(target - spanner_edges, 0)
     kept = _topup_edges(g, chosen, deficit, seed)
     out = UncertainGraph.from_columns(g.n, us[kept], vs[kept], ps[kept])

@@ -214,14 +214,16 @@ COMPARE_FIELDS = [
 ]
 
 
-def _compare_cell(g, config, originals, args):
+def _compare_cell(g, config, originals, cuts, args):
     """One (method, alpha) cell of the sweep; returns one row per query.
 
-    originals holds (kind, the original graph's answers) per query, shared by every cell.
+    originals holds (kind, the original graph's answers) per query and cuts
+    the original graph's sampled cuts (an evaluation.CutProfile), both shared
+    by every cell.
     """
     sparsified, _ = sparsify(g, config)
     quality = evaluation.quality(g, sparsified)
-    cut_mae = evaluation.cut_mae_profile(g, sparsified, args.cut_samples, config.seed)
+    cut_mae = cuts.mae(sparsified)
     base = {
         "method": config.method,
         "alpha": config.alpha,
@@ -247,6 +249,7 @@ def cmd_compare(args) -> int:
         units = evaluation.default_units(g, kind, args.pairs, args.seed)
         originals.append((kind, evaluation.sample_answers(g, kind, units, args.samples,
                                                           args.seed, args.runs)))
+    cuts = evaluation.CutProfile(g, args.cut_samples, args.seed)
     rows = []
     for method in methods:
         for alpha in alphas:
@@ -255,7 +258,7 @@ def cmd_compare(args) -> int:
                 mode=args.mode, h=args.h, seed=args.seed,
             )
             try:
-                rows += _compare_cell(g, config, originals, args)
+                rows += _compare_cell(g, config, originals, cuts, args)
             except (ValueError, RuntimeError) as exc:  # domain errors: recorded, sweep goes on
                 blank = dict.fromkeys(COMPARE_FIELDS, "")
                 rows += [{**blank, "method": method, "alpha": alpha, "query": query,

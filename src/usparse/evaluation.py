@@ -20,15 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from usparse.graph import (
+    SampledCuts,
     UncertainGraph,
     derive_rng,
     graph_entropy,
     sample_world,
-    sampled_k_discrepancy_mae,
 )
 
 DEFAULT_N_SAMPLES = 500
@@ -400,11 +401,32 @@ def quality(g: UncertainGraph, out: UncertainGraph) -> dict:
     }
 
 
+class CutProfile:
+    """The sampled cuts that cut_mae_profile scores, drawn once for g.
+
+    For each k of a small ladder of cut cardinalities it holds n_cuts
+    k-subsets and g's cut mass at each, drawn at the first score, so a sweep
+    scores every sparsified graph against the same subsets without redrawing
+    them.
+    """
+
+    def __init__(self, g: UncertainGraph, n_cuts: int, seed: int):
+        self.g, self.n_cuts, self.seed = g, n_cuts, seed
+
+    @cached_property
+    def cuts(self) -> list[SampledCuts]:
+        g = self.g
+        ks = sorted({1, 2, max(1, g.n // 4), max(1, g.n // 2), max(1, (3 * g.n) // 4), g.n})
+        return [SampledCuts(g, k, self.n_cuts, self.seed) for k in ks]
+
+    def mae(self, out: UncertainGraph) -> float:
+        """Average over the ladder of out's sampled-cut MAE against g."""
+        return float(np.mean([cuts.mae(out) for cuts in self.cuts]))
+
+
 def cut_mae_profile(g: UncertainGraph, out: UncertainGraph, n_cuts: int, seed: int) -> float:
     """Average of sampled-cut MAEs over a small ladder of cut cardinalities."""
-    ks = sorted({1, 2, max(1, g.n // 4), max(1, g.n // 2), max(1, (3 * g.n) // 4), g.n})
-    values = [sampled_k_discrepancy_mae(g, out, k, n_cuts, seed) for k in ks]
-    return float(np.mean(values))
+    return CutProfile(g, n_cuts, seed).mae(out)
 
 
 @dataclass

@@ -293,12 +293,14 @@ class ClassSweep:
     canonical order and kept class by class, so each colour class (a
     matching) is a contiguous slice of `probs`: no two of its edges share a
     vertex, so one numpy update of the class equals the sequential updates
-    of its edges in any order.
+    of its edges in any order.  Each class holds its endpoints, its
+    endpoints' norms (None under the absolute rule, whose norms are all 1)
+    and its slice of `probs`.
     """
 
     def __init__(self, state: SparsifierState, mode: DiscrepancyMode):
         g = state.g
-        backbone = np.array(state.backbone_indices(), dtype=np.int64)
+        backbone = np.fromiter(compress(range(g.m), state.in_backbone), dtype=np.int64)
         us, vs = (ends[backbone] for ends in g.endpoint_arrays)
         colours = greedy_edge_colouring(g.n, us, vs)
         by_class = np.argsort(colours, kind="stable")
@@ -306,15 +308,17 @@ class ClassSweep:
         ends = np.stack([us, vs])[:, by_class]
         self.g = g
         self.order = backbone[by_class]  # canonical edge index of each slot
-        self.full = np.array(state.probs)  # every edge's probability, canonical order
+        self.full = np.fromiter(state.probs, dtype=float, count=g.m)  # every edge's, canonical order
         self.probs = self.full[self.order]
         self.disc = np.array(state.vertex_disc)
-        norms = degree_norms(g, mode)[ends]
+        self.synced = False  # whether disc was just recomputed from scratch
         stops = np.cumsum(np.bincount(colours)).tolist()
-        self.classes = [
-            (ends[:, a:b], norms[0, a:b], norms[1, a:b], self.probs[a:b])
-            for a, b in zip([0, *stops], stops)
-        ]
+        slices = [slice(a, b) for a, b in zip([0, *stops], stops)]
+        if mode is DiscrepancyMode.ABSOLUTE:
+            self.classes = [(ends[:, s], None, None, self.probs[s]) for s in slices]
+        else:
+            norms = degree_norms(g, mode)[ends]
+            self.classes = [(ends[:, s], norms[0, s], norms[1, s], self.probs[s]) for s in slices]
 
     def sweep(self, h: float) -> int:
         """One pass, class by class in colour order; returns updates made."""
@@ -322,23 +326,39 @@ class ClassSweep:
         before = self.probs.copy()
         for ends, norm_us, norm_vs, p in self.classes:
             d = disc[ends]
-            new = apply_steps(p, degree_step(d[0], d[1], norm_us, norm_vs), h)
+            if norm_us is None:
+                # degree_step with unit norms, bit for bit: 1*x is exact and 1+1 is 2
+                step = d[0] + d[1]
+                step /= 2.0
+            else:
+                step = degree_step(d[0], d[1], norm_us, norm_vs)
+            new = apply_steps(p, step, h)
             d -= new - p
             p[:] = new
             disc[ends] = d
+        self.synced = False
         return int(np.count_nonzero(self.probs != before))
 
     def resync(self) -> np.ndarray:
         """Recompute the discrepancies from scratch, as SparsifierState does."""
         self.full[self.order] = self.probs
         self.disc = _scratch_disc(self.g, self.full)
+        self.synced = True
         return self.disc
 
     def store(self, state: SparsifierState) -> None:
-        """Write the probabilities back to the state and resync it."""
-        self.full[self.order] = self.probs
+        """Write the probabilities back to the state, in sync.
+
+        The state gets the discrepancies that resync computed from these
+        probabilities (resynced here if a sweep came after), and its masses
+        are recomputed as SparsifierState.resync does.
+        """
+        if not self.synced:
+            self.resync()
         state.probs[:] = self.full.tolist()
-        state.resync()
+        state.vertex_disc = self.disc.tolist()
+        state.mass_in = float(sum(state.probs))
+        state.retained_orig = float(sum(compress(state.orig, state.in_backbone)))
 
 
 def _weighted_sq_sum(disc: np.ndarray, norms: np.ndarray) -> float:

@@ -312,6 +312,43 @@ def sample_k_subset(rng: np.random.Generator, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
+def _cut_mass(g: UncertainGraph, inside: np.ndarray) -> float:
+    """Expected mass of g's edges with exactly one end in the vertex mask `inside`."""
+    us, vs = g.endpoint_arrays
+    ps = g.probabilities
+    return float(ps[inside[us] ^ inside[vs]].sum()) if ps.size else 0.0
+
+
+class SampledCuts:
+    """n_cuts uniformly sampled k-subsets of g's vertices, with g's cut mass at each.
+
+    Draws are independent, so duplicate subsets may occur; the subsets are
+    deterministic given the seed.  Drawn once, they score any number of
+    graphs on the same vertex set.
+    """
+
+    def __init__(self, g: UncertainGraph, k: int, n_cuts: int, seed: int):
+        if not 1 <= k <= g.n:
+            raise ValueError(f"k={k} out of range [1, {g.n}]")
+        if n_cuts < 1:
+            raise ValueError("n_cuts must be at least 1")
+        rng = derive_rng(seed)
+        self.n = g.n
+        self.inside = np.zeros((n_cuts, g.n), dtype=bool)  # row j: subset j's vertices
+        for row in self.inside:
+            row[sample_k_subset(rng, g.n, k)] = True
+        self.masses = [_cut_mass(g, row) for row in self.inside]
+
+    def mae(self, g2: UncertainGraph) -> float:
+        """Mean |cut mass of g - cut mass of g2| over the sampled subsets."""
+        if g2.n != self.n:
+            raise ValueError("graphs must share the same vertex set")
+        total = 0.0
+        for row, mass in zip(self.inside, self.masses):
+            total += abs(mass - _cut_mass(g2, row))
+        return total / len(self.masses)
+
+
 def sampled_k_discrepancy_mae(
     g: UncertainGraph,
     g2: UncertainGraph,
@@ -326,25 +363,7 @@ def sampled_k_discrepancy_mae(
     """
     if g.n != g2.n:
         raise ValueError("graphs must share the same vertex set")
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range [1, {g.n}]")
-    if n_cuts < 1:
-        raise ValueError("n_cuts must be at least 1")
-    rng = derive_rng(seed)
-    us1, vs1 = g.endpoint_arrays
-    ps1 = g.probabilities
-    us2, vs2 = g2.endpoint_arrays
-    ps2 = g2.probabilities
-    total = 0.0
-    inside = np.zeros(g.n, dtype=bool)
-    for _ in range(n_cuts):
-        subset = sample_k_subset(rng, g.n, k)
-        inside[subset] = True
-        c1 = ps1[inside[us1] ^ inside[vs1]].sum() if ps1.size else 0.0
-        c2 = ps2[inside[us2] ^ inside[vs2]].sum() if ps2.size else 0.0
-        total += abs(float(c1) - float(c2))
-        inside[subset] = False
-    return total / n_cuts
+    return SampledCuts(g, k, n_cuts, seed).mae(g2)
 
 
 # ---------------------------------------------------------------------------

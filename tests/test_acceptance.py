@@ -223,13 +223,12 @@ def test_criterion_09_spanner_stretch():
     rows = to_ss_weights(g)
     t = _solve_stretch_parameter(g.n, 0.3 * g.m)
     spanner = ss_core(g.n, rows, t, seed=9)
-    weight = {(u, v): w for u, v, w in rows}
     # every vertex is a node, so a vertex missing from a Dijkstra result is unreachable
     full, sparse_graph = nx.Graph(), nx.Graph()
     full.add_nodes_from(range(g.n))
     sparse_graph.add_nodes_from(range(g.n))
     full.add_weighted_edges_from(rows)
-    sparse_graph.add_weighted_edges_from((u, v, weight[(u, v)]) for u, v in spanner)
+    sparse_graph.add_weighted_edges_from(rows[i] for i in spanner)
     rng = derive_rng(4242)
     checked = 0
     while checked < 100:

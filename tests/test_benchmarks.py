@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import usparse.benchmarks as benchmarks
-from usparse.backbone import target_edge_count
+from usparse.backbone import max_spanning_forest, target_edge_count
 from usparse.benchmarks import (
     MAX_CALIBRATION_STEPS,
     CalibrationError,
@@ -307,25 +307,95 @@ class TestSsWeights:
         assert math.exp(-dist[3]) > 0.5
 
 
+def synchronous_ss_oracle(n, rows, t, seed):
+    """ss_core's rounds as a plain per-vertex dict loop: every vertex reads the
+    arcs and clusters its round started with, and the round's drops apply
+    after the last vertex.  Returns the kept edge positions, ascending."""
+    if t == 1:
+        return list(range(len(rows)))
+    rng = derive_rng(seed)
+    adj = [dict() for _ in range(n)]  # neighbor -> (w, edge position)
+    for e, (u, v, w) in enumerate(rows):
+        adj[u][v] = (w, e)
+        adj[v][u] = (w, e)
+    cluster = list(range(n))
+    kept = set()
+    sample_p = n ** (-1.0 / t)
+
+    def buckets(v):
+        # adjacent cluster -> (w, neighbor, edge) of the lightest connecting edge
+        found = {}
+        for x, (w, e) in adj[v].items():
+            c = cluster[x]
+            if c not in found or (w, x) < found[c][:2]:
+                found[c] = (w, x, e)
+        return found
+
+    for _ in range(t - 1):
+        ids = sorted({c for c in cluster if c is not None})
+        sampled = {c for c in ids if rng.random() < sample_p}
+        next_cluster = list(cluster)
+        dropped = set()
+        for v in range(n):
+            if cluster[v] is None or cluster[v] in sampled:
+                continue
+            found = buckets(v)
+            candidates = [(w, x, c) for c, (w, x, _) in found.items() if c in sampled]
+            w_join, _, c_join = min(candidates) if candidates else (math.inf, None, None)
+            next_cluster[v] = c_join
+            for c, (w, _, e) in found.items():
+                if c == c_join or w < w_join:
+                    kept.add(e)
+                    dropped.update(f for x, (_, f) in adj[v].items() if cluster[x] == c)
+        for e in dropped:
+            u, v, _ = rows[e]
+            del adj[u][v], adj[v][u]
+        cluster = next_cluster
+    for v in range(n):
+        kept.update(e for _, _, e in buckets(v).values())
+    return sorted(kept)
+
+
+# ten small random graphs, the last with all-equal probabilities (ties in w)
+ORACLE_GRAPHS = [generate_synthetic(n, d, seed=k) for k, (n, d) in enumerate(
+    [(6, 0.6), (10, 0.4), (12, 0.9), (20, 0.3), (25, 0.5), (30, 0.2), (30, 0.6), (40, 0.25), (50, 0.15)])]
+ORACLE_GRAPHS.append(UncertainGraph(30, [(u, v, 0.5) for u, v, _ in generate_synthetic(30, 0.4, seed=9).edges]))
+
+
 class TestSsCore:
     def test_t1_returns_all_edges(self):
         g = generate_synthetic(20, 0.3, seed=6)
-        assert ss_core(g.n, to_ss_weights(g), 1, seed=0) == frozenset(g.edge_pairs)
+        assert ss_core(g.n, to_ss_weights(g), 1, seed=0).tolist() == list(range(g.m))
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_tree_is_preserved(self, t):
         edges = [(i, i + 1, 0.5 + 0.4 * (i % 2)) for i in range(9)]
         g = UncertainGraph(10, edges)
         spanner = ss_core(g.n, to_ss_weights(g), t, seed=7)
-        assert spanner == frozenset(g.edge_pairs)
+        assert spanner.tolist() == list(range(g.m))
+
+    @pytest.mark.parametrize("t", [2, 3, 5, 99])
+    @pytest.mark.parametrize("k", range(10))
+    def test_matches_synchronous_round_oracle(self, k, t):
+        g = ORACLE_GRAPHS[k]
+        rows = to_ss_weights(g)
+        for seed in (0, 1):
+            spanner = ss_core(g.n, rows, t, seed)
+            assert spanner.dtype.kind == "i"
+            assert spanner.tolist() == synchronous_ss_oracle(g.n, rows, t, seed)
+
+    def test_one_vector_draw_equals_scalar_draws(self):
+        for seed, k in [(0, 1), (7, 40), (123, 1001)]:
+            rng = derive_rng(seed)
+            scalars = [rng.random() for _ in range(k)]
+            assert derive_rng(seed).random(k).tolist() == scalars
 
     @pytest.mark.parametrize("seed,t", [(0, 2), (1, 2), (2, 3), (3, 4)])
     def test_stretch_property_on_sampled_pairs(self, seed, t):
         g = generate_synthetic(50, 0.15, seed=seed)
         rows = to_ss_weights(g)
         spanner = ss_core(g.n, rows, t, seed=seed + 50)
-        wmap = {(u, v): w for u, v, w in rows}
-        sp_edges = [(u, v, wmap[(u, v)]) for u, v in spanner]
+        sp_edges = [rows[i] for i in spanner]
         rng = derive_rng(seed)
         for _ in range(60):
             a, b = rng.integers(0, g.n, size=2)
@@ -338,27 +408,34 @@ class TestSsCore:
             else:
                 assert d_span <= (2 * t - 1) * d_orig + 1e-9
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_per_edge_stretch_for_discarded_edges(self, seed):
-        g = generate_synthetic(40, 0.2, seed=seed + 20)
+    @staticmethod
+    def assert_discarded_edges_stretch(g, t, seed):
         rows = to_ss_weights(g)
-        t = 2
-        spanner = ss_core(g.n, rows, t, seed=seed)
-        wmap = {(u, v): w for u, v, w in rows}
-        sp_edges = [(u, v, wmap[(u, v)]) for u, v in spanner]
+        spanner = set(ss_core(g.n, rows, t, seed=seed).tolist())
+        sp_edges = [rows[i] for i in sorted(spanner)]
         by_source = defaultdict(list)
-        for u, v, w in rows:
-            if (u, v) not in spanner:
+        for i, (u, v, w) in enumerate(rows):
+            if i not in spanner:
                 by_source[u].append((v, w))
         for u, targets in by_source.items():
             dist = lightest_distances(g.n, sp_edges, u)
             for v, w in targets:
                 assert dist[v] <= (2 * t - 1) * w + 1e-9
+        return len(by_source)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_edge_stretch_for_discarded_edges(self, seed):
+        self.assert_discarded_edges_stretch(generate_synthetic(40, 0.2, seed=seed + 20), 2, seed)
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_every_discarded_edge_within_stretch_at_n100(self, t):
+        g = generate_synthetic(120, 0.12, seed=t)
+        assert self.assert_discarded_edges_stretch(g, t, seed=11) > 0
 
     def test_deterministic(self):
         g = generate_synthetic(30, 0.3, seed=8)
         rows = to_ss_weights(g)
-        assert ss_core(g.n, rows, 3, seed=4) == ss_core(g.n, rows, 3, seed=4)
+        assert np.array_equal(ss_core(g.n, rows, 3, seed=4), ss_core(g.n, rows, 3, seed=4))
 
 
 class TestStretchParameter:
@@ -419,22 +496,22 @@ class TestSsScan:
     def scan(self, monkeypatch, g, size_at):
         """Run ss_sparsify with ss_core replaced by size_at(t - t0) edges of g,
         rotated by t so spanners of equal size differ; returns the offsets
-        tried, the info, the output edge pairs and the scripted spanners."""
+        tried, the info, the output's edge positions in g and the scripted
+        spanners' position sets."""
         t0 = _solve_stretch_parameter(g.n, self.ALPHA * g.m)
-        pairs = sorted(g.edge_pairs)
         tried = []
 
         def spanner_at(t):
-            turned = pairs[t % len(pairs):] + pairs[:t % len(pairs)]
-            return frozenset(turned[: size_at(t - t0)])
+            return frozenset(np.roll(np.arange(g.m), -t)[: size_at(t - t0)].tolist())
 
         def scripted(n, weighted_edges, t, seed):
             tried.append(t - t0)
-            return spanner_at(t)
+            return np.array(sorted(spanner_at(t)), dtype=np.int64)
 
         monkeypatch.setattr(benchmarks, "ss_core", scripted)
         out, info = ss_sparsify(g, self.ALPHA, seed=7)
-        return tried, info, set(out.edge_pairs), spanner_at
+        position = {pair: i for i, pair in enumerate(g.edge_pairs)}
+        return tried, info, {position[pair] for pair in out.edge_pairs}, spanner_at
 
     def test_step_doubles_after_each_spanner_that_is_not_smaller(self, monkeypatch, graph):
         target = target_edge_count(graph.m, self.ALPHA)
@@ -473,14 +550,22 @@ class TestSsScan:
         assert not out_pairs <= spanner_at(t0 + 5)
 
 
+    def test_trim_drops_least_probable_edges_outside_the_forest_first(self, monkeypatch, graph):
+        _, info, out_positions, spanner_at = self.scan(monkeypatch, graph, lambda k: 200)
+        spanner = sorted(spanner_at(info["t"]))
+        forest = set(max_spanning_forest(graph.n, [graph.edges[i] for i in spanner]))
+        ranked = sorted(spanner, key=lambda i: (graph.edge_pairs[i] in forest, graph.edges[i][2], i))
+        assert info["trimmed"] == 200 - target_edge_count(graph.m, self.ALPHA) > 0
+        assert out_positions == set(ranked[info["trimmed"]:])
+
 class TestSsPinned:
     # sha256 of the saved edge list and of the sorted-key JSON of method_info,
-    # recorded at commit 4f6d5fe (the +1 scan) for generate_synthetic(250, 0.3,
-    # seed=1) at alpha 0.2 and seed 7.  There the spanner shrinks at every step
-    # (2636, 2040, 1876, 1704 edges) and fits at t0 + 3 untrimmed, so the
-    # doubling scan must reproduce it.
-    PINNED_EDGES = "05050145f02e2157434277a0a84e68ec2208707fc7f7a84f5f4c2d8db10b2136"
-    PINNED_INFO = "9475575b000006743b3baaecd7840a259271c0795627131d92c7e88366e804dc"
+    # recorded when ss_core moved to synchronous rounds, for
+    # generate_synthetic(250, 0.3, seed=1) at alpha 0.2 and seed 7.  There the
+    # spanner shrinks at every step (2637, 2026, 1857 edges) and fits at
+    # t0 + 2 untrimmed, so the doubling scan must reproduce it.
+    PINNED_EDGES = "91f23d4c5763250ce2c1afce3f4ca7bfcca55d32d013dc9d324a711456d1a520"
+    PINNED_INFO = "7e2c2355edede64d1a9c3632583fc98258d7eae4c526de65c40f998fd5879f02"
 
     def test_shrinking_scan_keeps_its_bytes(self, tmp_path):
         g = generate_synthetic(250, 0.3, seed=1)
@@ -489,7 +574,7 @@ class TestSsPinned:
         assert hashlib.sha256((tmp_path / "ss.el").read_bytes()).hexdigest() == self.PINNED_EDGES
         assert hashlib.sha256(json.dumps(info, sort_keys=True).encode()).hexdigest() == self.PINNED_INFO
 
-    def test_paper_graph_builds_twelve_spanners_and_keeps_the_smallest(self, monkeypatch):
+    def test_paper_graph_builds_ten_spanners_and_keeps_the_smallest(self, monkeypatch):
         # the README's `generate -n 100 -d 0.15 --seed 1` graph, where no
         # spanner fits the target of 223 edges
         g = generate_synthetic(100, 0.15, seed=1)
@@ -504,7 +589,7 @@ class TestSsPinned:
         monkeypatch.setattr(benchmarks, "ss_core", counted)
         out, info = ss_sparsify(g, 0.3, seed=7)
         target = target_edge_count(g.m, 0.3)
-        assert len(built) == 12
+        assert len(built) == 10
         assert (info["spanner_edges"], info["t"]) == min(built)
         assert info["spanner_edges"] - info["trimmed"] + info["topped_up"] == target
         assert out.m == target

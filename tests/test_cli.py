@@ -428,6 +428,22 @@ class TestCompare:
         assert len(rows) == n_cells * n_queries and all(r["error"] == "" for r in rows)
         assert len(calls) == n_queries * n_samples * (1 + n_runs) * (1 + n_cells)
 
+    def test_cut_subsets_drawn_once_per_sweep(self, graph_file, tmp_path, monkeypatch):
+        # 4 cells share one draw of the n_cuts subsets for each of the ladder's ks
+        from usparse import graph
+
+        calls = []
+        original = graph.sample_k_subset
+        monkeypatch.setattr(graph, "sample_k_subset", lambda *a: calls.append(a[2]) or original(*a))
+        n_cuts = 7
+        assert main(["compare", "-i", str(graph_file), "--methods", "gdb,emd",
+                     "--alphas", "0.4,0.6", "--queries", "rl", "--samples", "4",
+                     "--runs", "2", "--pairs", "5", "--cut-samples", str(n_cuts),
+                     "-o", str(tmp_path / "sweep.csv")]) == 0
+        n = load_graph(graph_file).n
+        ks = {1, 2, n // 4, n // 2, (3 * n) // 4, n}
+        assert sorted(calls) == sorted(list(ks) * n_cuts)
+
     def test_sweep_row_count_and_round_trip(self, graph_file, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([

@@ -600,6 +600,15 @@ class TestClassSweep:
             reference = canonical_order_descend(SparsifierState(g, backbone), mode, h=0.05)
             assert info["objective_final"] == pytest.approx(reference, rel=1e-4), seed
 
+    def test_lone_sweep_stores_the_state_in_sync(self):
+        # sweep without a ClassSweep loads, sweeps and stores by itself; the
+        # store must resync first, since no resync followed the sweep
+        g = generate_synthetic(40, 0.3, seed=24)
+        state = perturbed_state(g, 0.3, 24, zero_share=0.1)
+        assert sweep(state, Rule(), h=0.05) > 0
+        assert np.asarray(state.vertex_disc).tobytes() == state._scratch_disc().tobytes()
+        assert state.mass_in == float(sum(state.probs))
+
     def test_descend_writes_state_back_once_in_sync(self):
         g = generate_synthetic(40, 0.3, seed=23)
         state = SparsifierState(g, build_backbone(g, 0.3, seed=23))

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usparse.evaluation import (
+    CutProfile,
     QueryKind,
+    cut_mae_profile,
     component_labels,
     quality,
     sample_answers,
@@ -21,6 +23,7 @@ from usparse.graph import (
     MAX_VERTICES,
     EdgeError,
     GraphFormatError,
+    SampledCuts,
     UncertainGraph,
     derive_rng,
     edge_entropy,
@@ -425,6 +428,46 @@ class TestSampledDiscrepancyMae:
         n_cuts = 4000
         mae = sampled_k_discrepancy_mae(g, g2, 2, n_cuts, seed=8)
         assert abs(mae - mean) < 5 * sd / math.sqrt(n_cuts) + 1e-12
+
+    @staticmethod
+    def per_subset_mae(g, g2, k, n_cuts, seed):
+        # the one-pass form: draw each subset, score both graphs on it, move on
+        rng = derive_rng(seed)
+        us1, vs1 = g.endpoint_arrays
+        us2, vs2 = g2.endpoint_arrays
+        total = 0.0
+        inside = np.zeros(g.n, dtype=bool)
+        for _ in range(n_cuts):
+            subset = sample_k_subset(rng, g.n, k)
+            inside[subset] = True
+            c1 = g.probabilities[inside[us1] ^ inside[vs1]].sum()
+            c2 = g2.probabilities[inside[us2] ^ inside[vs2]].sum() if g2.m else 0.0
+            total += abs(float(c1) - float(c2))
+            inside[subset] = False
+        return total / n_cuts
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_drawn_once_scores_many_graphs_bit_for_bit(self, k):
+        g = random_graph(12, 30, seed=31)
+        others = [UncertainGraph(12, [(u, v, p * f) for u, v, p in g.edges[::step]])
+                  for f, step in [(0.5, 1), (0.9, 2), (1.0, 3)]] + [UncertainGraph(12, [])]
+        cuts = SampledCuts(g, k, 40, seed=6)
+        assert cuts.inside.sum(axis=1).tolist() == [k] * 40
+        for g2 in others:
+            expected = self.per_subset_mae(g, g2, k, 40, seed=6)
+            assert cuts.mae(g2) == expected == sampled_k_discrepancy_mae(g, g2, k, 40, seed=6)
+
+    def test_profile_drawn_once_equals_fresh_profiles(self):
+        g = random_graph(20, 60, seed=32)
+        profile = CutProfile(g, 15, seed=3)
+        for f in (0.25, 0.5, 1.0):
+            out = UncertainGraph(20, [(u, v, p * f) for u, v, p in g.edges[::2]])
+            assert profile.mae(out) == cut_mae_profile(g, out, 15, seed=3)
+
+    def test_other_vertex_set_rejected(self):
+        g = random_graph(6, 10, seed=2)
+        with pytest.raises(ValueError, match="same vertex set"):
+            SampledCuts(g, 2, 5, seed=1).mae(random_graph(7, 10, seed=2))
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=5000))
     @settings(max_examples=40, deadline=None)
