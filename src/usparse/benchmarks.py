@@ -8,11 +8,13 @@ probabilities to -log weights (one math.log per edge) so light paths are
 probable paths, builds a randomized (2t-1)-spanner by cluster sampling, and
 keeps original probabilities.  The spanner is built in synchronous
 Baswana-Sen rounds over whole arc arrays: both directions of every edge,
-ordered once by lightness (src, w, dst) and compacted as arcs drop.  ni rescales its epsilon until the sample is the largest one
-not above the target; ss scans the stretch parameter t with a step that
-doubles whenever the spanner does not shrink, keeps the smallest spanner and
-trims it if even that one overshoots.  Both top the deficit up by
-probability-weighted sampling, so they emit exactly round(alpha*|E|) edges.
+ordered once by lightness (src, w, dst) and compacted as arcs drop.
+
+ni rescales its epsilon until the sample is the largest one not above the
+target; ss scans the stretch parameter t with a step that doubles whenever
+the spanner does not shrink, keeps the smallest spanner and trims it if even
+that one overshoots.  Both top the deficit up by probability-weighted
+sampling, so they emit exactly round(alpha*|E|) edges.
 """
 
 from __future__ import annotations
@@ -295,12 +297,7 @@ def ss_core(n: int, weighted_edges, t: int, seed: int) -> np.ndarray:
     src = np.concatenate((ends[:, 0], ends[:, 1]))
     dst = np.concatenate((ends[:, 1], ends[:, 0]))
     w = np.concatenate((rows[:, 2], rows[:, 2]))
-    # (src, w, dst) as one integer key over the distinct weights' ranks, when it fits
-    levels, rank = np.unique(rows[:, 2], return_inverse=True)
-    if n * n * len(levels) < 2**63:
-        order = np.argsort((src * len(levels) + np.concatenate((rank, rank))) * n + dst)
-    else:
-        order = np.lexsort((dst, w, src))
+    order = np.lexsort((dst, w, src))
     src, dst, w, pos = src[order], dst[order], w[order], order % m
     rng = derive_rng(seed)
     sample_p = n ** (-1.0 / t)

@@ -228,9 +228,14 @@ class SparsifierState:
     def _scratch_disc(self) -> np.ndarray:
         return _scratch_disc(self.g, np.asarray(self.probs))
 
-    def resync(self) -> float:
-        """Recompute discrepancies and mass from scratch; returns the max drift."""
-        fresh = self._scratch_disc()
+    def resync(self, fresh: np.ndarray | None = None) -> float:
+        """Recompute discrepancies and mass from scratch; returns the max drift.
+
+        `fresh` stands in for the recomputed discrepancies when the caller
+        already holds them for the current probabilities.
+        """
+        if fresh is None:
+            fresh = self._scratch_disc()
         drift = float(np.max(np.abs(fresh - np.asarray(self.vertex_disc)))) if self.n else 0.0
         self.vertex_disc = fresh.tolist()
         self.mass_in = float(sum(self.probs))
@@ -311,7 +316,6 @@ class ClassSweep:
         self.full = np.fromiter(state.probs, dtype=float, count=g.m)  # every edge's, canonical order
         self.probs = self.full[self.order]
         self.disc = np.array(state.vertex_disc)
-        self.synced = False  # whether disc was just recomputed from scratch
         stops = np.cumsum(np.bincount(colours)).tolist()
         slices = [slice(a, b) for a, b in zip([0, *stops], stops)]
         if mode is DiscrepancyMode.ABSOLUTE:
@@ -336,29 +340,23 @@ class ClassSweep:
             d -= new - p
             p[:] = new
             disc[ends] = d
-        self.synced = False
         return int(np.count_nonzero(self.probs != before))
 
     def resync(self) -> np.ndarray:
         """Recompute the discrepancies from scratch, as SparsifierState does."""
         self.full[self.order] = self.probs
         self.disc = _scratch_disc(self.g, self.full)
-        self.synced = True
         return self.disc
 
     def store(self, state: SparsifierState) -> None:
-        """Write the probabilities back to the state, in sync.
+        """Write the probabilities and the discrepancies back to the state.
 
-        The state gets the discrepancies that resync computed from these
-        probabilities (resynced here if a sweep came after), and its masses
-        are recomputed as SparsifierState.resync does.
+        The state takes `disc` as it stands, so resync first to store
+        discrepancies recomputed from scratch; its masses are recomputed.
         """
-        if not self.synced:
-            self.resync()
+        self.full[self.order] = self.probs
         state.probs[:] = self.full.tolist()
-        state.vertex_disc = self.disc.tolist()
-        state.mass_in = float(sum(state.probs))
-        state.retained_orig = float(sum(compress(state.orig, state.in_backbone)))
+        state.resync(self.disc)
 
 
 def _weighted_sq_sum(disc: np.ndarray, norms: np.ndarray) -> float:
@@ -385,6 +383,7 @@ def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | No
             return classes.sweep(h)
         classes = ClassSweep(state, rule.mode)
         changed = classes.sweep(h)
+        classes.resync()
         classes.store(state)
         return changed
     g = state.g

@@ -549,7 +549,6 @@ class TestSsScan:
         assert out_pairs <= spanner_at(t0 + 3)
         assert not out_pairs <= spanner_at(t0 + 5)
 
-
     def test_trim_drops_least_probable_edges_outside_the_forest_first(self, monkeypatch, graph):
         _, info, out_positions, spanner_at = self.scan(monkeypatch, graph, lambda k: 200)
         spanner = sorted(spanner_at(info["t"]))
@@ -557,6 +556,7 @@ class TestSsScan:
         ranked = sorted(spanner, key=lambda i: (graph.edge_pairs[i] in forest, graph.edges[i][2], i))
         assert info["trimmed"] == 200 - target_edge_count(graph.m, self.ALPHA) > 0
         assert out_positions == set(ranked[info["trimmed"]:])
+
 
 class TestSsPinned:
     # sha256 of the saved edge list and of the sorted-key JSON of method_info,
