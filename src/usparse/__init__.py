@@ -3,7 +3,6 @@
 from usparse.backbone import (
     build_backbone,
     default_alpha_prime,
-    max_spanning_forest,
     random_backbone,
     target_edge_count,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "graph_entropy",
     "load_graph",
     "lp_sparsify",
-    "max_spanning_forest",
     "ni_sparsify",
     "quality",
     "random_backbone",

@@ -75,24 +75,6 @@ def _boruvka_forest(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return keep
 
 
-def max_spanning_forest(
-    n: int, weighted_edges: Iterable[tuple[int, int, float]]
-) -> list[tuple[int, int]]:
-    """Maximum-weight spanning forest, in rank order.
-
-    Rank: descending weight, ties broken by (u, v), so the forest is unique
-    and deterministic.  Works on disconnected inputs (returns a forest).
-    """
-    edges = list(weighted_edges)
-    if not edges:
-        return []
-    us, vs, ws = (np.asarray(c) for c in zip(*edges))
-    order = np.lexsort((vs, us, -ws))
-    us, vs = us[order], vs[order]
-    keep = _boruvka_forest(n, us, vs)
-    return list(zip(us[keep].tolist(), vs[keep].tolist()))
-
-
 def iterated_spanning_forests(g: UncertainGraph) -> Iterator[np.ndarray]:
     """Edge-disjoint maximum spanning forests, peeled off the graph lazily.
 

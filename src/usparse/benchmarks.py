@@ -364,7 +364,7 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
     spanner's t and info["spanner_edges"] its size before trimming.
     """
     if alpha == 1.0:
-        return UncertainGraph(g.n, g.edges), {"t": 1, "attempts": 0, "spanner_edges": g.m, "topped_up": 0, "trimmed": 0}
+        return g, {"t": 1, "attempts": 0, "spanner_edges": g.m, "topped_up": 0, "trimmed": 0}
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1]")
     m = g.m

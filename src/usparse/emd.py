@@ -4,8 +4,11 @@ The swap phase walks the backbone; each edge is taken out, the vertex with
 the worst discrepancy is looked up in a max-heap, and the best-gain edge
 among that vertex's excluded neighbors (or the removed edge itself at its
 prior probability) takes the freed slot.  The descent phase then re-optimizes
-probabilities on the new backbone.  Only degree discrepancies are supported;
-the gain of an edge against all k-cuts would need exponential enumeration.
+probabilities on the new backbone.  Both phases share one SparsifierState;
+the swap phase takes list copies of its arrays for the pass, keeps the
+probabilities, the backbone mask and the discrepancies in step inline, and
+writes them back at its end.  Only degree discrepancies are supported; the
+gain of an edge against all k-cuts would need exponential enumeration.
 """
 
 from __future__ import annotations
@@ -105,13 +108,19 @@ def e_phase(
     edges = g.edges
     norms = degree_norms(g, mode).tolist()
     sq_norms = [norm**2 for norm in norms]
-    disc = state.vertex_disc
-    in_backbone = state.in_backbone
+    probs = state.probs.tolist()
+    disc = state.disc.tolist()
+    in_backbone = state.in_backbone.tolist()
     heap = VertexHeap(disc)
     swaps = 0
-    for idx in state.backbone_indices():
+    for idx in np.flatnonzero(state.in_backbone).tolist():
+        # take e out: its mass goes back to both endpoints' discrepancies
         u, v, _ = edges[idx]
-        prior = state.exclude(idx)
+        prior = probs[idx]
+        probs[idx] = 0.0
+        in_backbone[idx] = False
+        disc[u] += prior
+        disc[v] += prior
         heap.update(u, disc[u])
         heap.update(v, disc[v])
         top = heap.top()
@@ -138,12 +147,20 @@ def e_phase(
             gain = top_gain + (d_x**2 - (d_x - w) ** 2) / sq_norms[x]
             if gain > best_gain:
                 best_gain, chosen, best_w = gain, eidx, w
-        state.include(chosen, best_w)
+
+        # put the winner in at best_w, off its endpoints' discrepancies
         a, b, _ = edges[chosen]
+        probs[chosen] = best_w
+        in_backbone[chosen] = True
+        disc[a] -= best_w
+        disc[b] -= best_w
         heap.update(a, disc[a])
         heap.update(b, disc[b])
         if chosen != idx:
             swaps += 1
+    state.probs[:] = probs
+    state.in_backbone[:] = in_backbone
+    state.disc[:] = disc
     return swaps
 
 

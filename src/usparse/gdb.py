@@ -7,11 +7,15 @@ discrepancies, or its cut-size generalization), clamped to [0, 1].  When the
 optimal move would raise the edge's entropy, only a fraction h of the step is
 taken, which trades accuracy for a less uncertain output.
 
-The degree rule sweeps the backbone matching by matching: a greedy proper
-edge colouring splits it into classes of edges that share no vertex, and one
-numpy update of a class equals the sequential updates of its edges in any
-order (multicolour Gauss-Seidel).  The cut rules sweep edge by edge in
-canonical order, because every step reads the mass gap of other edges.
+The working state (SparsifierState) exists once, as arrays over the edges
+and the vertices: the backbone mask, the working probabilities and the
+vertex discrepancies.  The degree rule sweeps the backbone matching by
+matching: a greedy proper edge colouring splits it into classes of edges
+that share no vertex, and one numpy update of a class equals the sequential
+updates of its edges in any order (multicolour Gauss-Seidel).  The cut rules
+sweep edge by edge in canonical order, because every step reads the mass gap
+of other edges; each such pass works on list copies of the state's arrays
+and writes them back at its end.
 """
 
 from __future__ import annotations
@@ -103,14 +107,14 @@ def cut_step(delta_u: float, delta_v: float, disjoint_gap: float, c_deg: float, 
     return c_deg * (delta_u + delta_v) + c_gap * disjoint_gap
 
 
-def cut_all_step(state: "SparsifierState", idx: int) -> float:
-    """Step for the all-cuts rule: the retained mass gap excluding edge idx.
+def cut_all_step(retained_gap: float, own_gap: float) -> float:
+    """Step for the all-cuts rule: the retained mass gap excluding the edge's own.
 
     From a cold start (working probabilities equal to the originals) every
     retained gap is zero, so this rule is a fixed point until clamping or
     other rules perturb the state.
     """
-    return state.retained_gap() - (state.orig[idx] - state.probs[idx])
+    return retained_gap - own_gap
 
 
 def apply_step(p_hat: float, step: float, h: float) -> float:
@@ -175,113 +179,41 @@ def greedy_edge_colouring(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 class SparsifierState:
-    """Working probabilities and incrementally maintained discrepancies.
+    """The working state of a descent, as arrays over g.edges and the vertices.
 
-    Tracks, for every original edge, whether it is currently in the backbone
-    (starting from the backbone mask) and its working probability (0 when
-    excluded).  Per-vertex absolute discrepancies d_u - sum of incident
-    working probabilities are kept in sync on every change and can be
-    recomputed from scratch to bound drift.
+    `in_backbone` is the (|E|,) bool mask of the edges currently kept,
+    `probs` their working probabilities (0 off the backbone) and `disc` the
+    (n,) absolute discrepancies d_u - sum of incident working probabilities.
+    Steps update `disc` incrementally; resync recomputes it from scratch to
+    bound drift.
     """
 
     def __init__(self, g: UncertainGraph, backbone: np.ndarray):
         check_backbone(g, backbone)
         self.g = g
-        self.n = g.n
-        self.m = g.m
-        self.orig = [p for _, _, p in g.edges]
-        self.total_orig = float(sum(self.orig))
-        self.in_backbone = backbone.tolist()
-        # orig's own float objects, not fresh copies: the cut-rule sweeps' speed
-        # depends on where the floats they read and replace were allocated
-        self.probs = [p if kept else 0.0 for p, kept in zip(self.orig, self.in_backbone)]
-        self.vertex_disc = list(map(float, self._scratch_disc()))
-        self.mass_in = float(sum(self.probs))
-        self.retained_orig = float(sum(compress(self.orig, self.in_backbone)))
+        self.in_backbone = backbone.copy()
+        self.probs = np.where(backbone, g.probabilities, 0.0)
+        self.disc = _scratch_disc(g, self.probs)
 
-    # -- derived quantities -------------------------------------------------
-
-    @property
-    def global_mass_gap(self) -> float:
-        """Sum over all original edges of p - p_hat, excluded edges at p_hat=0."""
-        return self.total_orig - self.mass_in
-
-    def retained_gap(self) -> float:
-        """Mass gap restricted to edges currently in the backbone."""
-        return self.retained_orig - self.mass_in
-
-    def backbone_indices(self) -> list[int]:
-        """Current backbone edge indices in ascending canonical order."""
-        return list(compress(range(self.m), self.in_backbone))
-
-    def disjoint_mass_gap(self, idx: int) -> float:
-        """Mass gap over original edges sharing no endpoint with edge idx.
-
-        Equals the global gap minus both endpoints' discrepancies plus the
-        edge's own gap (it is incident to both endpoints, so it was removed
-        twice).
-        """
-        u, v, _ = self.g.edges[idx]
-        own = self.orig[idx] - self.probs[idx]
-        return self.global_mass_gap - self.vertex_disc[u] - self.vertex_disc[v] + own
-
-    def _scratch_disc(self) -> np.ndarray:
-        return _scratch_disc(self.g, np.asarray(self.probs))
-
-    def resync(self, fresh: np.ndarray | None = None) -> float:
-        """Recompute discrepancies and mass from scratch; returns the max drift.
-
-        `fresh` stands in for the recomputed discrepancies when the caller
-        already holds them for the current probabilities.
-        """
-        if fresh is None:
-            fresh = self._scratch_disc()
-        drift = float(np.max(np.abs(fresh - np.asarray(self.vertex_disc)))) if self.n else 0.0
-        self.vertex_disc = fresh.tolist()
-        self.mass_in = float(sum(self.probs))
-        self.retained_orig = float(sum(compress(self.orig, self.in_backbone)))
+    def resync(self) -> float:
+        """Recompute the discrepancies from scratch; returns the max drift."""
+        fresh = _scratch_disc(self.g, self.probs)
+        drift = float(np.max(np.abs(fresh - self.disc), initial=0.0))
+        self.disc = fresh
         return drift
-
-    # -- mutations ----------------------------------------------------------
-
-    def set_prob(self, idx: int, value: float) -> None:
-        """Change one backbone edge's working probability, updating discrepancies."""
-        change = value - self.probs[idx]
-        if change == 0.0:
-            return
-        u, v, _ = self.g.edges[idx]
-        self.probs[idx] = value
-        self.vertex_disc[u] -= change
-        self.vertex_disc[v] -= change
-        self.mass_in += change
-
-    def exclude(self, idx: int) -> float:
-        """Drop an edge from the backbone, restoring its mass to the endpoints."""
-        prior = self.probs[idx]
-        self.set_prob(idx, 0.0)
-        self.in_backbone[idx] = False
-        self.retained_orig -= self.orig[idx]
-        return prior
-
-    def include(self, idx: int, value: float) -> None:
-        """Admit an edge to the backbone at the given probability."""
-        self.in_backbone[idx] = True
-        self.retained_orig += self.orig[idx]
-        self.set_prob(idx, value)
 
     def to_graph(self) -> UncertainGraph:
         """Snapshot of the current backbone as an uncertain graph (p=0 kept)."""
         kept = np.flatnonzero(self.in_backbone)
         us, vs = self.g.endpoint_arrays
         return UncertainGraph.from_columns(
-            self.n, us[kept], vs[kept], np.asarray(self.probs)[kept], allow_zero=True
+            self.g.n, us[kept], vs[kept], self.probs[kept], allow_zero=True
         )
 
 
 def _scratch_disc(g: UncertainGraph, probs: np.ndarray) -> np.ndarray:
     # Scatter per-edge gaps rather than degree-minus-mass: retained edges at
-    # their original probability then contribute exact zeros.  The graph's
-    # cached probability array holds the same doubles as SparsifierState.orig.
+    # their original probability then contribute exact zeros.
     gaps = g.probabilities - probs
     d = np.zeros(g.n)
     us, vs = g.endpoint_arrays
@@ -293,29 +225,27 @@ def _scratch_disc(g: UncertainGraph, probs: np.ndarray) -> np.ndarray:
 class ClassSweep:
     """The degree rule's descent in array form, one matching at a time.
 
-    Loads the working probabilities and vertex discrepancies from a state
-    once, as float64 arrays.  The backbone edges are greedily edge-coloured in
-    canonical order and kept class by class, so each colour class (a
+    The backbone edges are greedily edge-coloured in canonical order and
+    gathered from the state class by class, so each colour class (a
     matching) is a contiguous slice of `probs`: no two of its edges share a
     vertex, so one numpy update of the class equals the sequential updates
     of its edges in any order.  Each class holds its endpoints, its
     endpoints' norms (None under the absolute rule, whose norms are all 1)
-    and its slice of `probs`.
+    and its slice of `probs`.  A sweep updates the state's `disc` in place
+    and scatters `probs` back into the state's.
     """
 
     def __init__(self, state: SparsifierState, mode: DiscrepancyMode):
         g = state.g
-        backbone = np.fromiter(compress(range(g.m), state.in_backbone), dtype=np.int64)
+        backbone = np.flatnonzero(state.in_backbone)
         us, vs = (ends[backbone] for ends in g.endpoint_arrays)
         colours = greedy_edge_colouring(g.n, us, vs)
         by_class = np.argsort(colours, kind="stable")
         # row 0 holds each slot's u, row 1 its v
         ends = np.stack([us, vs])[:, by_class]
-        self.g = g
+        self.state = state
         self.order = backbone[by_class]  # canonical edge index of each slot
-        self.full = np.fromiter(state.probs, dtype=float, count=g.m)  # every edge's, canonical order
-        self.probs = self.full[self.order]
-        self.disc = np.array(state.vertex_disc)
+        self.probs = state.probs[self.order]
         stops = np.cumsum(np.bincount(colours)).tolist()
         slices = [slice(a, b) for a, b in zip([0, *stops], stops)]
         if mode is DiscrepancyMode.ABSOLUTE:
@@ -326,7 +256,7 @@ class ClassSweep:
 
     def sweep(self, h: float) -> int:
         """One pass, class by class in colour order; returns updates made."""
-        disc = self.disc
+        disc = self.state.disc
         before = self.probs.copy()
         for ends, norm_us, norm_vs, p in self.classes:
             d = disc[ends]
@@ -340,23 +270,8 @@ class ClassSweep:
             d -= new - p
             p[:] = new
             disc[ends] = d
+        self.state.probs[self.order] = self.probs
         return int(np.count_nonzero(self.probs != before))
-
-    def resync(self) -> np.ndarray:
-        """Recompute the discrepancies from scratch, as SparsifierState does."""
-        self.full[self.order] = self.probs
-        self.disc = _scratch_disc(self.g, self.full)
-        return self.disc
-
-    def store(self, state: SparsifierState) -> None:
-        """Write the probabilities and the discrepancies back to the state.
-
-        The state takes `disc` as it stands, so resync first to store
-        discrepancies recomputed from scratch; its masses are recomputed.
-        """
-        self.full[self.order] = self.probs
-        state.probs[:] = self.full.tolist()
-        state.resync(self.disc)
 
 
 def _weighted_sq_sum(disc: np.ndarray, norms: np.ndarray) -> float:
@@ -366,43 +281,55 @@ def _weighted_sq_sum(disc: np.ndarray, norms: np.ndarray) -> float:
 
 def degree_objective(state: SparsifierState, mode=DiscrepancyMode.ABSOLUTE) -> float:
     """Objective for degree rules, from discrepancies recomputed from scratch."""
-    return _weighted_sq_sum(state._scratch_disc(), degree_norms(state.g, mode))
+    return _weighted_sq_sum(_scratch_disc(state.g, state.probs), degree_norms(state.g, mode))
 
 
 def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | None = None) -> int:
     """One full pass over the backbone; returns updates made.
 
-    The degree rule sweeps matching by matching (ClassSweep.sweep): on
-    `classes` when the caller holds the descent's arrays, else on arrays
-    loaded from and stored back to `state`.  The cut rules sweep `state` edge
-    by edge in canonical order, because every step reads the mass gap of
-    edges at other vertices.
+    The degree rule sweeps matching by matching (ClassSweep.sweep), on
+    `classes` when the caller holds them.  The cut rules sweep edge by edge
+    in canonical order, because every step reads the mass gap of edges at
+    other vertices: the pass takes list copies of the state's arrays, sums
+    the original, working and retained masses in index order at its start,
+    keeps them and the discrepancies in step with each update, and writes
+    the arrays back at its end.
     """
     if rule.k == 1:
-        if classes is not None:
-            return classes.sweep(h)
-        classes = ClassSweep(state, rule.mode)
-        changed = classes.sweep(h)
-        classes.resync()
-        classes.store(state)
-        return changed
+        return (classes if classes is not None else ClassSweep(state, rule.mode)).sweep(h)
     g = state.g
-    disc = state.vertex_disc
-    probs = state.probs
-    changed = 0
     k = rule.k
     if k is not None:
-        c_deg, c_gap = cut_rule_coefficients(state.n, k)
-    for idx in state.backbone_indices():
+        c_deg, c_gap = cut_rule_coefficients(g.n, k)
+    orig = g.probabilities.tolist()
+    probs = state.probs.tolist()
+    disc = state.disc.tolist()
+    kept = state.in_backbone.tolist()
+    total = sum(orig)
+    mass = sum(probs)
+    retained = sum(compress(orig, kept))
+    changed = 0
+    for idx in compress(range(g.m), kept):
         u, v, _ = g.edges[idx]
+        p = probs[idx]
+        own = orig[idx] - p
         if k is None:
-            step = cut_all_step(state, idx)
+            step = cut_all_step(retained - mass, own)
         else:
-            step = cut_step(disc[u], disc[v], state.disjoint_mass_gap(idx), c_deg, c_gap)
-        new_p = apply_step(probs[idx], step, h)
-        if new_p != probs[idx]:
-            state.set_prob(idx, new_p)
+            # mass gap over the edges sharing no endpoint with this one: the
+            # edge's own gap was taken off with both endpoints' discrepancies
+            disjoint_gap = total - mass - disc[u] - disc[v] + own
+            step = cut_step(disc[u], disc[v], disjoint_gap, c_deg, c_gap)
+        new_p = apply_step(p, step, h)
+        if new_p != p:
+            change = new_p - p
+            probs[idx] = new_p
+            disc[u] -= change
+            disc[v] -= change
+            mass += change
             changed += 1
+    state.probs[:] = probs
+    state.disc[:] = disc
     return changed
 
 
@@ -418,9 +345,7 @@ def descend(
     Resyncs the discrepancies from scratch at every sweep boundary, which both
     bounds incremental drift and gives an honest convergence signal: each
     sweep's objective is computed from those fresh discrepancies.  The degree
-    rule holds the backbone probabilities and the discrepancies as arrays
-    (ClassSweep) for the whole descent and writes them back to the state once
-    at the end; the cut rules sweep the state in place.
+    rule colours the backbone once (ClassSweep) for the whole descent.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("h must lie in [0, 1]")
@@ -437,18 +362,12 @@ def descend(
     for _ in range(max_sweeps):
         sweep(state, rule, h, classes)
         sweeps += 1
-        if classes is None:
-            state.resync()
-            disc = np.asarray(state.vertex_disc)
-        else:
-            disc = classes.resync()
-        current = _weighted_sq_sum(disc, norms)
+        state.resync()
+        current = _weighted_sq_sum(state.disc, norms)
         history.append(current)
         if abs(previous - current) <= tau_eff:
             break
         previous = current
-    if classes is not None:
-        classes.store(state)
     return {
         "sweeps": sweeps,
         "objective_history": history,

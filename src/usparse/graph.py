@@ -293,11 +293,7 @@ def expected_cut_size(g: UncertainGraph, members: Iterable[int]) -> float:
         if not 0 <= u < g.n:
             raise ValueError(f"vertex {u} out of range for n={g.n}")
         inside[u] = True
-    if g.m == 0:
-        return 0.0
-    us, vs = g.endpoint_arrays
-    crossing = inside[us] ^ inside[vs]
-    return float(g.probabilities[crossing].sum())
+    return _cut_mass(g, inside)
 
 
 def sample_k_subset(rng: np.random.Generator, n: int, k: int) -> list[int]:

@@ -16,7 +16,6 @@ from usparse.backbone import (
     check_backbone,
     default_alpha_prime,
     iterated_spanning_forests,
-    max_spanning_forest,
     random_backbone,
     target_edge_count,
 )
@@ -99,6 +98,12 @@ def kruskal(n, weighted_edges):
     return [(u, v) for u, v, _ in ordered if uf.union(u, v)]
 
 
+def first_forest(n, weighted_edges):
+    """The maximum spanning forest: the peel's first forest, as (u, v) pairs in rank order."""
+    g = UncertainGraph(n, weighted_edges)
+    return [g.edge_pairs[i] for i in next(iterated_spanning_forests(g), [])]
+
+
 def peeled_pairs(g):
     """The runtime peel's forests as (u, v) pair lists."""
     return [[g.edge_pairs[i] for i in forest.tolist()] for forest in iterated_spanning_forests(g)]
@@ -142,20 +147,20 @@ def scalar_topup(rng, g, taken, need):
 class TestMaxSpanningForest:
     def test_tree_input_returns_itself(self):
         edges = [(0, 1, 0.4), (1, 2, 0.9), (2, 3, 0.1)]
-        assert sorted(max_spanning_forest(4, edges)) == [(0, 1), (1, 2), (2, 3)]
+        assert sorted(first_forest(4, edges)) == [(0, 1), (1, 2), (2, 3)]
 
     def test_triangle_keeps_two_heaviest(self):
         edges = [(0, 1, 0.9), (0, 2, 0.5), (1, 2, 0.1)]
-        assert sorted(max_spanning_forest(3, edges)) == [(0, 1), (0, 2)]
+        assert sorted(first_forest(3, edges)) == [(0, 1), (0, 2)]
 
     def test_equal_weights_tie_break_lexicographic(self):
         # 4-cycle with equal p: keeps the 3 lexicographically smallest edges
         edges = [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.5)]
-        assert sorted(max_spanning_forest(4, edges)) == [(0, 1), (0, 3), (1, 2)]
+        assert sorted(first_forest(4, edges)) == [(0, 1), (0, 3), (1, 2)]
 
     def test_disconnected_input_gives_forest(self):
         edges = [(0, 1, 0.5), (2, 3, 0.5)]
-        assert sorted(max_spanning_forest(4, edges)) == [(0, 1), (2, 3)]
+        assert sorted(first_forest(4, edges)) == [(0, 1), (2, 3)]
 
 
 
@@ -181,19 +186,19 @@ class TestMaxSpanningForestOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_matches_kruskal(self, name):
         g = ORACLE_GRAPHS[name]()
-        assert max_spanning_forest(g.n, g.edges) == kruskal(g.n, g.edges)
+        assert first_forest(g.n, g.edges) == kruskal(g.n, g.edges)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_peel_matches_kruskal_peel(self, name):
         g = ORACLE_GRAPHS[name]()
         assert peeled_pairs(g) == list(resorting_peel(g))
 
-    def test_weights_need_not_be_probabilities(self):
-        edges = [(0, 1, 3), (1, 2, -1), (0, 2, 3), (2, 3, 0), (1, 3, 7)]
-        assert max_spanning_forest(4, edges) == kruskal(4, edges) == [(1, 3), (0, 1), (0, 2)]
+    def test_rank_order_breaks_probability_ties_by_pair(self):
+        edges = [(0, 1, 0.6), (1, 2, 0.1), (0, 2, 0.6), (2, 3, 0.2), (1, 3, 0.9)]
+        assert first_forest(4, edges) == kruskal(4, edges) == [(1, 3), (0, 1), (0, 2)]
 
     def test_empty_input(self):
-        assert max_spanning_forest(3, []) == []
+        assert first_forest(3, []) == []
 
 
 class TestIteratedForests:

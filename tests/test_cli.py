@@ -206,12 +206,16 @@ class TestSparsifyPinned:
     # sha256 of the edge list and manifest that `sparsify -a 0.3 --seed 7`
     # writes for each flag set below, on the README's `generate -n 100 -d 0.15
     # --dist uniform --seed 1` graph, recorded at commit 6bcc60d (the Kruskal
-    # backbone peel and the per-edge graph constructor).
+    # backbone peel and the per-edge graph constructor); "gdbrel" recorded at
+    # commit ba3971f.
     PINNED = {
         "gdb": (("-m", "gdb"), "386f0cad01bc5a7b4c652998c9a4160493667d79312f1a969785692f6eabfa41",
                 "7db05e7da5925c782cf1496ad54f9497364e828e7410b621b78ec7e3e269092f"),
         "emd": (("-m", "emd"), "4a33697bf03ea3361938b40def1d8a2d20a11c6c3a88290bd4bafc83c3ca3716",
                 "57b0f9c6302adea7cfb5321422829404a4110077b1476ff675b8abd3aedfeebb"),
+        "gdbrel": (("-m", "gdb", "--mode", "rel"),
+                   "98f859ba3abb929afc8fab0787380deb2a7c2758b2ac501b8770e5d53839b905",
+                   "6713a3ac1f0a4bdc8d74ab6c492f2118e2b8ca445093c902b0b6e7d659fe5d2f"),
         "emdrel": (("-m", "emd", "--mode", "rel"),
                    "9857cca420f6d7bb7be3363727d98f2332e23e9f84f331013e31d3be978fd5e1",
                    "7ad9b83320414754822dc4891dcb61023220cbd6201ffab1eef84978513d186b"),

@@ -76,12 +76,10 @@ class TestGain:
         state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3), (3, 4)]))
         for idx in (1, 2):  # excluded edges (0,2) and (1,2)
             u, v, _ = g.edges[idx]
-            du, dv = state.vertex_disc[u], state.vertex_disc[v]
+            du, dv = state.disc[u], state.disc[v]
             for w in (0.2, 0.5, 0.9):
                 without = degree_objective(state)
-                state.include(idx, w)
-                with_edge = degree_objective(state)
-                state.exclude(idx)
+                with_edge = objective_with(state, idx, w)
                 assert gain_value(du, dv, w) == pytest.approx(without - with_edge, abs=1e-12)
 
     def test_weighted_gain_matches_relative_objective_difference(self):
@@ -93,12 +91,10 @@ class TestGain:
         state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3), (3, 4)]))
         for idx in (1, 2):
             u, v, _ = g.edges[idx]
-            du, dv = state.vertex_disc[u], state.vertex_disc[v]
+            du, dv = state.disc[u], state.disc[v]
             for w in (0.2, 0.5, 0.9):
                 without = degree_objective(state, rel)
-                state.include(idx, w)
-                with_edge = degree_objective(state, rel)
-                state.exclude(idx)
+                with_edge = objective_with(state, idx, w, rel)
                 assert gain_value(du, dv, w, norms[u] ** 2, norms[v] ** 2) == pytest.approx(
                     without - with_edge, abs=1e-12
                 )
@@ -121,15 +117,17 @@ class TestEPhase:
         state = SparsifierState(g, full_backbone(g))
         swaps = e_phase(state, h=0.05)
         assert swaps == 0
-        assert state.probs == [p for _, _, p in g.edges]
+        assert state.probs.tolist() == [p for _, _, p in g.edges]
+        assert state.in_backbone.all() and not state.disc.any()
 
     def test_backbone_cardinality_invariant(self):
         g = generate_synthetic(25, 0.4, seed=2)
         backbone = build_backbone(g, 0.4, seed=2)
         state = SparsifierState(g, backbone)
-        size_before = sum(state.in_backbone)
+        size_before = np.count_nonzero(state.in_backbone)
         swaps = e_phase(state, h=0.05)
-        assert sum(state.in_backbone) == size_before
+        assert np.count_nonzero(state.in_backbone) == size_before
+        assert not state.probs[~state.in_backbone].any()
         assert 0 <= swaps <= size_before
 
     def test_objective_not_increased(self):
@@ -146,30 +144,42 @@ class TestEPhase:
         backbone = build_backbone(g, 0.4, seed=3)
         state = SparsifierState(g, backbone)
         e_phase(state, h=0.05)
-        assert np.max(np.abs(state._scratch_disc() - np.asarray(state.vertex_disc))) < 1e-9
+        assert state.resync() < 1e-9
 
 
 def reference_e_phase(state, h, mode):
     """The swap pass as its docstring states it: one call per candidate.
 
-    Returns (swaps, ties): ties counts candidates whose gain equalled the
-    best entry's, so a test can tell that the tie-break decided something.
+    Works on list copies of the state and writes them back.  Returns (swaps,
+    ties): ties counts candidates whose gain equalled the best entry's, so a
+    test can tell that the tie-break decided something.
     """
     g = state.g
     norms = degree_norms(g, mode).tolist()
     sq_norms = [norm**2 for norm in norms]
-    disc = state.vertex_disc
+    probs, disc = state.probs.tolist(), state.disc.tolist()
+    in_backbone = state.in_backbone.tolist()
+
+    def set_prob(idx, value):
+        u, v, _ = g.edges[idx]
+        change = value - probs[idx]
+        probs[idx] = value
+        disc[u] -= change
+        disc[v] -= change
+
     heap = VertexHeap(disc)
     swaps = ties = 0
-    for idx in state.backbone_indices():
+    for idx in [i for i in range(g.m) if in_backbone[i]]:
         u, v, _ = g.edges[idx]
-        prior = state.exclude(idx)
+        prior = probs[idx]
+        set_prob(idx, 0.0)
+        in_backbone[idx] = False
         heap.update(u, disc[u])
         heap.update(v, disc[v])
         top = heap.top()
         best = (-gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v]), 0, (u, v), idx, prior)
         for _, eidx in g.neighbors(top):
-            if state.in_backbone[eidx]:
+            if in_backbone[eidx]:
                 continue
             a, b, _ = g.edges[eidx]
             w = apply_step(0.0, degree_step(disc[a], disc[b], norms[a], norms[b]), h)
@@ -177,15 +187,24 @@ def reference_e_phase(state, h, mode):
             ties += entry[0] == best[0]
             best = min(best, entry)
         _, _, (a, b), chosen, w = best
-        state.include(chosen, w)
+        in_backbone[chosen] = True
+        set_prob(chosen, w)
         heap.update(a, disc[a])
         heap.update(b, disc[b])
         swaps += chosen != idx
+    state.probs[:] = probs
+    state.in_backbone[:] = in_backbone
+    state.disc[:] = disc
     return swaps, ties
 
 
-def bits(values):
-    return [float(x).hex() for x in values]
+def objective_with(state, idx, w, mode=DiscrepancyMode.ABSOLUTE):
+    """degree_objective with excluded edge idx admitted at w, the state left as it was."""
+    state.probs[idx] = w
+    try:
+        return degree_objective(state, mode)
+    finally:
+        state.probs[idx] = 0.0
 
 
 class TestEPhaseReference:
@@ -199,20 +218,19 @@ class TestEPhaseReference:
         if shuffle:
             # Random probabilities give discrepancies of both signs, so the
             # closed form's 0, h*step and 1 branches all win some slots.
-            rng = derive_rng(seed, 1)
-            for idx in fast.backbone_indices():
-                p = float(rng.random())
-                fast.set_prob(idx, p)
-                slow.set_prob(idx, p)
+            p = derive_rng(seed, 1).random(np.count_nonzero(backbone))
+            for state in (fast, slow):
+                state.probs[backbone] = p
+                state.resync()
         total_ties = 0
         for _ in range(passes):
             swaps = e_phase(fast, h, mode)
             ref_swaps, ties = reference_e_phase(slow, h, mode)
             total_ties += ties
             assert swaps == ref_swaps
-            assert fast.in_backbone == slow.in_backbone
-            assert bits(fast.probs) == bits(slow.probs)
-            assert bits(fast.vertex_disc) == bits(slow.vertex_disc)
+            assert fast.in_backbone.tobytes() == slow.in_backbone.tobytes()
+            assert fast.probs.tobytes() == slow.probs.tobytes()
+            assert fast.disc.tobytes() == slow.disc.tobytes()
         return total_ties
 
     @pytest.mark.parametrize("start", ["backbone", "shuffled"])
