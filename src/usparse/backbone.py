@@ -1,6 +1,6 @@
 """Backbone construction: pick which alpha*|E| edges survive sparsification.
 
-A backbone is a (|E|,) bool mask over g.edges, in their canonical order;
+A backbone is a (|E|,) bool mask over g's edge positions, in canonical order;
 gdb, emd and lp take it as it is.  Two builders are provided.  The spanning
 builder layers edge-disjoint maximum spanning forests (probabilities as
 weights) until a spanning quota is met, then tops up by probability-weighted
@@ -78,8 +78,8 @@ def _boruvka_forest(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def iterated_spanning_forests(g: UncertainGraph) -> Iterator[np.ndarray]:
     """Edge-disjoint maximum spanning forests, peeled off the graph lazily.
 
-    Each forest is an array of positions in g.edges, in rank order (most
-    probable first).  The edges are ranked once by (-p, u, v): g.edges
+    Each forest is an array of g's edge positions, in rank order (most
+    probable first).  The edges are ranked once by (-p, u, v): g's edges
     ascend by (u, v), so a stable sort by -p gives that order.  Each forest
     is the Borůvka forest of the edges the earlier forests left.
     """
@@ -120,7 +120,7 @@ def _probability_topup(rng, g: UncertainGraph, free: np.ndarray, need: int) -> n
     uniform falls below their probability.  After MAX_TOPUP_PASSES
     empty-handed passes the most probable remaining edges are admitted
     outright, so the loop terminates even when all probabilities are tiny.
-    Returns the admitted edges' positions in g.edges, in admission order.
+    Returns the admitted edges' positions in g, in admission order.
     """
     ps = g.probabilities
     pool = np.flatnonzero(free)
@@ -147,7 +147,7 @@ def _probability_topup(rng, g: UncertainGraph, free: np.ndarray, need: int) -> n
 
 
 def check_backbone(g: UncertainGraph, backbone) -> None:
-    """Refuse a backbone that is not a bool mask over g.edges."""
+    """Refuse a backbone that is not a bool mask over g's edges."""
     if getattr(backbone, "dtype", None) != bool or np.shape(backbone) != (g.m,):
         raise ValueError(f"a backbone is a bool mask of shape ({g.m},) over the graph's edges")
 
@@ -158,7 +158,7 @@ def build_backbone(
     alpha_prime: float | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Spanning backbone with exactly round(alpha*|E|) edges, as a bool mask over g.edges.
+    """Spanning backbone with exactly round(alpha*|E|) edges, as a bool mask over g's edges.
 
     Phase one layers maximum spanning forests until a fraction alpha_prime of
     the edges is collected (|E| is always the original edge count).  Phase

@@ -54,7 +54,7 @@ def _round_half_up(x: float) -> int:
 
 def to_ni_weights(g: UncertainGraph) -> list[tuple[int, int, int]]:
     """(u, v, w) rows of integer weights proportional to probabilities:
-    round-half-up of p/p_min, in g.edges order.
+    round-half-up of p/p_min, in edge order.
 
     The ratio is at least 1 by construction; the weight is floored at 1
     anyway, defensively.  A p_min so small that p / p_min overflows a float
@@ -65,7 +65,8 @@ def to_ni_weights(g: UncertainGraph) -> list[tuple[int, int, int]]:
     p_min = float(g.probabilities.min())
     if not math.isfinite(float(g.probabilities.max()) / p_min):
         raise ValueError(f"p_min = {p_min!r} is too small for ni: p / p_min overflows a float")
-    return [(u, v, max(1, _round_half_up(p / p_min))) for u, v, p in g.edges]
+    rows = zip(*(a.tolist() for a in (*g.endpoint_arrays, g.probabilities)))
+    return [(u, v, max(1, _round_half_up(p / p_min))) for u, v, p in rows]
 
 
 def _smaller_side(adj: list, u: int, v: int) -> list:
@@ -208,12 +209,14 @@ def ni_sparsify(
     Starts from epsilon = sqrt(n log^2 n / (alpha |E|)) and rescales by theta
     until the sampled size is the closest one not exceeding the target, then
     converts weights back via p' = min(w' * p_min, 1) and tops up the deficit
-    by probability-weighted sampling at original probabilities.
+    by probability-weighted sampling at original probabilities.  At alpha = 1 it returns g.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must be in (0, 1]")
     if not theta > 1.0:
         raise ValueError("theta must exceed 1")
+    if alpha == 1.0:
+        return g, {"epsilon": None, "calibration_steps": 0, "core_edges": g.m, "topped_up": 0}
     m = g.m
     target = target_edge_count(m, alpha)
     rows = to_ni_weights(g)
@@ -221,7 +224,7 @@ def ni_sparsify(
     n = g.n
 
     # Calibration is pure thresholding: one forest pass, one set of uniforms.
-    # The rows are in g.edges order, so the sample's mask is over g.edges.
+    # The rows are in edge order, so the sample's mask is over the edges.
     count, sample = forest_round_sampler(n, rows, seed)
     epsilon = math.sqrt(n * math.log(n) ** 2 / (alpha * m))
     steps = 0
@@ -262,15 +265,14 @@ def ni_sparsify(
 # ---------------------------------------------------------------------------
 
 
-def to_ss_weights(g: UncertainGraph) -> list[tuple[int, int, float]]:
-    """(u, v, w) rows of path-probability weights: w = -ln p, so the lightest
-    path is the most probable one.  p = 1 maps to weight 0, which is legal
-    for shortest paths."""
-    return [(u, v, -math.log(p)) for u, v, p in g.edges]
+def to_ss_weights(g: UncertainGraph) -> np.ndarray:
+    """The (|E|,) column of weights -ln p, one math.log per edge: the lightest
+    path is the most probable one, and p = 1 weighs 0, legal for shortest paths."""
+    return np.array([-math.log(p) for p in g.probabilities.tolist()])
 
 
-def ss_core(n: int, weighted_edges, t: int, seed: int) -> np.ndarray:
-    """(2t-1)-spanner by randomized cluster growth, as positions in weighted_edges.
+def ss_core(n: int, us, vs, w, t: int, seed: int) -> np.ndarray:
+    """(2t-1)-spanner by randomized cluster growth, as positions in the edge columns.
 
     Baswana-Sen in synchronous rounds over one arc array: both directions of
     every edge, in lightness order (src, w, dst), with their edge positions.
@@ -289,14 +291,12 @@ def ss_core(n: int, weighted_edges, t: int, seed: int) -> np.ndarray:
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    rows = np.asarray(weighted_edges, dtype=float).reshape(-1, 3)
-    m = len(rows)
+    m = len(w)
     if t == 1:
         return np.arange(m)
-    ends = rows[:, :2].astype(np.int64)
-    src = np.concatenate((ends[:, 0], ends[:, 1]))
-    dst = np.concatenate((ends[:, 1], ends[:, 0]))
-    w = np.concatenate((rows[:, 2], rows[:, 2]))
+    src = np.concatenate((us, vs))
+    dst = np.concatenate((vs, us))
+    w = np.concatenate((w, w))
     order = np.lexsort((dst, w, src))
     src, dst, w, pos = src[order], dst[order], w[order], order % m
     rng = derive_rng(seed)
@@ -369,16 +369,17 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
         raise ValueError("alpha must be in (0, 1]")
     m = g.m
     target = target_edge_count(m, alpha)
-    rows = np.array(to_ss_weights(g))
+    us, vs = g.endpoint_arrays
+    w = to_ss_weights(g)
     t = _solve_stretch_parameter(g.n, alpha * m)
     t_last = t + MAX_CALIBRATION_STEPS
     step, attempts = 1, 0
     best_t = t
-    spanner = ss_core(g.n, rows, t, seed)
+    spanner = ss_core(g.n, us, vs, w, t, seed)
     while len(spanner) > target and t < t_last:
         attempts += 1
         t = min(t + step, t_last)
-        trial = ss_core(g.n, rows, t, seed)
+        trial = ss_core(g.n, us, vs, w, t, seed)
         if len(trial) < len(spanner):
             best_t, spanner = t, trial
         else:
@@ -386,7 +387,6 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
     spanner_edges = len(spanner)
     chosen = np.zeros(m, dtype=bool)
     chosen[spanner] = True
-    us, vs = g.endpoint_arrays
     ps = g.probabilities
     trimmed = max(spanner_edges - target, 0)
     if trimmed:

@@ -293,12 +293,10 @@ def cmd_oracle(args) -> int:
         g, lambda masks: holds(evaluation.component_labels(g, masks))
     )
     payload["edges"] = g.m
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_json(args.output, payload)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 

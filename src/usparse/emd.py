@@ -105,7 +105,7 @@ def e_phase(
     so it picks the same winner with the same bits as the calls would.
     """
     g = state.g
-    edges = g.edges
+    us, vs = (a.tolist() for a in g.endpoint_arrays)
     norms = degree_norms(g, mode).tolist()
     sq_norms = [norm**2 for norm in norms]
     probs = state.probs.tolist()
@@ -115,7 +115,7 @@ def e_phase(
     swaps = 0
     for idx in np.flatnonzero(state.in_backbone).tolist():
         # take e out: its mass goes back to both endpoints' discrepancies
-        u, v, _ = edges[idx]
+        u, v = us[idx], vs[idx]
         prior = probs[idx]
         probs[idx] = 0.0
         in_backbone[idx] = False
@@ -149,7 +149,7 @@ def e_phase(
                 best_gain, chosen, best_w = gain, eidx, w
 
         # put the winner in at best_w, off its endpoints' discrepancies
-        a, b, _ = edges[chosen]
+        a, b = us[chosen], vs[chosen]
         probs[chosen] = best_w
         in_backbone[chosen] = True
         disc[a] -= best_w

@@ -145,13 +145,13 @@ def pagerank_world(g: UncertainGraph, masks: np.ndarray, damping: float = PAGERA
 
 def _triangles(g: UncertainGraph) -> tuple[np.ndarray, np.ndarray]:
     """(T, 3) corner vertices and (T, 3) edge indices of every triangle of g."""
-    index = {pair: i for i, pair in enumerate(g.edge_pairs)}
+    index = {pair: i for i, pair in enumerate(zip(*(a.tolist() for a in g.endpoint_arrays)))}
     neighbors = [set() for _ in range(g.n)]
-    for u, v in g.edge_pairs:
+    for u, v in index:
         neighbors[u].add(v)
         neighbors[v].add(u)
     corners, sides = [], []
-    for i, (u, v) in enumerate(g.edge_pairs):
+    for (u, v), i in index.items():
         for w in neighbors[u] & neighbors[v]:
             if w > v:
                 corners.append((u, v, w))

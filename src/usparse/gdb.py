@@ -179,7 +179,7 @@ def greedy_edge_colouring(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 class SparsifierState:
-    """The working state of a descent, as arrays over g.edges and the vertices.
+    """The working state of a descent, as arrays over g's edges and vertices.
 
     `in_backbone` is the (|E|,) bool mask of the edges currently kept,
     `probs` their working probabilities (0 off the backbone) and `disc` the
@@ -290,10 +290,10 @@ def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | No
     The degree rule sweeps matching by matching (ClassSweep.sweep), on
     `classes` when the caller holds them.  The cut rules sweep edge by edge
     in canonical order, because every step reads the mass gap of edges at
-    other vertices: the pass takes list copies of the state's arrays, sums
-    the original, working and retained masses in index order at its start,
-    keeps them and the discrepancies in step with each update, and writes
-    the arrays back at its end.
+    other vertices: the pass takes list copies of g's and the state's arrays,
+    sums the original, working and retained masses in index order at its
+    start, keeps them and the discrepancies in step with each update, and
+    writes the state's arrays back at its end.
     """
     if rule.k == 1:
         return (classes if classes is not None else ClassSweep(state, rule.mode)).sweep(h)
@@ -301,6 +301,7 @@ def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | No
     k = rule.k
     if k is not None:
         c_deg, c_gap = cut_rule_coefficients(g.n, k)
+    us, vs = g.endpoint_arrays
     orig = g.probabilities.tolist()
     probs = state.probs.tolist()
     disc = state.disc.tolist()
@@ -309,8 +310,7 @@ def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | No
     mass = sum(probs)
     retained = sum(compress(orig, kept))
     changed = 0
-    for idx in compress(range(g.m), kept):
-        u, v, _ = g.edges[idx]
+    for idx, u, v in compress(zip(range(g.m), us.tolist(), vs.tolist()), kept):
         p = probs[idx]
         own = orig[idx] - p
         if k is None:
@@ -387,7 +387,7 @@ def gdb_run(
 ) -> tuple[UncertainGraph, dict]:
     """Assign probabilities to the backbone edges by coordinate descent.
 
-    `backbone` is a bool mask over g.edges.  Probabilities start at their
+    `backbone` is a bool mask over g's edges.  Probabilities start at their
     original values; the output keeps exactly the backbone's edge set (edges
     driven to probability 0 stay in the set).
     Returns the sparsified graph plus a run report with the per-sweep

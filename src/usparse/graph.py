@@ -178,15 +178,15 @@ def _edge_columns(n: int, rows):
 class UncertainGraph:
     """Undirected simple graph with per-edge existence probabilities.
 
-    Edges are stored canonically as (u, v, p) with u < v, sorted ascending,
-    which fixes a deterministic edge order used throughout the package.
-    `_canonical_edges` validates and sorts them as whole numpy columns; the
-    endpoint and probability arrays are kept from that pass, and `edges` is
-    built from them once.  Instances are immutable after construction and
-    safe to share across threads for reading.
+    An edge is a position into three read-only columns: endpoints u < v and
+    probability p, sorted by (u, v), the deterministic edge order used across
+    the package.  `_canonical_edges` validates and sorts them as whole numpy
+    columns; they are all the graph stores, and `edges` and `edge_pairs`
+    build tuples from them on each read.  Instances are immutable after
+    construction and safe to share across threads for reading.
     """
 
-    __slots__ = ("n", "edges", "_us", "_vs", "_ps", "_adj", "_degrees", "_pairs")
+    __slots__ = ("n", "_us", "_vs", "_ps", "_adj", "_degrees")
 
     def __init__(
         self,
@@ -215,14 +215,12 @@ class UncertainGraph:
         self._us, self._vs, self._ps = _canonical_edges(n, us, vs, ps, allow_zero)
         for a in (self._us, self._vs, self._ps):
             a.flags.writeable = False
-        self.edges = tuple(zip(self._us.tolist(), self._vs.tolist(), self._ps.tolist()))
         self._adj = None
         self._degrees = None
-        self._pairs = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._us)
 
     @property
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -233,16 +231,18 @@ class UncertainGraph:
         return self._ps
 
     @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self._us.tolist(), self._vs.tolist(), self._ps.tolist()))
+
+    @property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        if self._pairs is None:
-            self._pairs = tuple((u, v) for u, v, _ in self.edges)
-        return self._pairs
+        return tuple(zip(self._us.tolist(), self._vs.tolist()))
 
     def neighbors(self, u: int) -> list[tuple[int, int]]:
         """(neighbor, edge index) pairs for vertex u."""
         if self._adj is None:
             adj = [[] for _ in range(self.n)]
-            for i, (a, b, _) in enumerate(self.edges):
+            for i, (a, b) in enumerate(zip(self._us.tolist(), self._vs.tolist())):
                 adj[a].append((b, i))
                 adj[b].append((a, i))
             self._adj = adj
@@ -529,6 +529,7 @@ def load_graph(path, allow_zero: bool = False) -> UncertainGraph:
 
 def save_graph(g: UncertainGraph, path) -> None:
     """Write the canonical edge-list representation with an n= header."""
-    body = "".join([f"{u} {v} {p!r}\n" for u, v, p in g.edges])
+    rows = zip(g._us.tolist(), g._vs.tolist(), g._ps.tolist())
+    body = "".join([f"{u} {v} {p!r}\n" for u, v, p in rows])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n}\n" + body)

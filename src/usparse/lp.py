@@ -111,7 +111,7 @@ def solve_optimal_assignment(
 ) -> tuple[np.ndarray, LpResult]:
     """Probabilities on the backbone edges maximizing total mass under degree caps.
 
-    `backbone` is a bool mask over g.edges.  Returns the assignment of the
+    `backbone` is a bool mask over g's edges.  Returns the assignment of the
     edges it keeps, in canonical order, and the solver result.  Raises if the
     minimum cut exceeds the flow value by CERTIFICATE_TOL or more, or if the
     assignment is infeasible.

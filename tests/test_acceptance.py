@@ -220,9 +220,10 @@ def test_criterion_08_cardinality_contract_all_methods():
 def test_criterion_09_spanner_stretch():
     started = time.perf_counter()
     g = generate_synthetic(200, 0.15, seed=42)
-    rows = to_ss_weights(g)
+    w = to_ss_weights(g)
+    rows = list(zip(*(a.tolist() for a in g.endpoint_arrays), w.tolist()))
     t = _solve_stretch_parameter(g.n, 0.3 * g.m)
-    spanner = ss_core(g.n, rows, t, seed=9)
+    spanner = ss_core(g.n, *g.endpoint_arrays, w, t, seed=9)
     # every vertex is a node, so a vertex missing from a Dijkstra result is unreachable
     full, sparse_graph = nx.Graph(), nx.Graph()
     full.add_nodes_from(range(g.n))

@@ -24,7 +24,8 @@ from usparse.graph import UncertainGraph, derive_rng, generate_synthetic
 
 def backbone_pairs(g, b):
     """The (u, v) pairs the backbone mask b keeps, in canonical order."""
-    return [g.edge_pairs[i] for i in np.flatnonzero(b)]
+    pairs = g.edge_pairs
+    return [pairs[i] for i in np.flatnonzero(b)]
 
 
 def pair_mask(g, pairs):
@@ -61,8 +62,9 @@ def count_peeled_forests(monkeypatch):
 
 def topup(rng, g, taken, need):
     """The runtime top-up as (u, v, p) triples, for the candidates outside `taken`."""
-    free = [(u, v) not in taken for u, v, _ in g.edges]
-    return [g.edges[i] for i in _probability_topup(rng, g, free, need).tolist()]
+    edges = g.edges
+    free = [(u, v) not in taken for u, v, _ in edges]
+    return [edges[i] for i in _probability_topup(rng, g, free, need).tolist()]
 
 
 class UnionFind:
@@ -101,12 +103,14 @@ def kruskal(n, weighted_edges):
 def first_forest(n, weighted_edges):
     """The maximum spanning forest: the peel's first forest, as (u, v) pairs in rank order."""
     g = UncertainGraph(n, weighted_edges)
-    return [g.edge_pairs[i] for i in next(iterated_spanning_forests(g), [])]
+    pairs = g.edge_pairs
+    return [pairs[i] for i in next(iterated_spanning_forests(g), [])]
 
 
 def peeled_pairs(g):
     """The runtime peel's forests as (u, v) pair lists."""
-    return [[g.edge_pairs[i] for i in forest.tolist()] for forest in iterated_spanning_forests(g)]
+    pairs = g.edge_pairs
+    return [[pairs[i] for i in forest.tolist()] for forest in iterated_spanning_forests(g)]
 
 
 def resorting_peel(g):

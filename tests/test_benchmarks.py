@@ -37,6 +37,11 @@ def lightest_distances(n, edges, source):
     return [found.get(x, math.inf) for x in range(n)]
 
 
+def ss_rows(g):
+    """(u, v, w) rows of g's ss weights, for the oracles that read rows."""
+    return list(zip(*(a.tolist() for a in g.endpoint_arrays), to_ss_weights(g).tolist()))
+
+
 class TestNiWeights:
     def test_transform_examples(self):
         g = UncertainGraph(4, [(0, 1, 0.2), (1, 2, 0.4), (2, 3, 1.0)])
@@ -264,6 +269,17 @@ class TestNiSparsify:
             with pytest.raises(ValueError, match="theta must exceed 1"):
                 ni_sparsify(g, 0.3, theta=theta)
 
+    def test_alpha_one_returns_the_graph_itself(self):
+        g = generate_synthetic(15, 0.4, seed=9)
+        out, info = ni_sparsify(g, 1.0, seed=0)
+        assert out is g
+        assert info == {"epsilon": None, "calibration_steps": 0, "core_edges": g.m, "topped_up": 0}
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_is_refused(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            ni_sparsify(generate_synthetic(15, 0.4, seed=9), alpha)
+
 
 class TestNiPinned:
     # sha256 of the saved edge list and of the sorted-key JSON of info for
@@ -293,16 +309,22 @@ class TestNiPinned:
 class TestSsWeights:
     def test_certain_edge_weight_zero(self):
         g = UncertainGraph(2, [(0, 1, 1.0)])
-        assert to_ss_weights(g) == [(0, 1, 0.0)]
+        assert to_ss_weights(g).tolist() == [0.0]
 
     def test_inverse_e(self):
         g = UncertainGraph(2, [(0, 1, math.exp(-1))])
-        assert to_ss_weights(g)[0][2] == pytest.approx(1.0)
+        assert to_ss_weights(g)[0] == pytest.approx(1.0)
+
+    def test_one_float64_column_of_math_log_bits(self):
+        g = generate_synthetic(30, 0.3, seed=3)
+        w = to_ss_weights(g)
+        assert w.dtype == np.float64 and w.shape == (g.m,)
+        assert w.tolist() == [-math.log(p) for p in g.probabilities.tolist()]
 
     def test_most_probable_path_is_lightest(self):
         # two routes 0->3: probability products 0.9*0.9=0.81 vs direct 0.5
         g = UncertainGraph(4, [(0, 1, 0.9), (1, 3, 0.9), (0, 3, 0.5), (1, 2, 0.2)])
-        dist = lightest_distances(4, to_ss_weights(g), 0)
+        dist = lightest_distances(4, ss_rows(g), 0)
         assert dist[3] == pytest.approx(-math.log(0.81))
         assert math.exp(-dist[3]) > 0.5
 
@@ -365,22 +387,23 @@ ORACLE_GRAPHS.append(UncertainGraph(30, [(u, v, 0.5) for u, v, _ in generate_syn
 class TestSsCore:
     def test_t1_returns_all_edges(self):
         g = generate_synthetic(20, 0.3, seed=6)
-        assert ss_core(g.n, to_ss_weights(g), 1, seed=0).tolist() == list(range(g.m))
+        spanner = ss_core(g.n, *g.endpoint_arrays, to_ss_weights(g), 1, seed=0)
+        assert spanner.tolist() == list(range(g.m))
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_tree_is_preserved(self, t):
         edges = [(i, i + 1, 0.5 + 0.4 * (i % 2)) for i in range(9)]
         g = UncertainGraph(10, edges)
-        spanner = ss_core(g.n, to_ss_weights(g), t, seed=7)
+        spanner = ss_core(g.n, *g.endpoint_arrays, to_ss_weights(g), t, seed=7)
         assert spanner.tolist() == list(range(g.m))
 
     @pytest.mark.parametrize("t", [2, 3, 5, 99])
     @pytest.mark.parametrize("k", range(10))
     def test_matches_synchronous_round_oracle(self, k, t):
         g = ORACLE_GRAPHS[k]
-        rows = to_ss_weights(g)
+        rows, w = ss_rows(g), to_ss_weights(g)
         for seed in (0, 1):
-            spanner = ss_core(g.n, rows, t, seed)
+            spanner = ss_core(g.n, *g.endpoint_arrays, w, t, seed)
             assert spanner.dtype.kind == "i"
             assert spanner.tolist() == synchronous_ss_oracle(g.n, rows, t, seed)
 
@@ -393,8 +416,8 @@ class TestSsCore:
     @pytest.mark.parametrize("seed,t", [(0, 2), (1, 2), (2, 3), (3, 4)])
     def test_stretch_property_on_sampled_pairs(self, seed, t):
         g = generate_synthetic(50, 0.15, seed=seed)
-        rows = to_ss_weights(g)
-        spanner = ss_core(g.n, rows, t, seed=seed + 50)
+        rows = ss_rows(g)
+        spanner = ss_core(g.n, *g.endpoint_arrays, to_ss_weights(g), t, seed=seed + 50)
         sp_edges = [rows[i] for i in spanner]
         rng = derive_rng(seed)
         for _ in range(60):
@@ -410,8 +433,8 @@ class TestSsCore:
 
     @staticmethod
     def assert_discarded_edges_stretch(g, t, seed):
-        rows = to_ss_weights(g)
-        spanner = set(ss_core(g.n, rows, t, seed=seed).tolist())
+        rows = ss_rows(g)
+        spanner = set(ss_core(g.n, *g.endpoint_arrays, to_ss_weights(g), t, seed=seed).tolist())
         sp_edges = [rows[i] for i in sorted(spanner)]
         by_source = defaultdict(list)
         for i, (u, v, w) in enumerate(rows):
@@ -434,8 +457,9 @@ class TestSsCore:
 
     def test_deterministic(self):
         g = generate_synthetic(30, 0.3, seed=8)
-        rows = to_ss_weights(g)
-        assert np.array_equal(ss_core(g.n, rows, 3, seed=4), ss_core(g.n, rows, 3, seed=4))
+        us, vs = g.endpoint_arrays
+        w = to_ss_weights(g)
+        assert np.array_equal(ss_core(g.n, us, vs, w, 3, seed=4), ss_core(g.n, us, vs, w, 3, seed=4))
 
 
 class TestStretchParameter:
@@ -504,7 +528,7 @@ class TestSsScan:
         def spanner_at(t):
             return frozenset(np.roll(np.arange(g.m), -t)[: size_at(t - t0)].tolist())
 
-        def scripted(n, weighted_edges, t, seed):
+        def scripted(n, us, vs, w, t, seed):
             tried.append(t - t0)
             return np.array(sorted(spanner_at(t)), dtype=np.int64)
 
@@ -552,8 +576,9 @@ class TestSsScan:
     def test_trim_drops_least_probable_edges_outside_the_forest_first(self, monkeypatch, graph):
         _, info, out_positions, spanner_at = self.scan(monkeypatch, graph, lambda k: 200)
         spanner = sorted(spanner_at(info["t"]))
-        forest = set(kruskal(graph.n, [graph.edges[i] for i in spanner]))
-        ranked = sorted(spanner, key=lambda i: (graph.edge_pairs[i] in forest, graph.edges[i][2], i))
+        edges = graph.edges
+        forest = set(kruskal(graph.n, [edges[i] for i in spanner]))
+        ranked = sorted(spanner, key=lambda i: (edges[i][:2] in forest, edges[i][2], i))
         assert info["trimmed"] == 200 - target_edge_count(graph.m, self.ALPHA) > 0
         assert out_positions == set(ranked[info["trimmed"]:])
 
@@ -581,8 +606,8 @@ class TestSsPinned:
         built = []
         original = benchmarks.ss_core
 
-        def counted(n, weighted_edges, t, seed):
-            spanner = original(n, weighted_edges, t, seed)
+        def counted(n, us, vs, w, t, seed):
+            spanner = original(n, us, vs, w, t, seed)
             built.append((len(spanner), t))
             return spanner
 

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
+from usparse import evaluation
 from usparse.backbone import target_edge_count
 from usparse.cli import main
 from usparse.config import RunConfig
-from usparse.graph import load_graph
+from usparse.graph import UncertainGraph, load_graph, save_graph
 
 
 @pytest.fixture()
@@ -116,6 +117,17 @@ class TestSparsify:
         code, _ = run_sparsify(graph_file, tmp_path, "ni", extra=["--theta", "1.2"])
         assert code == 0
 
+    def test_ni_at_alpha_one_keeps_every_edge(self, graph_file, tmp_path):
+        code, out = run_sparsify(graph_file, tmp_path, "ni", alpha="1.0", name="ni.el")
+        assert code == 0
+        assert out.read_bytes() == graph_file.read_bytes()
+        manifest = json.loads((tmp_path / "ni.el.manifest.json").read_text(),
+                              parse_constant=lambda token: pytest.fail(f"bare {token}"))
+        assert manifest["method_info"] == {
+            "epsilon": None, "calibration_steps": 0, "core_edges": manifest["edges_original"],
+            "topped_up": 0,
+        }
+
     def test_alpha_below_floor_explains(self, graph_file, tmp_path, capsys):
         code, _ = run_sparsify(graph_file, tmp_path, "gdb", alpha="0.01")
         assert code == 1
@@ -207,7 +219,8 @@ class TestSparsifyPinned:
     # writes for each flag set below, on the README's `generate -n 100 -d 0.15
     # --dist uniform --seed 1` graph, recorded at commit 6bcc60d (the Kruskal
     # backbone peel and the per-edge graph constructor); "gdbrel" recorded at
-    # commit ba3971f.
+    # commit ba3971f; "ni" and "ss" recorded at commit 4553f7a (the graph's
+    # row tuples and ss's float rows).
     PINNED = {
         "gdb": (("-m", "gdb"), "386f0cad01bc5a7b4c652998c9a4160493667d79312f1a969785692f6eabfa41",
                 "7db05e7da5925c782cf1496ad54f9497364e828e7410b621b78ec7e3e269092f"),
@@ -227,6 +240,10 @@ class TestSparsifyPinned:
         "kall": (("-m", "gdb", "-k", "all"),
                  "67bcb1d83bbf5e38dec15f0615b4081db34c6e2ab855bf93939b62c11bd40f97",
                  "0310da4b73555ce29c313d77455acbe2722eec3826145bfec654a3f4ae88fcc1"),
+        "ni": (("-m", "ni"), "466b4446779cf9f35d70471584a5a05bf1a7c588c0642160beb31b8254cee282",
+               "a1847d5a559c45b1fccf9782bad7882fdb7afaec5fc37c895a7f3bb1f66d5688"),
+        "ss": (("-m", "ss"), "52f181f1a88d9ff4f992ee08e9a8ee72dcc32136b96d256a4c276084ca396abd",
+               "9afe0dab328ec66258211ba25ea59f238a29785a5601322f9e40f1a92eeeec22"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -241,6 +258,37 @@ class TestSparsifyPinned:
         digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                         for f in (f"{name}.el", f"{name}.el.manifest.json"))
         assert digests == (edges_sha, manifest_sha)
+
+
+class TestColumnsOnly:
+    """Every command path reads a graph's columns, never the rows derived from them."""
+
+    @pytest.fixture()
+    def rows_refused(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("a graph's row tuples were read")
+
+        for name in ("edges", "edge_pairs"):
+            monkeypatch.setattr(UncertainGraph, name, property(refuse))
+
+    @pytest.mark.parametrize("flags", [
+        ("-m", "gdb"), ("-m", "gdb", "--mode", "rel"), ("-m", "gdb", "-k", "2"),
+        ("-m", "gdb", "-k", "all"), ("-m", "emd"), ("-m", "lp"), ("-m", "ni"), ("-m", "ss"),
+    ], ids=" ".join)
+    def test_sparsify(self, graph_file, tmp_path, rows_refused, flags):
+        assert main(["sparsify", "-i", str(graph_file), "-o", str(tmp_path / "out.el"),
+                     "-a", "0.4", "--seed", "3", *flags]) == 0
+
+    def test_load_and_save(self, graph_file, tmp_path, rows_refused):
+        save_graph(load_graph(graph_file), tmp_path / "copy.el")
+        assert (tmp_path / "copy.el").read_bytes() == graph_file.read_bytes()
+
+    @pytest.mark.parametrize("kind", list(evaluation.QueryKind), ids=lambda k: k.value)
+    def test_sample_answers(self, graph_file, rows_refused, kind):
+        g = load_graph(graph_file)
+        units = evaluation.default_units(g, kind, 6, seed=1)
+        answers = evaluation.sample_answers(g, kind, units, 5, 1, n_runs=2)
+        assert len(answers.units) == len(units)
 
 
 class TestEval:
@@ -492,18 +540,19 @@ class TestCompare:
         assert failed and failed[0]["error"] != ""
 
     def test_out_of_range_alpha_is_a_cell_error(self, graph_file, tmp_path):
-        # ni refuses alpha 1.0 and ss accepts it: the check stays per cell
+        # alpha 1.5 fails each method's cell, and alpha 1.0 runs for ni as for ss
         out = tmp_path / "sweep.csv"
         code = main([
             "compare", "-i", str(graph_file),
-            "--methods", "ni,ss", "--alphas", "1.0", "--queries", "rl",
+            "--methods", "ni,ss", "--alphas", "1.0,1.5", "--queries", "rl",
             "--samples", "5", "--runs", "2", "--pairs", "4", "--cut-samples", "5",
             "-o", str(out),
         ])
         assert code == 0
         rows = list(csv.DictReader(open(out)))
-        assert [(r["method"], r["error"]) for r in rows] == [
-            ("ni", "alpha must be in (0, 1)"), ("ss", "")
+        assert [(r["method"], r["alpha"], r["error"]) for r in rows] == [
+            ("ni", "1.0", ""), ("ni", "1.5", "alpha must be in (0, 1]"),
+            ("ss", "1.0", ""), ("ss", "1.5", "alpha must be in (0, 1]"),
         ]
 
     def test_relative_mode_fails_only_absolute_methods(self, graph_file, tmp_path):
@@ -529,6 +578,16 @@ class TestOracle:
         assert main(["oracle", "-i", str(path), "-q", "connected"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["probability"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_output_file_holds_what_stdout_prints(self, tmp_path, capsys):
+        path = tmp_path / "tri.el"
+        path.write_text("0 1 0.5\n0 2 0.5\n1 2 0.5\n")
+        argv = ["oracle", "-i", str(path), "-q", "reachable", "--source", "0", "--target", "2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "-o", str(tmp_path / "p.json")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "p.json").read_text() == printed
 
     def test_reachable_needs_endpoints(self, tmp_path):
         path = tmp_path / "e.el"

@@ -74,8 +74,9 @@ class TestGain:
             5, [(0, 1, 0.6), (0, 2, 0.5), (1, 2, 0.4), (2, 3, 0.7), (3, 4, 0.8)]
         )
         state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3), (3, 4)]))
+        pairs = g.edge_pairs
         for idx in (1, 2):  # excluded edges (0,2) and (1,2)
-            u, v, _ = g.edges[idx]
+            u, v = pairs[idx]
             du, dv = state.disc[u], state.disc[v]
             for w in (0.2, 0.5, 0.9):
                 without = degree_objective(state)
@@ -89,8 +90,9 @@ class TestGain:
         rel = DiscrepancyMode.RELATIVE
         norms = degree_norms(g, rel)
         state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3), (3, 4)]))
+        pairs = g.edge_pairs
         for idx in (1, 2):
-            u, v, _ = g.edges[idx]
+            u, v = pairs[idx]
             du, dv = state.disc[u], state.disc[v]
             for w in (0.2, 0.5, 0.9):
                 without = degree_objective(state, rel)
@@ -159,9 +161,10 @@ def reference_e_phase(state, h, mode):
     sq_norms = [norm**2 for norm in norms]
     probs, disc = state.probs.tolist(), state.disc.tolist()
     in_backbone = state.in_backbone.tolist()
+    pairs = g.edge_pairs
 
     def set_prob(idx, value):
-        u, v, _ = g.edges[idx]
+        u, v = pairs[idx]
         change = value - probs[idx]
         probs[idx] = value
         disc[u] -= change
@@ -170,7 +173,7 @@ def reference_e_phase(state, h, mode):
     heap = VertexHeap(disc)
     swaps = ties = 0
     for idx in [i for i in range(g.m) if in_backbone[i]]:
-        u, v, _ = g.edges[idx]
+        u, v = pairs[idx]
         prior = probs[idx]
         set_prob(idx, 0.0)
         in_backbone[idx] = False
@@ -181,7 +184,7 @@ def reference_e_phase(state, h, mode):
         for _, eidx in g.neighbors(top):
             if in_backbone[eidx]:
                 continue
-            a, b, _ = g.edges[eidx]
+            a, b = pairs[eidx]
             w = apply_step(0.0, degree_step(disc[a], disc[b], norms[a], norms[b]), h)
             entry = (-gain_value(disc[a], disc[b], w, sq_norms[a], sq_norms[b]), 1, (a, b), eidx, w)
             ties += entry[0] == best[0]

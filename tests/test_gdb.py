@@ -286,8 +286,9 @@ class TestStateBookkeeping:
         states[0].resync()
         for state in states:
             calls = recorded_steps(monkeypatch, state, Rule(2))
+            pairs = g.edge_pairs
             for idx, (_, _, gap, *_) in zip(np.flatnonzero(state.in_backbone).tolist(), calls):
-                u, v = g.edge_pairs[idx]
+                u, v = pairs[idx]
                 expected = brute_gaps(state, lambda j, a, b: not {a, b} & {u, v})
                 assert gap == pytest.approx(expected, abs=1e-12)
 
@@ -333,7 +334,8 @@ def reference_cut_sweep(state, rule, h):
     discrepancies plus the edge's own gap.  Returns (probs, disc) as lists.
     """
     g = state.g
-    orig = [p for _, _, p in g.edges]
+    edges = g.edges
+    orig = [p for _, _, p in edges]
     probs = state.probs.tolist()
     disc = state.disc.tolist()
     backbone = [i for i in range(g.m) if state.in_backbone[i]]
@@ -343,7 +345,7 @@ def reference_cut_sweep(state, rule, h):
     if rule.k is not None:
         c_deg, c_gap = cut_rule_coefficients(g.n, rule.k)
     for idx in backbone:
-        u, v, _ = g.edges[idx]
+        u, v, _ = edges[idx]
         own = orig[idx] - probs[idx]
         if rule.k is None:
             step = (retained_orig - mass_in) - own
@@ -568,9 +570,12 @@ class TestGdbRun:
             gdb_run(g, full_backbone(g), h=1.5)
 
 
-def scalar_degree_update(g, probs, disc, idx, norms, h):
-    """One degree-rule coordinate update on lists, through the scalar functions."""
-    u, v, _ = g.edges[idx]
+def scalar_degree_update(pairs, probs, disc, idx, norms, h):
+    """One degree-rule coordinate update on lists, through the scalar functions.
+
+    pairs is g.edge_pairs, read once by the caller.
+    """
+    u, v = pairs[idx]
     new_p = apply_step(probs[idx], degree_step(disc[u], disc[v], norms[u], norms[v]), h)
     change = new_p - probs[idx]
     probs[idx] = new_p
@@ -582,13 +587,14 @@ def canonical_order_descend(state, mode, h, max_sweeps=100):
     """Reference descent: scalar updates edge by edge in canonical order."""
     g = state.g
     norms = degree_norms(g, mode).tolist()
+    pairs = g.edge_pairs
     backbone = np.flatnonzero(state.in_backbone).tolist()
     previous = degree_objective(state, mode)
     tau = 1e-6 * previous
     for _ in range(max_sweeps):
         probs, disc = state.probs.tolist(), state.disc.tolist()
         for idx in backbone:
-            scalar_degree_update(g, probs, disc, idx, norms, h)
+            scalar_degree_update(pairs, probs, disc, idx, norms, h)
         state.probs[:] = probs
         state.resync()
         current = degree_objective(state, mode)
@@ -649,12 +655,13 @@ class TestClassSweep:
         classes = ClassSweep(state, mode)
         classes.sweep(h)
         norms = degree_norms(g, mode).tolist()
+        pairs = g.edge_pairs
         rng = derive_rng(22)
         start = 0
         for ends, *_ in classes.classes:
             stop = start + ends.shape[1]
             for idx in rng.permutation(classes.order[start:stop]).tolist():
-                scalar_degree_update(g, probs, disc, idx, norms, h)
+                scalar_degree_update(pairs, probs, disc, idx, norms, h)
             start = stop
         assert classes.probs.tobytes() == np.array(probs)[classes.order].tobytes()
         assert state.probs.tobytes() == np.array(probs).tobytes()
