@@ -3,10 +3,11 @@
 Two adaptations are provided.  The cut-based one (ni) maps probabilities to
 integer weights, runs iterated contiguous spanning forests to estimate edge
 connectivities, samples edges inversely to that estimate, and maps surviving
-weights back to probabilities capped at 1.  The spanner-based one (ss) maps
-probabilities to -log weights (one math.log per edge) so light paths are
-probable paths, builds a randomized (2t-1)-spanner by cluster sampling, and
-keeps original probabilities.  The spanner is built in synchronous
+weights back to probabilities capped at 1.  Its forest rounds are single-edge
+deletions from one maximum spanning forest, over edge positions.  The
+spanner-based one (ss) maps probabilities to -log weights (one math.log per
+edge) so light paths are probable paths, builds a randomized (2t-1)-spanner
+by cluster sampling, and keeps original probabilities.  The spanner is built in synchronous
 Baswana-Sen rounds over whole arc arrays: both directions of every edge,
 ordered once by lightness (src, w, dst) and compacted as arcs drop.
 
@@ -52,21 +53,22 @@ def _round_half_up(x: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def to_ni_weights(g: UncertainGraph) -> list[tuple[int, int, int]]:
-    """(u, v, w) rows of integer weights proportional to probabilities:
-    round-half-up of p/p_min, in edge order.
+def to_ni_weights(g: UncertainGraph) -> list[int]:
+    """The weight column: integer weights proportional to probabilities,
+    round-half-up of p/p_min, as Python ints in edge order.
 
     The ratio is at least 1 by construction; the weight is floored at 1
-    anyway, defensively.  A p_min so small that p / p_min overflows a float
-    is a ValueError.
+    anyway, defensively.  A p = 0 edge, or a p_min so small that p / p_min
+    overflows a float, is a ValueError.
     """
     if g.m == 0:
         raise ValueError("weight transform needs a nonempty edge set")
     p_min = float(g.probabilities.min())
+    if p_min <= 0.0:
+        raise ValueError("ni needs every edge probability above 0")
     if not math.isfinite(float(g.probabilities.max()) / p_min):
         raise ValueError(f"p_min = {p_min!r} is too small for ni: p / p_min overflows a float")
-    rows = zip(*(a.tolist() for a in (*g.endpoint_arrays, g.probabilities)))
-    return [(u, v, max(1, _round_half_up(p / p_min))) for u, v, p in rows]
+    return [max(1, _round_half_up(p / p_min)) for p in g.probabilities.tolist()]
 
 
 def _smaller_side(adj: list, u: int, v: int) -> list:
@@ -92,97 +94,92 @@ def _smaller_side(adj: list, u: int, v: int) -> list:
                     side.append(y)
 
 
-def contiguous_forest_rounds(n: int, weighted_edges) -> tuple[dict, dict]:
-    """Join and death round per edge under iterated contiguous spanning forests.
+def contiguous_forest_rounds(n: int, us, vs, w) -> tuple[dict, dict]:
+    """Join and death round per edge position under iterated contiguous spanning forests.
 
     Round r builds a spanning forest that must retain every still-alive edge
     of round r-1's forest (contiguity), extended maximally by descending
     residual weight with canonical tie-break.  Forest members lose one unit
-    of weight per round; an edge dies when its residual hits zero.  A round
-    in which no edge dies leaves the alive set unchanged, so the next round
-    rebuilds the same forest: each forest is built once and held until its
-    lightest member dies, which bounds the forests by m.
+    of weight per round; an edge dies when its residual hits zero.  So an
+    edge that joins after round r0 with weight w dies at round r0 + w, and a
+    free edge keeps its original weight and its rank (-w, u, v).  Each forest
+    is held until its lightest member dies, which bounds the forests by m.
 
-    One forest persists.  An edge that joins it after round r0 with weight w
-    dies at round r0 + w, so a free edge keeps its original weight and every
-    free edge sits in one fixed order, (-w, u, v).  A split at a dead edge and
-    a join by a free edge both relabel the smaller tree.  A round leaves every
-    free edge inside one tree, so only one at a vertex a split relabelled can
-    cross: the next round merges those vertices' free edges in that order
-    until every split is rejoined.
-    Returns (edge -> death round, edge -> join round); edge e is in the
-    forests of rounds join[e] + 1 .. death[e].
+    Round r's forest is thus the maximum spanning forest under one strict
+    order: alive forest edges first, then free edges by rank.  Deleting a
+    forest edge and linking the best free edge across its cut gives the
+    maximum spanning forest without it (Holm, de Lichtenberg & Thorup,
+    J. ACM 2001), so a round's deaths, deleted one at a time in any order,
+    leave the forest that the round's Kruskal pass builds.  Round 0's forest
+    is the one that prefers lower ranks, from one Borůvka pass.
+    Returns (position -> death round, position -> join round); the edge at
+    position i is in the forests of rounds join[i] + 1 .. death[i].
     """
-    ranked = sorted((-int(w), u, v) for u, v, w in weighted_edges)
-    free_at: list = [[] for _ in range(n)]  # ranks of the free edges at each vertex, ascending
-    for k, (_, u, v) in enumerate(ranked):
-        free_at[u].append(k)
-        free_at[v].append(k)
-    label = list(range(n))
+    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    ul, vl = us.tolist(), vs.tolist()
+    ranked = sorted(range(len(w)), key=lambda i: (-w[i], ul[i], vl[i]))
+    ru, rv = [ul[i] for i in ranked], [vl[i] for i in ranked]
+    in_forest = _boruvka_forest(n, us[ranked], vs[ranked])
     adj: list = [set() for _ in range(n)]
+    free_at: list = [[] for _ in range(n)]  # ranks of the free edges at each vertex, ascending
     dying: list = []  # heap of (death round, rank) over the forest
-    death_round: dict = {}
-    join_round: dict = {}
-    relabelled = range(n)
-    pending = n - 1  # joins left before no free edge can cross two trees
-    r = 0
-    while True:
-        # merged from copies: a join removes its edge from the lists
-        for k in heapq.merge(*(free_at[x][:] for x in relabelled)):
-            minus_w, u, v = ranked[k]
-            if label[u] == label[v]:
-                continue
-            side = _smaller_side(adj, u, v)
-            tree = label[v] if side[0] == u else label[u]
-            for x in side:
-                label[x] = tree
-            adj[u].add(v)
-            adj[v].add(u)
-            free_at[u].remove(k)
-            free_at[v].remove(k)
-            join_round[(u, v)] = r
-            heapq.heappush(dying, (r - minus_w, k))
-            pending -= 1
-            if not pending:
-                break
-        if not dying:
-            return death_round, join_round
-        r = dying[0][0]
-        relabelled, pending = [], 0
-        while dying and dying[0][0] == r:
-            k = heapq.heappop(dying)[1]
-            _, u, v = ranked[k]
-            death_round[(u, v)] = r
-            adj[u].remove(v)
-            adj[v].remove(u)
-            side = _smaller_side(adj, u, v)
-            for x in side:
-                label[x] = n + k  # a label no tree has had: each edge dies once
-            relabelled += side
-            pending += 1
+    death: dict = {}  # position -> round, as exact ints
+    join: dict = {}
+
+    def link(k: int, r: int) -> None:
+        adj[ru[k]].add(rv[k])
+        adj[rv[k]].add(ru[k])
+        join[ranked[k]] = r
+        heapq.heappush(dying, (r + w[ranked[k]], k))
+
+    for k in np.flatnonzero(~in_forest).tolist():
+        free_at[ru[k]].append(k)
+        free_at[rv[k]].append(k)
+    for k in np.flatnonzero(in_forest).tolist():
+        link(k, 0)
+    while dying:
+        r, k = heapq.heappop(dying)
+        u, v = ru[k], rv[k]
+        death[ranked[k]] = r
+        adj[u].remove(v)
+        adj[v].remove(u)
+        side = _smaller_side(adj, u, v)
+        inside = set(side)
+        best = len(ranked)
+        for x in side:
+            for j in free_at[x]:  # the first crossing rank below best, if any
+                if j >= best:
+                    break
+                if (rv[j] if ru[j] == x else ru[j]) not in inside:
+                    best = j
+                    break
+        if best < len(ranked):
+            free_at[ru[best]].remove(best)
+            free_at[rv[best]].remove(best)
+            link(best, r)
+    return death, join
 
 
-def forest_round_sampler(n: int, weighted_edges, seed: int):
+def forest_round_sampler(n: int, us, vs, w, seed: int):
     """Forest-round connectivity sampling, as a function of epsilon.
 
     Returns (count, sample).  sample(epsilon) keeps an edge dying at round r
     with probability min(ln n / (epsilon^2 r), 1) and inflates its weight by
     the inverse of that probability: it returns the bool mask of the kept
-    edges, over the edges in canonical (u, v) order, and their inflated
-    weights.  count(epsilon) is the number kept, found by one array
-    comparison.  The forest rounds run once, and the per-edge uniforms are
-    drawn once from the seed in canonical edge order, so every epsilon reuses
-    the same randomness and the output size is monotone in epsilon.  A death
-    round too large for a float is a ValueError.
+    edges, over the edge positions, and their inflated weights.
+    count(epsilon) is the number kept, found by one array comparison.  The
+    forest rounds run once, and the per-edge uniforms are drawn once from
+    the seed in position order, so every epsilon reuses the same randomness
+    and the output size is monotone in epsilon.  A death round too large for
+    a float is a ValueError.
     """
-    rows = sorted(weighted_edges)
-    death_round, _ = contiguous_forest_rounds(n, rows)
+    death, _ = contiguous_forest_rounds(n, us, vs, w)
     try:
-        rounds = np.array([float(death_round[(u, v)]) for u, v, _ in rows])
+        rounds = np.array([float(death[i]) for i in range(len(w))])
     except OverflowError:
         raise ValueError("death rounds overflow a float: p_min is too small for ni") from None
-    weights = np.array([float(w) for _, _, w in rows])  # w <= its death round
-    uniforms = derive_rng(seed).random(len(rows))
+    weights = np.array([float(x) for x in w])  # w <= its death round
+    uniforms = derive_rng(seed).random(len(w))
     log_n = math.log(n)
 
     def keep_probabilities(epsilon: float) -> np.ndarray:
@@ -219,13 +216,13 @@ def ni_sparsify(
         return g, {"epsilon": None, "calibration_steps": 0, "core_edges": g.m, "topped_up": 0}
     m = g.m
     target = target_edge_count(m, alpha)
-    rows = to_ni_weights(g)
+    w = to_ni_weights(g)
     p_min = float(g.probabilities.min())
     n = g.n
+    us, vs = g.endpoint_arrays
 
     # Calibration is pure thresholding: one forest pass, one set of uniforms.
-    # The rows are in edge order, so the sample's mask is over the edges.
-    count, sample = forest_round_sampler(n, rows, seed)
+    count, sample = forest_round_sampler(n, us, vs, w, seed)
     epsilon = math.sqrt(n * math.log(n) ** 2 / (alpha * m))
     steps = 0
     size = count(epsilon)
@@ -249,7 +246,6 @@ def ni_sparsify(
     core_edges = int(np.count_nonzero(core))
     deficit = target - core_edges
     kept = _topup_edges(g, core, deficit, seed)
-    us, vs = g.endpoint_arrays
     out = UncertainGraph.from_columns(n, us[kept], vs[kept], probs[kept])
     info = {
         "epsilon": epsilon,
@@ -267,7 +263,10 @@ def ni_sparsify(
 
 def to_ss_weights(g: UncertainGraph) -> np.ndarray:
     """The (|E|,) column of weights -ln p, one math.log per edge: the lightest
-    path is the most probable one, and p = 1 weighs 0, legal for shortest paths."""
+    path is the most probable one, and p = 1 weighs 0, legal for shortest paths.
+    A p = 0 edge is a ValueError."""
+    if not np.all(g.probabilities > 0.0):
+        raise ValueError("ss needs every edge probability above 0")
     return np.array([-math.log(p) for p in g.probabilities.tolist()])
 
 

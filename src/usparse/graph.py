@@ -20,6 +20,8 @@ import numpy as np
 MAX_EXACT_EDGES = 25
 # Worlds times max(|E|, n) per chunk of the exact enumeration: flat memory in 2^|E| and n.
 EXACT_CHUNK_CELLS = 1 << 20
+# Most edges generate_synthetic builds: it peaks at about 310 bytes per edge, so about 3 GB.
+MAX_GENERATED_EDGES = 10**7
 
 _LN2 = math.log(2.0)
 
@@ -423,7 +425,8 @@ def generate_synthetic(
     Starts from a random spanning tree, then adds uniformly random distinct
     vertex pairs until ceil(target_density * n(n-1)/2) edges exist.  Edge
     probabilities are drawn from prob_sampler, so the deterministic structure
-    is connected by construction.
+    is connected by construction.  More than MAX_GENERATED_EDGES edges is a
+    ValueError, raised before anything is allocated.
     """
     if not 0.0 < target_density <= 1.0:
         raise ValueError("target_density must be in (0, 1]")
@@ -431,6 +434,10 @@ def generate_synthetic(
         raise ValueError("need at least 2 vertices")
     max_edges = n * (n - 1) // 2
     m = math.ceil(target_density * max_edges)
+    if m > MAX_GENERATED_EDGES:
+        raise ValueError(
+            f"n={n} at density {target_density} asks for {m} edges, above the {MAX_GENERATED_EDGES} cap"
+        )
     if m < n - 1:
         raise ValueError(
             f"density {target_density} gives {m} edges, below the {n - 1} needed for connectivity"

@@ -248,12 +248,13 @@ def test_criterion_09_spanner_stretch():
 
 def test_criterion_10_forest_trace_and_inverse_transform():
     started = time.perf_counter()
-    death, join = contiguous_forest_rounds(3, [(0, 1, 1), (0, 2, 2), (1, 2, 1)])
-    assert join == {(0, 1): 0, (0, 2): 0, (1, 2): 1}
-    # edge e is in the forests of rounds join[e] + 1 .. death[e]
-    forests = [sorted(e for e in death if join[e] < r <= death[e]) for r in (1, 2)]
-    assert forests == [[(0, 1), (0, 2)], [(0, 2), (1, 2)]]
-    assert death == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
+    # the triangle (0, 1), (0, 2), (1, 2) with weights 1, 2, 1, as positions 0, 1, 2
+    death, join = contiguous_forest_rounds(3, [0, 0, 1], [1, 2, 2], [1, 2, 1])
+    assert join == {0: 0, 1: 0, 2: 1}
+    # the edge at position i is in the forests of rounds join[i] + 1 .. death[i]
+    forests = [sorted(i for i in death if join[i] < r <= death[i]) for r in (1, 2)]
+    assert forests == [[0, 1], [1, 2]]
+    assert death == {0: 1, 1: 2, 2: 2}
     p_min = 0.2
     assert min(3 * p_min, 1.0) == pytest.approx(0.6, abs=1e-15)
     assert min(6 * p_min, 1.0) == 1.0

@@ -42,84 +42,110 @@ def ss_rows(g):
     return list(zip(*(a.tolist() for a in g.endpoint_arrays), to_ss_weights(g).tolist()))
 
 
+ZERO_EDGE = UncertainGraph(4, [(0, 1, 0.0), (1, 2, 0.5), (2, 3, 0.9), (0, 3, 0.4)], allow_zero=True)
+
+
+def columns(rows):
+    """The (us, vs, w) columns of hand-written (u, v, w) rows."""
+    return tuple(map(list, zip(*rows)))
+
+
+def ni_columns(g):
+    """n and g's ni columns (us, vs, w)."""
+    us, vs = g.endpoint_arrays
+    return g.n, us.tolist(), vs.tolist(), to_ni_weights(g)
+
+
 class TestNiWeights:
     def test_transform_examples(self):
         g = UncertainGraph(4, [(0, 1, 0.2), (1, 2, 0.4), (2, 3, 1.0)])
-        assert to_ni_weights(g) == [(0, 1, 1), (1, 2, 2), (2, 3, 5)]
+        assert to_ni_weights(g) == [1, 2, 5]
 
     def test_all_equal_probabilities(self):
         g = UncertainGraph(3, [(0, 1, 0.77), (1, 2, 0.77)])
-        assert [w for _, _, w in to_ni_weights(g)] == [1, 1]
+        assert to_ni_weights(g) == [1, 1]
 
     def test_round_half_up(self):
         g = UncertainGraph(3, [(0, 1, 0.1), (1, 2, 0.349)])
         # 0.349/0.1 = 3.49 rounds down to 3
-        assert [w for _, _, w in to_ni_weights(g)] == [1, 3]
+        assert to_ni_weights(g) == [1, 3]
 
     def test_weight_floor(self):
         g = generate_synthetic(15, 0.4, seed=0)
-        rows = to_ni_weights(g)
-        assert [(u, v) for u, v, _ in rows] == list(g.edge_pairs)
-        assert min(w for _, _, w in rows) == 1
+        w = to_ni_weights(g)
+        assert len(w) == g.m and all(type(x) is int for x in w)
+        assert min(w) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             to_ni_weights(UncertainGraph(3, []))
 
+    def test_zero_probability_rejected(self):
+        with pytest.raises(ValueError, match="ni needs every edge probability above 0"):
+            to_ni_weights(ZERO_EDGE)
+
 
 def per_round(death, join):
     """The per-round trace rebuilt from join and death rounds: round r's forest
-    holds every edge e with join[e] < r <= death[e]."""
+    holds every position i with join[i] < r <= death[i]."""
     return [
-        sorted(e for e in death if join[e] < r <= death[e])
+        sorted(i for i in death if join[i] < r <= death[i])
         for r in range(1, max(death.values()) + 1)
     ]
 
 
-def one_round_at_a_time(n, weighted_edges):
+def one_round_at_a_time(n, us, vs, w):
     """Independent oracle: every round rebuilt, one unit of weight per round."""
-    residual = {(u, v): w for u, v, w in weighted_edges}
+    residual = dict(enumerate(w))
     prev, death, trace, r = [], {}, [], 0
     while residual:
         r += 1
         uf = UnionFind(n)
-        kept = [e for e in sorted(prev) if e in residual and uf.union(*e)]
-        rest = sorted((e for e in residual if e not in prev), key=lambda e: (-residual[e], e))
-        forest = sorted(kept + [e for e in rest if uf.union(*e)])
-        for e in forest:
-            residual[e] -= 1
-            if residual[e] == 0:
-                death[e] = r
-                del residual[e]
+        kept = [i for i in prev if i in residual and uf.union(us[i], vs[i])]
+        rest = sorted((i for i in residual if i not in prev), key=lambda i: (-residual[i], us[i], vs[i]))
+        forest = sorted(kept + [i for i in rest if uf.union(us[i], vs[i])])
+        for i in forest:
+            residual[i] -= 1
+            if residual[i] == 0:
+                death[i] = r
+                del residual[i]
         prev = forest
         trace.append(forest)
     return death, trace
 
 
 def random_ni(seed):
-    """n and ni weight rows of a random 14-vertex graph."""
-    return 14, to_ni_weights(generate_synthetic(14, 0.4, seed=seed))
+    """n and ni columns of a random 14-vertex graph."""
+    return ni_columns(generate_synthetic(14, 0.4, seed=seed))
 
 
 def disconnected(seed):
-    """n and ni weight rows of two random blocks side by side, plus two isolated vertices."""
+    """n and ni columns of two random blocks side by side, plus two isolated vertices."""
     a = generate_synthetic(8, 0.5, seed=seed)
     b = generate_synthetic(6, 0.6, seed=seed + 10)
     edges = list(a.edges) + [(u + 8, v + 8, p) for u, v, p in b.edges]
-    return 16, to_ni_weights(UncertainGraph(16, edges))
+    return ni_columns(UncertainGraph(16, edges))
 
 
 def tied(seed):
     """Integer weights 1-3, so one round kills several forest edges at once."""
     rng = derive_rng(seed)
-    g = generate_synthetic(14, 0.4, seed=seed)
-    return g.n, [(u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges]
+    n, us, vs, _ = ni_columns(generate_synthetic(14, 0.4, seed=seed))
+    return n, us, vs, [int(rng.integers(1, 4)) for _ in us]
+
+
+def all_equal(seed):
+    """A dense 14-vertex graph with every weight 1: each round's whole forest
+    dies at once, and its replacements interact."""
+    n, us, vs, _ = ni_columns(generate_synthetic(14, 0.9, seed=seed))
+    return n, us, vs, [1] * len(us)
 
 
 ORACLE_CASES = (
     [pytest.param(random_ni, s, id=str(s)) for s in range(4)]
     + [pytest.param(disconnected, s, id=f"disconnected-{s}") for s in range(4)]
     + [pytest.param(tied, s, id=f"tied-{s}") for s in range(4)]
+    + [pytest.param(all_equal, s, id=f"all-equal-{s}") for s in range(2)]
 )
 
 
@@ -127,64 +153,69 @@ class TestForestRounds:
     def test_three_edge_hand_trace(self):
         # triangle weights [1, 2, 1]: round 1 takes (0,2) [residual 2] and
         # (0,1); (0,1) dies.  Round 2 must retain (0,2) and adds (1,2); both die.
-        death, join = contiguous_forest_rounds(3, [(0, 1, 1), (0, 2, 2), (1, 2, 1)])
-        assert join == {(0, 1): 0, (0, 2): 0, (1, 2): 1}
-        assert per_round(death, join) == [[(0, 1), (0, 2)], [(0, 2), (1, 2)]]
-        assert death == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
+        death, join = contiguous_forest_rounds(3, *columns([(0, 1, 1), (0, 2, 2), (1, 2, 1)]))
+        assert join == {0: 0, 1: 0, 2: 1}
+        assert per_round(death, join) == [[0, 1], [1, 2]]
+        assert death == {0: 1, 1: 2, 2: 2}
 
     def test_forest_held_until_its_lightest_member_dies(self):
         # a path is its own forest every round: built once, held 3 rounds
-        death, join = contiguous_forest_rounds(3, [(0, 1, 3), (1, 2, 5)])
-        assert join == {(0, 1): 0, (1, 2): 0}
-        assert per_round(death, join) == [[(0, 1), (1, 2)]] * 3 + [[(1, 2)]] * 2
-        assert death == {(0, 1): 3, (1, 2): 5}
+        death, join = contiguous_forest_rounds(3, *columns([(0, 1, 3), (1, 2, 5)]))
+        assert join == {0: 0, 1: 0}
+        assert per_round(death, join) == [[0, 1]] * 3 + [[1]] * 2
+        assert death == {0: 3, 1: 5}
 
     def test_edge_with_weight_w_spans_w_rounds(self):
-        death, join = contiguous_forest_rounds(3, [(0, 1, 1), (0, 2, 3), (1, 2, 1)])
-        rounds_02 = [r for r, f in enumerate(per_round(death, join), start=1) if (0, 2) in f]
-        assert len(rounds_02) == 3 and death[(0, 2)] == rounds_02[-1]
+        death, join = contiguous_forest_rounds(3, *columns([(0, 1, 1), (0, 2, 3), (1, 2, 1)]))
+        rounds_02 = [r for r, f in enumerate(per_round(death, join), start=1) if 1 in f]
+        assert len(rounds_02) == 3 and death[1] == rounds_02[-1]
 
     def test_single_tree_all_die_round_one(self):
-        death, join = contiguous_forest_rounds(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        death, join = contiguous_forest_rounds(4, *columns([(0, 1, 1), (1, 2, 1), (2, 3, 1)]))
         assert set(death.values()) == {1} and set(join.values()) == {0}
-        assert per_round(death, join) == [[(0, 1), (1, 2), (2, 3)]]
+        assert per_round(death, join) == [[0, 1, 2]]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_forest_membership_contiguous_until_death(self, seed):
         rng = derive_rng(seed)
-        g = generate_synthetic(15, 0.3, seed=seed)
-        rows = [(u, v, int(rng.integers(1, 5))) for u, v, _ in g.edges]
-        death, join = contiguous_forest_rounds(g.n, rows)
+        n, us, vs, _ = ni_columns(generate_synthetic(15, 0.3, seed=seed))
+        w = [int(rng.integers(1, 5)) for _ in us]
+        death, join = contiguous_forest_rounds(n, us, vs, w)
         appearances = defaultdict(list)
         for r, forest in enumerate(per_round(death, join), start=1):
-            for e in forest:
-                appearances[e].append(r)
-        weight = {(u, v): w for u, v, w in rows}
-        assert set(appearances) == set(weight)
-        for e, rounds in appearances.items():
+            for i in forest:
+                appearances[i].append(r)
+        assert set(appearances) == set(range(len(w)))
+        for i, rounds in appearances.items():
             assert rounds == list(range(rounds[0], rounds[0] + len(rounds)))
-            assert rounds[-1] == death[e] and len(rounds) == weight[e]
+            assert rounds[-1] == death[i] and len(rounds) == w[i]
 
     def test_alive_prior_forest_edges_persist(self):
         rng = derive_rng(9)
-        g = generate_synthetic(12, 0.4, seed=9)
-        rows = [(u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges]
-        death, join = contiguous_forest_rounds(g.n, rows)
+        n, us, vs, _ = ni_columns(generate_synthetic(12, 0.4, seed=9))
+        w = [int(rng.integers(1, 4)) for _ in us]
+        death, join = contiguous_forest_rounds(n, us, vs, w)
         trace = per_round(death, join)
         for r in range(1, len(trace)):
-            survivors = {e for e in trace[r - 1] if death[e] > r}
+            survivors = {i for i in trace[r - 1] if death[i] > r}
             assert survivors <= set(trace[r])
 
     @pytest.mark.parametrize("build, seed", ORACLE_CASES)
     def test_matches_one_round_at_a_time(self, build, seed):
-        n, rows = build(seed)
-        death, join = contiguous_forest_rounds(n, rows)
-        assert (death, per_round(death, join)) == one_round_at_a_time(n, rows)
+        cols = build(seed)
+        death, join = contiguous_forest_rounds(*cols)
+        assert (death, per_round(death, join)) == one_round_at_a_time(*cols)
 
     def test_tied_cases_kill_several_forest_edges_in_one_round(self):
         for seed in range(4):
             death, _ = contiguous_forest_rounds(*tied(seed))
             assert max(Counter(death.values()).values()) >= 2
+
+    def test_all_equal_cases_kill_a_whole_forest_in_one_round(self):
+        for seed in range(2):
+            n, *cols = all_equal(seed)
+            death, _ = contiguous_forest_rounds(n, *cols)
+            assert Counter(death.values())[1] == n - 1
 
     def test_tiny_p_min_builds_at_most_m_forests(self):
         # weights reach 1/p_min, far beyond int64 at 1e-300, so one Kruskal
@@ -193,11 +224,11 @@ class TestForestRounds:
         for p_min, last_round in [(1e-9, 10**9), (1e-300, 10**299)]:
             edges = [(u, v, p_min if i == 0 else p) for i, (u, v, p) in enumerate(g.edges)]
             tiny = UncertainGraph(g.n, edges)
-            rows = to_ni_weights(tiny)
-            death, join = contiguous_forest_rounds(g.n, rows)
+            n, us, vs, w = ni_columns(tiny)
+            death, join = contiguous_forest_rounds(n, us, vs, w)
             assert len(set(death.values())) <= g.m
             assert all(type(r) is int for r in [*death.values(), *join.values()])
-            assert all(death[(u, v)] - join[(u, v)] == w for u, v, w in rows)
+            assert all(death[i] - join[i] == w[i] for i in range(g.m))
             assert max(death.values()) > last_round
             assert ni_sparsify(tiny, 0.3, seed=1)[0].m == target_edge_count(g.m, 0.3)
 
@@ -205,36 +236,35 @@ class TestForestRounds:
 class TestNiCore:
     def test_tiny_epsilon_keeps_everything_at_original_weight(self):
         g = generate_synthetic(12, 0.4, seed=1)
-        rows = to_ni_weights(g)
-        _, sample = forest_round_sampler(g.n, rows, 3)
+        _, sample = forest_round_sampler(*ni_columns(g), 3)
         kept, weights = sample(1e-6)
         assert kept.tolist() == [True] * g.m
-        assert weights.tolist() == [w for _, _, w in rows]
+        assert weights.tolist() == to_ni_weights(g)
 
     def test_single_tree_sampled_at_round_one_probability(self):
         eps = 2.0
         keep_p = min(math.log(4) / eps**2, 1.0)
         uniforms = derive_rng(11).random(3)
-        # rows out of canonical order: the mask is over the canonical order
-        _, sample = forest_round_sampler(4, [(2, 3, 1), (0, 1, 1), (1, 2, 1)], 11)
+        # edges out of canonical order: the mask is over the positions given
+        _, sample = forest_round_sampler(4, *columns([(2, 3, 1), (0, 1, 1), (1, 2, 1)]), 11)
         kept, weights = sample(eps)
         assert kept.tolist() == [u < keep_p for u in uniforms]
         assert weights.tolist() == [1 / keep_p] * int(kept.sum())
 
     def test_kept_weight_is_original_over_keep_probability(self):
-        rows = [(0, 1, 1), (0, 2, 2), (1, 2, 1)]
+        us, vs, w = columns([(0, 1, 1), (0, 2, 2), (1, 2, 1)])
         eps = 1.0
-        _, sample = forest_round_sampler(3, rows, 0)
+        _, sample = forest_round_sampler(3, us, vs, w, 0)
         kept, weights = sample(eps)
-        death, _ = contiguous_forest_rounds(3, rows)
-        kept_rows = [row for row, k in zip(rows, kept) if k]
-        assert len(kept_rows) == len(weights)
-        for (u, v, original), w in zip(kept_rows, weights):
-            keep_p = min(math.log(3) / (eps**2 * death[(u, v)]), 1.0)
-            assert w == pytest.approx(original / keep_p)
+        death, _ = contiguous_forest_rounds(3, us, vs, w)
+        kept_positions = [i for i, k in enumerate(kept) if k]
+        assert len(kept_positions) == len(weights)
+        for i, weight in zip(kept_positions, weights):
+            keep_p = min(math.log(3) / (eps**2 * death[i]), 1.0)
+            assert weight == pytest.approx(w[i] / keep_p)
 
     def test_count_is_the_sample_size(self):
-        count, sample = forest_round_sampler(20, to_ni_weights(generate_synthetic(20, 0.4, seed=2)), 5)
+        count, sample = forest_round_sampler(*ni_columns(generate_synthetic(20, 0.4, seed=2)), 5)
         for eps in (0.05, 0.3, 0.7, 1.5, 4.0):
             kept, weights = sample(eps)
             assert count(eps) == np.count_nonzero(kept) == len(weights)
@@ -280,6 +310,10 @@ class TestNiSparsify:
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
             ni_sparsify(generate_synthetic(15, 0.4, seed=9), alpha)
 
+    def test_zero_probability_edge_is_refused(self):
+        with pytest.raises(ValueError, match="ni needs every edge probability above 0"):
+            ni_sparsify(ZERO_EDGE, 0.5)
+
 
 class TestNiPinned:
     # sha256 of the saved edge list and of the sorted-key JSON of info for
@@ -301,7 +335,7 @@ class TestNiPinned:
         assert hashlib.sha256(json.dumps(info, sort_keys=True).encode()).hexdigest() == self.PINNED_INFO
 
     def test_paper_graph_forest_count(self, graph):
-        death, _ = contiguous_forest_rounds(graph.n, to_ni_weights(graph))
+        death, _ = contiguous_forest_rounds(*ni_columns(graph))
         assert len(set(death.values())) == 717
         assert max(death.values()) == 19039
 
@@ -482,6 +516,10 @@ class TestSsSparsify:
         g = generate_synthetic(15, 0.4, seed=9)
         out, _ = ss_sparsify(g, 1.0, seed=0)
         assert out is g
+
+    def test_zero_probability_edge_is_refused(self):
+        with pytest.raises(ValueError, match="ss needs every edge probability above 0"):
+            ss_sparsify(ZERO_EDGE, 0.5)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.7])
     def test_exact_size(self, alpha):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import usparse.graph
 from usparse import evaluation
 from usparse.backbone import target_edge_count
 from usparse.cli import main
@@ -43,6 +44,13 @@ class TestGenerate:
 
     def test_bad_distribution(self, tmp_path):
         assert main(["generate", "-n", "10", "-d", "0.4", "--dist", "zeta:2", "-o", str(tmp_path / "x.el")]) == 1
+
+    def test_edge_cap_exits_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(usparse.graph, "MAX_GENERATED_EDGES", 100)
+        out = tmp_path / "big.el"
+        assert main(["generate", "-n", "100", "-d", "0.15", "--seed", "1", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert "above the 100" in capsys.readouterr().err
 
 
 class TestSparsify:

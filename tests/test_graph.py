@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import usparse.graph
 from usparse.evaluation import (
     CutProfile,
     QueryKind,
@@ -635,6 +636,14 @@ class TestGenerateSynthetic:
         g1 = generate_synthetic(30, 0.2, seed=9)
         g2 = generate_synthetic(30, 0.2, seed=9)
         assert g1.edges == g2.edges
+
+    def test_edge_cap_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(usparse.graph, "MAX_GENERATED_EDGES", 743)
+        assert generate_synthetic(100, 0.15, seed=1).m == 743  # at the cap is fine
+        monkeypatch.setattr(usparse.graph, "MAX_GENERATED_EDGES", 100)
+        monkeypatch.setattr(usparse.graph, "derive_rng", lambda *key: pytest.fail("drew before the cap check"))
+        with pytest.raises(ValueError, match="asks for 743 edges, above the 100"):
+            generate_synthetic(100, 0.15, seed=1)
 
 
 # ---------------------------------------------------------------------------
