@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usparse import evaluation
+from usparse.config import RunConfig
+from usparse.dispatch import sparsify
 from usparse.evaluation import (
     Answers,
+    CutProfile,
     QueryKind,
     component_labels,
     default_units,
@@ -392,6 +395,22 @@ class TestRelativeEntropy:
     def test_zero_entropy_original_is_none(self):
         g = UncertainGraph(3, [(0, 1, 1.0)])
         assert quality(g, g)["relative_entropy"] is None
+
+
+class TestCutProfile:
+    # CutProfile(g, 200, 3).mae on the README graph's outputs at alpha 0.3, sparsify seed 7
+    PINNED_MAE = {
+        "gdb": "0x1.02cfeb6a35d25p+5",
+        "ni": "0x1.2193e4aafe796p+5",
+        "ss": "0x1.3fd9c1327633bp+5",
+    }
+
+    def test_readme_graph_bits_pinned(self):
+        g = generate_synthetic(100, 0.15, seed=1)
+        profile = CutProfile(g, 200, 3)
+        for method, pinned in self.PINNED_MAE.items():
+            out, _ = sparsify(g, RunConfig(method=method, alpha=0.3, seed=7))
+            assert profile.mae(out) == float.fromhex(pinned), method
 
 
 class TestEmdReport:
