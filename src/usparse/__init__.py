@@ -13,7 +13,6 @@ from usparse.emd import emd_run
 from usparse.evaluation import (
     Answers,
     QueryKind,
-    cut_mae_profile,
     earth_movers_distance,
     emd_report,
     quality,
@@ -27,14 +26,11 @@ from usparse.graph import (
     GraphFormatError,
     UncertainGraph,
     derive_rng,
-    edge_entropy,
     exact_query_probability,
-    expected_cut_size,
     generate_synthetic,
     graph_entropy,
     load_graph,
     sample_world,
-    sampled_k_discrepancy_mae,
     save_graph,
 )
 from usparse.lp import lp_sparsify, solve_optimal_assignment
@@ -48,15 +44,12 @@ __all__ = [
     "RunConfig",
     "UncertainGraph",
     "build_backbone",
-    "cut_mae_profile",
     "default_alpha_prime",
     "derive_rng",
     "earth_movers_distance",
-    "edge_entropy",
     "emd_report",
     "emd_run",
     "exact_query_probability",
-    "expected_cut_size",
     "gdb_run",
     "generate_synthetic",
     "graph_entropy",
@@ -68,7 +61,6 @@ __all__ = [
     "sample_answers",
     "sample_masks",
     "sample_world",
-    "sampled_k_discrepancy_mae",
     "save_graph",
     "solve_optimal_assignment",
     "sparsify",

@@ -24,13 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from usparse.graph import (
-    SampledCuts,
-    UncertainGraph,
-    derive_rng,
-    graph_entropy,
-    sample_world,
-)
+from usparse.graph import UncertainGraph, derive_rng, graph_entropy, sample_world
 
 DEFAULT_N_SAMPLES = 500
 DEFAULT_N_RUNS = 100
@@ -401,32 +395,67 @@ def quality(g: UncertainGraph, out: UncertainGraph) -> dict:
     }
 
 
+def _floyd_k_subset(rng: np.random.Generator, n: int, k: int) -> list[int]:
+    """Uniform k-subset of range(n) by Floyd's algorithm."""
+    chosen = set()
+    for j in range(n - k, n):
+        t = int(rng.integers(0, j + 1))
+        if t in chosen:
+            chosen.add(j)
+        else:
+            chosen.add(t)
+    return sorted(chosen)
+
+
+def _crossing_mass(g: UncertainGraph, inside: np.ndarray) -> float:
+    """Expected mass of g's edges with exactly one end in the vertex mask `inside`."""
+    us, vs = g.endpoint_arrays
+    ps = g.probabilities
+    return float(ps[inside[us] ^ inside[vs]].sum()) if ps.size else 0.0
+
+
 class CutProfile:
-    """The sampled cuts that cut_mae_profile scores, drawn once for g.
+    """The sampled-cut metric: cuts of g drawn once, scoring any graph on g's vertices.
 
     For each k of a small ladder of cut cardinalities it holds n_cuts
-    k-subsets and g's cut mass at each, drawn at the first score, so a sweep
-    scores every sparsified graph against the same subsets without redrawing
-    them.
+    uniformly sampled k-subsets, as one (n_cuts, n) bool matrix, and g's cut
+    mass at each.  Each k draws from its own derive_rng(seed) stream, and
+    draws are independent, so a subset may repeat.  The subsets are drawn at
+    the first score, so a sweep scores every sparsified graph against the
+    same ones.
     """
 
     def __init__(self, g: UncertainGraph, n_cuts: int, seed: int):
+        if n_cuts < 1:
+            raise ValueError("n_cuts must be at least 1")
         self.g, self.n_cuts, self.seed = g, n_cuts, seed
 
     @cached_property
-    def cuts(self) -> list[SampledCuts]:
-        g = self.g
-        ks = sorted({1, 2, max(1, g.n // 4), max(1, g.n // 2), max(1, (3 * g.n) // 4), g.n})
-        return [SampledCuts(g, k, self.n_cuts, self.seed) for k in ks]
+    def cuts(self) -> list[tuple[np.ndarray, list[float]]]:
+        """(subset matrix, g's cut masses) for each k of the ladder, in ascending k."""
+        n = self.g.n
+        cuts = []
+        for k in sorted({1, 2, max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n}):
+            if not 1 <= k <= n:
+                raise ValueError(f"k={k} out of range [1, {n}]")
+            rng = derive_rng(self.seed)
+            inside = np.zeros((self.n_cuts, n), dtype=bool)
+            for row in inside:
+                row[_floyd_k_subset(rng, n, k)] = True
+            cuts.append((inside, [_crossing_mass(self.g, row) for row in inside]))
+        return cuts
 
     def mae(self, out: UncertainGraph) -> float:
-        """Average over the ladder of out's sampled-cut MAE against g."""
-        return float(np.mean([cuts.mae(out) for cuts in self.cuts]))
-
-
-def cut_mae_profile(g: UncertainGraph, out: UncertainGraph, n_cuts: int, seed: int) -> float:
-    """Average of sampled-cut MAEs over a small ladder of cut cardinalities."""
-    return CutProfile(g, n_cuts, seed).mae(out)
+        """Mean over the ladder of the mean |cut mass of g - cut mass of out| over k's subsets."""
+        if out.n != self.g.n:
+            raise ValueError("graphs must share the same vertex set")
+        maes = []
+        for inside, masses in self.cuts:
+            total = 0.0
+            for row, mass in zip(inside, masses):
+                total += abs(mass - _crossing_mass(out, row))
+            maes.append(total / self.n_cuts)
+        return float(np.mean(maes))
 
 
 @dataclass

@@ -4,8 +4,8 @@ An uncertain graph is an undirected simple graph whose edges carry an
 existence probability in (0, 1].  It denotes a distribution over the
 2^|E| deterministic graphs ("possible worlds") obtained by materializing
 each edge independently.  This module holds the graph type, possible-world
-sampling, the exact enumeration oracle for tiny graphs, entropy / expected
-degree / expected cut accounting, and a synthetic generator.
+sampling, the exact enumeration oracle for tiny graphs, entropy and expected
+degrees, and a synthetic generator.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ MAX_EXACT_EDGES = 25
 EXACT_CHUNK_CELLS = 1 << 20
 # Most edges generate_synthetic builds: it peaks at about 310 bytes per edge, so about 3 GB.
 MAX_GENERATED_EDGES = 10**7
-
-_LN2 = math.log(2.0)
 
 
 class GraphFormatError(ValueError):
@@ -264,18 +262,8 @@ class UncertainGraph:
 
 
 # ---------------------------------------------------------------------------
-# Entropy, degrees, cuts, discrepancies
+# Entropy
 # ---------------------------------------------------------------------------
-
-
-def edge_entropy(p: float) -> float:
-    """Bernoulli entropy of one edge, in bits, with 0*log(0) := 0."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability {p} outside [0,1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    q = 1.0 - p
-    return -(p * math.log2(p) + q * math.log2(q))
 
 
 def graph_entropy(g: UncertainGraph) -> float:
@@ -286,82 +274,6 @@ def graph_entropy(g: UncertainGraph) -> float:
     inner = ps[(ps > 0.0) & (ps < 1.0)]
     q = 1.0 - inner
     return float(-(np.sum(inner * np.log2(inner)) + np.sum(q * np.log2(q)))) + 0.0
-
-
-def expected_cut_size(g: UncertainGraph, members: Iterable[int]) -> float:
-    """Sum of probabilities of edges with exactly one endpoint in the set."""
-    inside = np.zeros(g.n, dtype=bool)
-    for u in members:
-        if not 0 <= u < g.n:
-            raise ValueError(f"vertex {u} out of range for n={g.n}")
-        inside[u] = True
-    return _cut_mass(g, inside)
-
-
-def sample_k_subset(rng: np.random.Generator, n: int, k: int) -> list[int]:
-    """Uniform k-subset of range(n) by Floyd's algorithm."""
-    chosen = set()
-    for j in range(n - k, n):
-        t = int(rng.integers(0, j + 1))
-        if t in chosen:
-            chosen.add(j)
-        else:
-            chosen.add(t)
-    return sorted(chosen)
-
-
-def _cut_mass(g: UncertainGraph, inside: np.ndarray) -> float:
-    """Expected mass of g's edges with exactly one end in the vertex mask `inside`."""
-    us, vs = g.endpoint_arrays
-    ps = g.probabilities
-    return float(ps[inside[us] ^ inside[vs]].sum()) if ps.size else 0.0
-
-
-class SampledCuts:
-    """n_cuts uniformly sampled k-subsets of g's vertices, with g's cut mass at each.
-
-    Draws are independent, so duplicate subsets may occur; the subsets are
-    deterministic given the seed.  Drawn once, they score any number of
-    graphs on the same vertex set.
-    """
-
-    def __init__(self, g: UncertainGraph, k: int, n_cuts: int, seed: int):
-        if not 1 <= k <= g.n:
-            raise ValueError(f"k={k} out of range [1, {g.n}]")
-        if n_cuts < 1:
-            raise ValueError("n_cuts must be at least 1")
-        rng = derive_rng(seed)
-        self.n = g.n
-        self.inside = np.zeros((n_cuts, g.n), dtype=bool)  # row j: subset j's vertices
-        for row in self.inside:
-            row[sample_k_subset(rng, g.n, k)] = True
-        self.masses = [_cut_mass(g, row) for row in self.inside]
-
-    def mae(self, g2: UncertainGraph) -> float:
-        """Mean |cut mass of g - cut mass of g2| over the sampled subsets."""
-        if g2.n != self.n:
-            raise ValueError("graphs must share the same vertex set")
-        total = 0.0
-        for row, mass in zip(self.inside, self.masses):
-            total += abs(mass - _cut_mass(g2, row))
-        return total / len(self.masses)
-
-
-def sampled_k_discrepancy_mae(
-    g: UncertainGraph,
-    g2: UncertainGraph,
-    k: int,
-    n_cuts: int,
-    seed: int,
-) -> float:
-    """Mean |absolute discrepancy| over n_cuts uniformly sampled k-subsets.
-
-    Draws are independent, so duplicate subsets may occur; the result is
-    deterministic given the seed.
-    """
-    if g.n != g2.n:
-        raise ValueError("graphs must share the same vertex set")
-    return SampledCuts(g, k, n_cuts, seed).mae(g2)
 
 
 # ---------------------------------------------------------------------------
@@ -486,38 +398,52 @@ def load_graph(path, allow_zero: bool = False) -> UncertainGraph:
     '#' starts a comment.  Probabilities must lie in (0,1]; pass
     allow_zero=True for sparsified outputs, where p=0 marks a structurally
     retained edge with no remaining mass.  The parsed columns are validated
-    in one pass, and a bad edge is reported with its line number.
+    in one pass, and a bad edge is reported with its line number, as is the
+    first line that is not UTF-8 text.
     """
     header_n = None
     us, vs, ps = [], [], []
     skipped = []  # line numbers of the lines that hold no edge
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            data, _, comment = raw.partition("#")
-            if not us and header_n is None and not data.strip():
-                token = comment.strip()
-                if token.startswith("n="):
-                    try:
-                        header_n = int(token[2:].strip())
-                    except ValueError:
-                        raise GraphFormatError(f"{path}: line {lineno}: bad header {token!r}")
-            fields = data.split()
-            if not fields:
-                skipped.append(lineno)
-                continue
-            if len(fields) != 3:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: expected 'u v p', got {data.strip()!r}"
-                )
-            try:
-                u, v, p = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise GraphFormatError(f"{path}: line {lineno}: could not parse {data.strip()!r}")
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"{path}: line {lineno}: negative vertex id")
-            us.append(u)
-            vs.append(v)
-            ps.append(p)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                data, _, comment = raw.partition("#")
+                if not us and header_n is None and not data.strip():
+                    token = comment.strip()
+                    if token.startswith("n="):
+                        try:
+                            header_n = int(token[2:].strip())
+                        except ValueError:
+                            raise GraphFormatError(f"{path}: line {lineno}: bad header {token!r}")
+                fields = data.split()
+                if not fields:
+                    skipped.append(lineno)
+                    continue
+                if len(fields) != 3:
+                    raise GraphFormatError(
+                        f"{path}: line {lineno}: expected 'u v p', got {data.strip()!r}"
+                    )
+                try:
+                    u, v, p = int(fields[0]), int(fields[1]), float(fields[2])
+                except ValueError:
+                    raise GraphFormatError(
+                        f"{path}: line {lineno}: could not parse {data.strip()!r}"
+                    )
+                if u < 0 or v < 0:
+                    raise GraphFormatError(f"{path}: line {lineno}: negative vertex id")
+                us.append(u)
+                vs.append(v)
+                ps.append(p)
+    except UnicodeDecodeError:
+        # the reader decodes in chunks, so the caught offset is not a file offset
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise GraphFormatError(f"{path}: line {line}: not UTF-8 text") from exc
+        raise
     n = header_n if header_n is not None else max(max(us, default=-1), max(vs, default=-1)) + 1
     try:
         return UncertainGraph.from_columns(n, us, vs, ps, allow_zero=allow_zero)

@@ -25,8 +25,11 @@ from usparse.benchmarks import (
     _solve_stretch_parameter,
 )
 from usparse.cli import main
+from usparse.config import RunConfig
+from usparse.dispatch import sparsify
 from usparse.emd import emd_run
 from usparse.evaluation import (
+    CutProfile,
     QueryKind,
     earth_movers_distance,
     quality,
@@ -346,3 +349,25 @@ def test_criterion_13_cli_determinism(tmp_path, monkeypatch):
 
     assert one_round("a") == one_round("b")
     report(13, "repeated CLI runs byte-identical", time.perf_counter() - started)
+
+
+def test_criterion_14_quality_floors():
+    # the README graph: the paper's three methods keep expected degrees and sampled
+    # cuts closer than both baselines, and keep less entropy than ss
+    started = time.perf_counter()
+    g = generate_synthetic(100, 0.15, seed=1)
+    cuts = CutProfile(g, 200, 3)
+    for alpha in (0.3, 0.6):
+        scores = {}
+        for method in ("gdb", "emd", "lp", "ni", "ss"):
+            out, _ = sparsify(g, RunConfig(method=method, alpha=alpha, seed=7))
+            figures = quality(g, out)
+            scores[method] = (figures["degree_mae"], cuts.mae(out), figures["relative_entropy"])
+        for method in ("gdb", "emd", "lp"):
+            degree, cut, entropy = scores[method]
+            for baseline in ("ni", "ss"):
+                assert degree < scores[baseline][0], (alpha, method, baseline, scores)
+                assert cut < scores[baseline][1], (alpha, method, baseline, scores)
+            assert entropy < scores["ss"][2], (alpha, method, scores)
+    report(14, "gdb, emd and lp beat ni and ss on degree and sampled-cut MAE, ss on entropy",
+           time.perf_counter() - started)

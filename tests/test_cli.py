@@ -161,6 +161,18 @@ class TestSparsify:
         assert "p_min" in err
         assert not out.exists()
 
+    def test_non_utf8_input_is_a_format_error(self, graph_file, tmp_path, capsys):
+        bad = tmp_path / "bad.el"
+        bad.write_bytes(b"\xff\xfe0 1 0.5\n")
+        for argv in (["sparsify", "-i", str(bad), "-o", str(tmp_path / "o.el"),
+                      "-m", "gdb", "-a", "0.5"],
+                     ["eval", "-i", str(graph_file), "-s", str(bad), "-q", "pr",
+                      "--samples", "5", "--no-variance", "-o", str(tmp_path / "r")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {bad}: line 1: not UTF-8 text\n"
+        assert not (tmp_path / "o.el").exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["sparsify", "-i", str(tmp_path / "nope.el"), "-o", str(tmp_path / "o.el"),
                      "-m", "gdb", "-a", "0.4"])
@@ -490,11 +502,12 @@ class TestCompare:
 
     def test_cut_subsets_drawn_once_per_sweep(self, graph_file, tmp_path, monkeypatch):
         # 4 cells share one draw of the n_cuts subsets for each of the ladder's ks
-        from usparse import graph
+        from usparse import evaluation
 
         calls = []
-        original = graph.sample_k_subset
-        monkeypatch.setattr(graph, "sample_k_subset", lambda *a: calls.append(a[2]) or original(*a))
+        original = evaluation._floyd_k_subset
+        monkeypatch.setattr(evaluation, "_floyd_k_subset",
+                            lambda *a: calls.append(a[2]) or original(*a))
         n_cuts = 7
         assert main(["compare", "-i", str(graph_file), "--methods", "gdb,emd",
                      "--alphas", "0.4,0.6", "--queries", "rl", "--samples", "4",

@@ -13,7 +13,8 @@ import usparse.graph
 from usparse.evaluation import (
     CutProfile,
     QueryKind,
-    cut_mae_profile,
+    _crossing_mass,
+    _floyd_k_subset,
     component_labels,
     quality,
     sample_answers,
@@ -24,17 +25,12 @@ from usparse.graph import (
     MAX_VERTICES,
     EdgeError,
     GraphFormatError,
-    SampledCuts,
     UncertainGraph,
     derive_rng,
-    edge_entropy,
     exact_query_probability,
-    expected_cut_size,
     generate_synthetic,
     graph_entropy,
     load_graph,
-    sample_k_subset,
-    sampled_k_discrepancy_mae,
     save_graph,
 )
 
@@ -297,17 +293,22 @@ class TestConstructorMatchesPerEdgePass:
 # ---------------------------------------------------------------------------
 
 
+def one_edge(p):
+    """The two-vertex graph whose one edge has probability p."""
+    return UncertainGraph(2, [(0, 1, p)], allow_zero=True)
+
+
 class TestEntropy:
     def test_half_is_one_bit(self):
-        assert edge_entropy(0.5) == 1.0
+        assert graph_entropy(one_edge(0.5)) == 1.0
 
     def test_deterministic_edge(self):
-        assert edge_entropy(1.0) == 0.0
-        assert edge_entropy(0.0) == 0.0
+        assert graph_entropy(one_edge(1.0)) == 0.0
+        assert graph_entropy(one_edge(0.0)) == 0.0
 
     def test_value_at_point_two(self):
         # frozen from direct evaluation of -p log2 p - (1-p) log2 (1-p)
-        assert edge_entropy(0.2) == pytest.approx(0.7219280948873623, abs=1e-15)
+        assert graph_entropy(one_edge(0.2)) == pytest.approx(0.7219280948873623, abs=1e-15)
 
     def test_graph_entropy_all_certain(self):
         g = UncertainGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -323,7 +324,7 @@ class TestEntropy:
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_entropy_bounds(self, p):
-        h = edge_entropy(p)
+        h = graph_entropy(one_edge(p))
         assert 0.0 <= h <= 1.0
 
     def test_zero_iff_all_probabilities_one(self):
@@ -338,35 +339,53 @@ class TestEntropy:
 # ---------------------------------------------------------------------------
 
 
+def cut_sum(g, members):
+    """Brute-force expected cut: the probabilities of g's edges with one end in members."""
+    members = set(members)
+    return sum(p for u, v, p in g.edges if (u in members) != (v in members))
+
+
+def vertex_mask(n, members):
+    inside = np.zeros(n, dtype=bool)
+    inside[list(members)] = True
+    return inside
+
+
+def ladder(n):
+    """The cut cardinalities CutProfile samples, for n >= 4."""
+    return sorted({1, 2, n // 4, n // 2, (3 * n) // 4, n})
+
+
 class TestDegreesAndCuts:
     def test_star_degree(self):
         g = UncertainGraph(4, [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3)])
         assert g.degree_vector()[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_degree_out_of_range(self):
-        # a vertex's degree is its singleton cut, which refuses foreign vertices
+        # the degree vector holds one entry per vertex and no more
         g = triangle()
-        with pytest.raises(ValueError, match="out of range"):
-            expected_cut_size(g, [3])
+        assert len(g.degree_vector()) == 3
+        with pytest.raises(IndexError):
+            g.degree_vector()[3]
 
     def test_cut_empty_and_full(self):
         g = triangle()
-        assert expected_cut_size(g, []) == 0.0
-        assert expected_cut_size(g, [0, 1, 2]) == 0.0
+        assert _crossing_mass(g, vertex_mask(3, [])) == 0.0
+        assert _crossing_mass(g, vertex_mask(3, [0, 1, 2])) == 0.0
 
     def test_cut_singleton_triangle(self):
-        assert expected_cut_size(triangle(0.5), [0]) == pytest.approx(1.0)
+        assert _crossing_mass(triangle(0.5), vertex_mask(3, [0])) == pytest.approx(1.0)
 
     def test_cut_path_ends(self):
         g = UncertainGraph(3, [(0, 1, 0.3), (1, 2, 0.7)])
         # hand enumeration: both edges cross S={0,2}
-        assert expected_cut_size(g, [0, 2]) == pytest.approx(1.0)
+        assert _crossing_mass(g, vertex_mask(3, [0, 2])) == pytest.approx(1.0)
 
     @given(st.integers(min_value=0, max_value=9))
     @settings(max_examples=20, deadline=None)
     def test_degree_equals_singleton_cut(self, u):
         g = random_graph(10, 18, seed=7)
-        assert g.degree_vector()[u] == pytest.approx(expected_cut_size(g, [u]), abs=1e-12)
+        assert g.degree_vector()[u] == pytest.approx(cut_sum(g, [u]), abs=1e-12)
 
     def test_degree_sum_is_twice_mass(self):
         g = random_graph(15, 40, seed=11)
@@ -375,8 +394,7 @@ class TestDegreesAndCuts:
     def test_discrepancy_identity_graph(self):
         g = random_graph(8, 12, seed=5)
         assert quality(g, g)["degree_objective"] == 0.0
-        for size in (1, 3):
-            assert sampled_k_discrepancy_mae(g, g, size, 20, seed=0) == 0.0
+        assert CutProfile(g, 20, seed=0).mae(g) == 0.0
 
     def test_discrepancy_values(self):
         # vertex 0's degree 2 vs 1.5: absolute difference 0.5, relative 0.25;
@@ -390,45 +408,62 @@ class TestDegreesAndCuts:
 
 
 class TestSampledDiscrepancyMae:
+    """evaluation.CutProfile, the sampled-cut MAE that compare and density_sweep.py report."""
+
     def test_zero_for_identical(self):
         g = random_graph(12, 25, seed=2)
-        assert sampled_k_discrepancy_mae(g, g, 3, 50, seed=1) == 0.0
+        assert CutProfile(g, 50, seed=1).mae(g) == 0.0
 
     def test_k_out_of_range(self):
-        g = triangle()
-        with pytest.raises(ValueError):
-            sampled_k_discrepancy_mae(g, g, 0, 10, seed=1)
-        with pytest.raises(ValueError):
-            sampled_k_discrepancy_mae(g, g, 4, 10, seed=1)
+        # below 2 vertices the ladder's k=2 (and at n=0 its k=0) is no subset size
+        for n in (0, 1):
+            g = UncertainGraph(n, [])
+            with pytest.raises(ValueError, match="out of range"):
+                CutProfile(g, 10, seed=1).mae(g)
+
+    @pytest.mark.parametrize("n_cuts", [0, -1])
+    def test_n_cuts_below_one_refused_at_construction(self, n_cuts):
+        with pytest.raises(ValueError, match="n_cuts must be at least 1"):
+            CutProfile(triangle(), n_cuts, seed=1)
 
     def test_singleton_cuts_equal_degree_mae_when_uniform(self):
-        # all singleton discrepancies equal, so any sample mean matches exactly
+        # all singleton discrepancies equal, so the k=1 rung's sample mean matches exactly
         g = UncertainGraph(4, [(u, v, 0.6) for u, v in combinations(range(4), 2)])
         g2 = UncertainGraph(4, [(u, v, 0.3) for u, v in combinations(range(4), 2)])
-        mae = sampled_k_discrepancy_mae(g, g2, 1, 4, seed=9)
-        assert mae == pytest.approx(3 * 0.3, abs=1e-12)
+        inside, masses = CutProfile(g, 4, seed=9).cuts[0]
+        assert inside.sum(axis=1).tolist() == [1] * 4
+        vertices = inside.argmax(axis=1)
+        assert masses == pytest.approx(g.degree_vector()[vertices].tolist(), abs=1e-12)
+        rung = np.mean([abs(mass - cut_sum(g2, [u])) for mass, u in zip(masses, vertices)])
+        assert rung == pytest.approx(quality(g, g2)["degree_mae"], abs=1e-12)
+        assert rung == pytest.approx(3 * 0.3, abs=1e-12)
 
     def test_k2_matches_exhaustive_on_symmetric_instance(self):
-        # complete K4: every 2-subset has 4 crossing edges, delta = 4 * 0.3 = 1.2
+        # complete K4: every k-subset of one size has the same cut, so every
+        # rung's sample mean is its exhaustive mean; the k=2 rung's is 4 * 0.3
         g = UncertainGraph(4, [(u, v, 0.6) for u, v in combinations(range(4), 2)])
         g2 = UncertainGraph(4, [(u, v, 0.3) for u, v in combinations(range(4), 2)])
-        exhaustive = np.mean(
-            [abs(expected_cut_size(g, s) - expected_cut_size(g2, s)) for s in combinations(range(4), 2)]
-        )
-        assert exhaustive == pytest.approx(1.2, abs=1e-12)
-        assert sampled_k_discrepancy_mae(g, g2, 2, 30, seed=4) == pytest.approx(1.2, abs=1e-12)
+        exhaustive = {
+            k: np.mean([abs(cut_sum(g, s) - cut_sum(g2, s)) for s in combinations(range(4), k)])
+            for k in ladder(4)
+        }
+        assert exhaustive[2] == pytest.approx(1.2, abs=1e-12)
+        expected = np.mean(list(exhaustive.values()))
+        assert CutProfile(g, 30, seed=4).mae(g2) == pytest.approx(expected, abs=1e-12)
 
     def test_k2_converges_to_exhaustive_mean(self):
         g = random_graph(6, 10, seed=21)
         g2 = UncertainGraph(6, [(u, v, p / 2) for u, v, p in g.edges])
-        values = [
-            abs(expected_cut_size(g, s) - expected_cut_size(g2, s))
-            for s in combinations(range(6), 2)
-        ]
-        mean, sd = np.mean(values), np.std(values)
+        means, variances = [], []
+        for k in ladder(6):
+            values = [abs(cut_sum(g, s) - cut_sum(g2, s)) for s in combinations(range(6), k)]
+            means.append(np.mean(values))
+            variances.append(np.var(values))
         n_cuts = 4000
-        mae = sampled_k_discrepancy_mae(g, g2, 2, n_cuts, seed=8)
-        assert abs(mae - mean) < 5 * sd / math.sqrt(n_cuts) + 1e-12
+        mae = CutProfile(g, n_cuts, seed=8).mae(g2)
+        # the ladder mean of independent rung means: sd sqrt(sum var_k / n_cuts) / rungs
+        sd = math.sqrt(sum(variances) / n_cuts) / len(means)
+        assert abs(mae - np.mean(means)) < 5 * sd + 1e-12
 
     @staticmethod
     def per_subset_mae(g, g2, k, n_cuts, seed):
@@ -439,7 +474,7 @@ class TestSampledDiscrepancyMae:
         total = 0.0
         inside = np.zeros(g.n, dtype=bool)
         for _ in range(n_cuts):
-            subset = sample_k_subset(rng, g.n, k)
+            subset = _floyd_k_subset(rng, g.n, k)
             inside[subset] = True
             c1 = g.probabilities[inside[us1] ^ inside[vs1]].sum()
             c2 = g2.probabilities[inside[us2] ^ inside[vs2]].sum() if g2.m else 0.0
@@ -447,33 +482,35 @@ class TestSampledDiscrepancyMae:
             inside[subset] = False
         return total / n_cuts
 
-    @pytest.mark.parametrize("k", [1, 2, 5, 12])
-    def test_drawn_once_scores_many_graphs_bit_for_bit(self, k):
+    @pytest.mark.parametrize("seed", [1, 2, 5, 12])
+    def test_drawn_once_scores_many_graphs_bit_for_bit(self, seed):
+        # every rung of the n=12 ladder (k = 1, 2, 3, 6, 9, 12) against the one-pass form
         g = random_graph(12, 30, seed=31)
         others = [UncertainGraph(12, [(u, v, p * f) for u, v, p in g.edges[::step]])
                   for f, step in [(0.5, 1), (0.9, 2), (1.0, 3)]] + [UncertainGraph(12, [])]
-        cuts = SampledCuts(g, k, 40, seed=6)
-        assert cuts.inside.sum(axis=1).tolist() == [k] * 40
+        profile = CutProfile(g, 40, seed=seed)
+        ks = ladder(12)
+        assert [inside.sum(axis=1).tolist() for inside, _ in profile.cuts] == [[k] * 40 for k in ks]
         for g2 in others:
-            expected = self.per_subset_mae(g, g2, k, 40, seed=6)
-            assert cuts.mae(g2) == expected == sampled_k_discrepancy_mae(g, g2, k, 40, seed=6)
+            expected = np.mean([self.per_subset_mae(g, g2, k, 40, seed) for k in ks])
+            assert profile.mae(g2) == expected
 
     def test_profile_drawn_once_equals_fresh_profiles(self):
         g = random_graph(20, 60, seed=32)
         profile = CutProfile(g, 15, seed=3)
         for f in (0.25, 0.5, 1.0):
             out = UncertainGraph(20, [(u, v, p * f) for u, v, p in g.edges[::2]])
-            assert profile.mae(out) == cut_mae_profile(g, out, 15, seed=3)
+            assert profile.mae(out) == CutProfile(g, 15, seed=3).mae(out)
 
     def test_other_vertex_set_rejected(self):
         g = random_graph(6, 10, seed=2)
         with pytest.raises(ValueError, match="same vertex set"):
-            SampledCuts(g, 2, 5, seed=1).mae(random_graph(7, 10, seed=2))
+            CutProfile(g, 5, seed=1).mae(random_graph(7, 10, seed=2))
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=5000))
     @settings(max_examples=40, deadline=None)
     def test_floyd_sampler_is_uniform_sized(self, k, seed):
-        subset = sample_k_subset(derive_rng(seed), 8, k)
+        subset = _floyd_k_subset(derive_rng(seed), 8, k)
         assert len(subset) == k and len(set(subset)) == k
         assert all(0 <= x < 8 for x in subset)
 
@@ -668,6 +705,12 @@ class TestFileFormat:
         path.write_text("# a comment\n\n0 1 0.5 # trailing note\n")
         g = load_graph(path)
         assert g.m == 1
+
+    def test_non_utf8_line_reported(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_bytes(b"0 1 0.5\n1 2 0.5\n2 3 \xff0.5\n3 4 0.5\n")
+        with pytest.raises(GraphFormatError, match=r"g\.el: line 3: not UTF-8 text$"):
+            load_graph(path)
 
     def test_self_loop_reports_line(self, tmp_path):
         path = tmp_path / "g.el"
