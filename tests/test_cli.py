@@ -42,6 +42,22 @@ class TestGenerate:
         g = load_graph(out)
         assert all(p == 0.5 for _, _, p in g.edges)
 
+    # sha256 of `generate --seed 1` at each (vertices, density), recorded at
+    # commit 4223ed8; 40 at 0.8 takes the dense branch, the rest the sparse one.
+    PINNED_GENERATE_SHA256 = {
+        (100, 0.15): "eeab73913ec6e8e8df8abd25b7342871ad33cd286f8af8f8716c9f819b2f0a66",
+        (1000, 0.05): "187739647d8e4d7ce5642e95a22fbbeb5fb23d9045b5b03408d3a76b33f730bf",
+        (3000, 0.01): "66757afa2e1a84c0ee0a182e3e78f16247d2df34094926ef1b906b6f42dd95cf",
+        (40, 0.8): "68072b875e6f2d7d9ce3104e6950412303f6f220a6d8ad7771f6070ee1633d73",
+    }
+
+    @pytest.mark.parametrize("n, density", sorted(PINNED_GENERATE_SHA256))
+    def test_generated_bytes_pinned(self, tmp_path, n, density):
+        out = tmp_path / "g.el"
+        assert main(["generate", "-n", str(n), "-d", str(density), "--seed", "1", "-o", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED_GENERATE_SHA256[(n, density)]
+
     def test_bad_distribution(self, tmp_path):
         assert main(["generate", "-n", "10", "-d", "0.4", "--dist", "zeta:2", "-o", str(tmp_path / "x.el")]) == 1
 
