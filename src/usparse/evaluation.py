@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from usparse.graph import UncertainGraph, derive_rng, graph_entropy, sample_world
+from usparse.graph import UncertainGraph, derive_rng, draw_rows, graph_entropy, sample_world
 
 DEFAULT_N_SAMPLES = 500
 DEFAULT_N_RUNS = 100
@@ -322,26 +322,30 @@ def default_units(g: UncertainGraph, kind: QueryKind, n_pairs: int = DEFAULT_N_P
                   seed: int = 0) -> list:
     """All vertices for vertex queries; seeded random distinct pairs otherwise.
 
-    Pairs are drawn in order and a pair whose unordered form was already drawn
-    is skipped.  Asking for at least every pair returns them all, in canonical
-    order.
+    Pairs are drawn in order, u uniform over the vertices and v over the
+    others, and a pair whose unordered form was already drawn is skipped.  The
+    draws come in blocks (graph.draw_rows) with the numbers that one scalar
+    rng.integers call per endpoint gives.  Asking for at least every pair
+    returns them all, in canonical order.
     """
     if not kind.pairwise:
         return list(range(g.n))
     if n_pairs >= g.n * (g.n - 1) // 2:
         return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    rng = derive_rng(seed, 0xA11)
     pairs = []
     seen = set()
-    while len(pairs) < n_pairs:
-        u = int(rng.integers(0, g.n))
-        v = int(rng.integers(0, g.n - 1))
+
+    def take(u, v):
         if v >= u:
             v += 1
         unordered = (min(u, v), max(u, v))
         if unordered not in seen:
             seen.add(unordered)
             pairs.append((u, v))
+        return len(pairs) == n_pairs
+
+    if n_pairs > 0:
+        draw_rows(derive_rng(seed, 0xA11), (g.n, g.n - 1), take)
     return pairs
 
 
@@ -398,12 +402,10 @@ def quality(g: UncertainGraph, out: UncertainGraph) -> dict:
 def _floyd_k_subset(rng: np.random.Generator, n: int, k: int) -> list[int]:
     """Uniform k-subset of range(n) by Floyd's algorithm."""
     chosen = set()
-    for j in range(n - k, n):
-        t = int(rng.integers(0, j + 1))
-        if t in chosen:
-            chosen.add(j)
-        else:
-            chosen.add(t)
+    # one array-bound call gives the numbers of the scalar calls rng.integers(0, j + 1)
+    picks = rng.integers(0, np.arange(n - k + 1, n + 1)).tolist()
+    for j, t in zip(range(n - k, n), picks):
+        chosen.add(j if t in chosen else t)
     return sorted(chosen)
 
 

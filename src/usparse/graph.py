@@ -10,7 +10,9 @@ degrees, and a synthetic generator.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -22,6 +24,9 @@ MAX_EXACT_EDGES = 25
 EXACT_CHUNK_CELLS = 1 << 20
 # Most edges generate_synthetic builds: it peaks at about 310 bytes per edge, so about 3 GB.
 MAX_GENERATED_EDGES = 10**7
+# Rows of draws draw_rows takes from the stream at once; it rewinds past the
+# rows it does not use, so the size changes no number.
+DRAW_BLOCK = 4096
 
 
 class GraphFormatError(ValueError):
@@ -54,6 +59,8 @@ class EdgeError(ValueError):
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+# One 'u v p' line of an edge-list file, as numpy's text parser reads it.
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("p", np.float64)])
 # Largest vertex count whose pair keys u*n + v fit in int64.
 MAX_VERTICES = math.isqrt(_INT64_MAX)
 
@@ -326,6 +333,26 @@ def uniform_probability_sampler(rng: np.random.Generator, size: int) -> np.ndarr
     return 1.0 - rng.random(size)
 
 
+def draw_rows(rng: np.random.Generator, bounds, take: Callable[..., bool]) -> None:
+    """Call take(*row) on rows of rng.integers(0, b) for each b in bounds until it returns True.
+
+    The rows come in blocks of DRAW_BLOCK from one array-bound rng.integers
+    call, which returns the numbers the scalar calls would, in their order.
+    Once take() is done, the stream is rewound to the start of the last block
+    and that block is redrawn up to take()'s row, so rng is left where the
+    scalar calls rng.integers(0, b), one per number, would leave it.
+    """
+    row_bounds = np.asarray(bounds, dtype=np.int64)
+    while True:
+        saved = rng.bit_generator.state
+        block = rng.integers(0, np.tile(row_bounds, DRAW_BLOCK)).reshape(DRAW_BLOCK, -1)
+        for used, row in enumerate(block.tolist(), start=1):
+            if take(*row):
+                rng.bit_generator.state = saved
+                rng.integers(0, np.tile(row_bounds, used))
+                return
+
+
 def generate_synthetic(
     n: int,
     target_density: float,
@@ -339,6 +366,11 @@ def generate_synthetic(
     probabilities are drawn from prob_sampler, so the deterministic structure
     is connected by construction.  More than MAX_GENERATED_EDGES edges is a
     ValueError, raised before anything is allocated.
+
+    The tree's parents come from one array-bound draw and the sparse branch's
+    candidate pairs from draw_rows.  Both give the numbers that one scalar
+    rng.integers call per parent and per pair endpoint would, and leave the
+    stream where those calls would for prob_sampler.
     """
     if not 0.0 < target_density <= 1.0:
         raise ValueError("target_density must be in (0, 1]")
@@ -356,34 +388,35 @@ def generate_synthetic(
         )
     rng = derive_rng(seed)
     order = rng.permutation(n)
-    pairs = []
-    chosen = set()
-    for i in range(1, n):
-        a = int(order[i])
-        b = int(order[int(rng.integers(0, i))])
-        key = (a, b) if a < b else (b, a)
-        pairs.append(key)
-        chosen.add(key)
+    # vertex order[i] hangs from order[j], j uniform in [0, i)
+    a, b = order[1:], order[rng.integers(0, np.arange(1, n))]
+    us, vs = np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
     if m > max_edges // 2:
         # Dense target: enumerate the complement and take a shuffled prefix.
+        chosen = set(zip(us, vs))
         rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in chosen]
         rng.shuffle(rest)
-        pairs.extend(rest[: m - len(pairs)])
-    else:
-        while len(pairs) < m:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in chosen:
-                continue
-            chosen.add(key)
-            pairs.append(key)
+        for u, v in rest[: m - len(us)]:
+            us.append(u)
+            vs.append(v)
+    elif m > len(us):
+        chosen = {u * n + v for u, v in zip(us, vs)}
+
+        def take(u, v):
+            if u != v:
+                if u > v:
+                    u, v = v, u
+                key = u * n + v
+                if key not in chosen:
+                    chosen.add(key)
+                    us.append(u)
+                    vs.append(v)
+            return len(us) == m
+
+        draw_rows(rng, (n, n), take)
     probs = np.asarray(prob_sampler(rng, m), dtype=np.float64)
     if probs.shape != (m,) or np.any(probs <= 0.0) or np.any(probs > 1.0):
         raise ValueError("prob_sampler must return probabilities in (0, 1]")
-    us, vs = zip(*pairs)
     return UncertainGraph.from_columns(n, us, vs, probs)
 
 
@@ -392,64 +425,106 @@ def generate_synthetic(
 # ---------------------------------------------------------------------------
 
 
+def _lines(text: str):
+    """text's lines as a file opened in text mode yields them: '\\r\\n' and '\\r' end lines too."""
+    return io.StringIO(text, newline=None)
+
+
+def _header_n(path, text: str):
+    """The vertex count in text's header, the first '# n=<int>' comment before any edge line.
+
+    None if there is none; a header whose count int() refuses is a GraphFormatError.
+    """
+    for lineno, raw in enumerate(_lines(text), start=1):
+        data, _, comment = raw.partition("#")
+        if data.strip():
+            return None
+        token = comment.strip()
+        if token.startswith("n="):
+            try:
+                return int(token[2:].strip())
+            except ValueError:
+                raise GraphFormatError(f"{path}: line {lineno}: bad header {token!r}")
+    return None
+
+
+def _parse_lines(path, text: str):
+    """The reference parser: vertex count, u, v and p lists, and edgeless line numbers.
+
+    One line at a time: a line that is not 'u v p' with integer, non-negative
+    ids and a float p raises GraphFormatError naming it.
+    """
+    header_n = _header_n(path, text)
+    us, vs, ps = [], [], []
+    skipped = []
+    for lineno, raw in enumerate(_lines(text), start=1):
+        data = raw.partition("#")[0]
+        fields = data.split()
+        if not fields:
+            skipped.append(lineno)
+            continue
+        if len(fields) != 3:
+            raise GraphFormatError(f"{path}: line {lineno}: expected 'u v p', got {data.strip()!r}")
+        try:
+            u, v, p = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise GraphFormatError(f"{path}: line {lineno}: could not parse {data.strip()!r}")
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"{path}: line {lineno}: negative vertex id")
+        us.append(u)
+        vs.append(v)
+        ps.append(p)
+    n = header_n if header_n is not None else max(max(us, default=-1), max(vs, default=-1)) + 1
+    return n, us, vs, ps, skipped
+
+
+def _parse_array(path, text: str):
+    """What _parse_lines returns, from one numpy pass that numbers no lines (None in their place).
+
+    None where numpy refuses the text, any warning counting as a refusal, or
+    reads a negative id: _parse_lines then reports the line.
+    """
+    header_n = _header_n(path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(_lines(text), comments="#", dtype=_EDGE_ROW, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    us, vs, ps = rows["u"], rows["v"], rows["p"]
+    if min(us.min(), vs.min()) < 0:
+        return None
+    n = header_n if header_n is not None else int(max(us.max(), vs.max())) + 1
+    return n, us, vs, ps, None
+
+
 def load_graph(path, allow_zero: bool = False) -> UncertainGraph:
     """Read an edge-list file: optional '# n=<int>' header, then 'u v p' lines.
 
     '#' starts a comment.  Probabilities must lie in (0,1]; pass
     allow_zero=True for sparsified outputs, where p=0 marks a structurally
-    retained edge with no remaining mass.  The parsed columns are validated
-    in one pass, and a bad edge is reported with its line number, as is the
-    first line that is not UTF-8 text.
+    retained edge with no remaining mass.  The file is read once and parsed
+    in one numpy pass; a file numpy refuses, or one with a negative id, is
+    parsed again line by line, which reports the first bad line.  The parsed
+    columns are validated in one pass, and a bad edge is reported with its
+    line number, as is the first line that is not UTF-8 text.
     """
-    header_n = None
-    us, vs, ps = [], [], []
-    skipped = []  # line numbers of the lines that hold no edge
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                data, _, comment = raw.partition("#")
-                if not us and header_n is None and not data.strip():
-                    token = comment.strip()
-                    if token.startswith("n="):
-                        try:
-                            header_n = int(token[2:].strip())
-                        except ValueError:
-                            raise GraphFormatError(f"{path}: line {lineno}: bad header {token!r}")
-                fields = data.split()
-                if not fields:
-                    skipped.append(lineno)
-                    continue
-                if len(fields) != 3:
-                    raise GraphFormatError(
-                        f"{path}: line {lineno}: expected 'u v p', got {data.strip()!r}"
-                    )
-                try:
-                    u, v, p = int(fields[0]), int(fields[1]), float(fields[2])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"{path}: line {lineno}: could not parse {data.strip()!r}"
-                    )
-                if u < 0 or v < 0:
-                    raise GraphFormatError(f"{path}: line {lineno}: negative vertex id")
-                us.append(u)
-                vs.append(v)
-                ps.append(p)
-    except UnicodeDecodeError:
-        # the reader decodes in chunks, so the caught offset is not a file offset
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise GraphFormatError(f"{path}: line {line}: not UTF-8 text") from exc
-        raise
-    n = header_n if header_n is not None else max(max(us, default=-1), max(vs, default=-1)) + 1
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"{path}: line {line}: not UTF-8 text") from exc
+    del data
+    n, us, vs, ps, skipped = _parse_array(path, text) or _parse_lines(path, text)
     try:
         return UncertainGraph.from_columns(n, us, vs, ps, allow_zero=allow_zero)
     except ValueError as exc:
-        if not us:
+        if not len(us):
             raise GraphFormatError(f"{path}: {exc}") from exc
+        if skipped is None:
+            skipped = _parse_lines(path, text)[4]
         # edge `row` sits on line row + 1, moved down by each edgeless line
         # before it; an error of no edge (a negative header n) goes to the first
         line = getattr(exc, "row", 0) + 1

@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -21,12 +22,14 @@ from usparse.evaluation import (
     sample_masks,
 )
 from usparse.graph import (
+    DRAW_BLOCK,
     EXACT_CHUNK_CELLS,
     MAX_VERTICES,
     EdgeError,
     GraphFormatError,
     UncertainGraph,
     derive_rng,
+    draw_rows,
     exact_query_probability,
     generate_synthetic,
     graph_entropy,
@@ -683,6 +686,43 @@ class TestGenerateSynthetic:
             generate_synthetic(100, 0.15, seed=1)
 
 
+class TestArrayBoundIntegers:
+    """numpy's Generator.integers with an array of bounds returns the numbers, and leaves
+    the stream in the state, of one scalar call per bound; the generator's tree and
+    pairs, default_units' pairs and CutProfile's Floyd draw keep their bytes by it."""
+
+    @staticmethod
+    def bounds(shape, n):
+        if shape == "arange":  # the tree's parents; bound 1 draws nothing
+            return np.arange(1, n)
+        if shape == "constant":  # the generator's candidate pairs
+            return np.full(51, n)
+        if shape == "pair_tile":  # default_units' pairs
+            return np.tile([n, n - 1], 25)
+        # one Floyd subset per ladder k, ending at k = n, whose first bound is 1
+        ladder = sorted({1, 2, max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n})
+        return np.concatenate([np.arange(n - k + 1, n + 1) for k in ladder])
+
+    @pytest.mark.parametrize("n", [2, 7, 100, 1000, 3000])
+    @pytest.mark.parametrize("shape", ["arange", "constant", "pair_tile", "floyd"])
+    def test_same_numbers_and_state_as_scalar_calls(self, shape, n):
+        bounds = self.bounds(shape, n)
+        scalar, batched = derive_rng(3, n), derive_rng(3, n)
+        expected = [int(scalar.integers(0, b)) for b in bounds.tolist()]
+        assert batched.integers(0, bounds).tolist() == expected
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert batched.random(3).tolist() == scalar.random(3).tolist()
+
+    @pytest.mark.parametrize("stop", [1, 7, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 5])
+    def test_draw_rows_gives_the_scalar_rows_and_leaves_their_state(self, stop):
+        scalar, blocked = derive_rng(9), derive_rng(9)
+        expected = [[int(scalar.integers(0, 10)), int(scalar.integers(0, 9))] for _ in range(stop)]
+        rows = []
+        draw_rows(blocked, (10, 9), lambda u, v: rows.append([u, v]) or len(rows) == stop)
+        assert rows == expected
+        assert blocked.bit_generator.state == scalar.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -789,3 +829,75 @@ class TestFileFormat:
         save_graph(g, p1)
         save_graph(load_graph(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+ODD_IDS = ["+1", "1_0", "\u0661", "1.0", "-1", "-0", "01", "0x1", "1e3",
+           "9223372036854775807", "9223372036854775808", "18446744073709551616"]
+ODD_PS = ["nan", "-nan", "inf", "-inf", "1e400", "1e-400", "0x1p-1", "1_0.5", ".5", "5e-1",
+          "-0.0", "0", "1", "1.5", "\u0661", "0.5_"]
+SEPARATORS = [" ", "\t", "\x0b", "\x1c", "\u2002", "\x0c", "\x85", "  "]
+COMMENTS = ["# note", "# n=9", "#n=12", "# n=x", "# n=1_0", "# n=-2", "#", "# n=3 # twice"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text mixing well-formed edge lines with odd fields, separators,
+    line endings, comments and headers anywhere in the file."""
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge"] * 4 + ["repeat", "loop", "other", "blank", "comment"]))
+        p = repr(draw(st.floats(0.0, 1.0)))
+        if kind == "edge":
+            fields = [str(i), str(i + 1), p]
+            if draw(st.integers(0, 2)) == 0:
+                j = draw(st.integers(0, 2))
+                fields[j] = draw(st.sampled_from(ODD_PS if j == 2 else ODD_IDS))
+        elif kind == "repeat":
+            fields = [str(i), str(max(i - 1, 0)), p]
+        elif kind == "loop":
+            fields = [str(i), str(i), p]
+        elif kind == "other":
+            tokens = st.sampled_from([*ODD_IDS, *ODD_PS, "0", "1", "2"])
+            fields = draw(st.lists(tokens, min_size=1, max_size=4))
+        else:
+            fields = []
+        separator = draw(st.sampled_from(SEPARATORS))
+        line = draw(st.sampled_from(["", " ", "\t"])) + separator.join(fields)
+        if kind == "comment" or draw(st.integers(0, 4)) == 0:
+            line += draw(st.sampled_from(["", " "])) + draw(st.sampled_from(COMMENTS))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def load_outcome(path, allow_zero):
+    """The graph's vertex count and column bits, or the GraphFormatError text."""
+    try:
+        g = load_graph(path, allow_zero=allow_zero)
+    except GraphFormatError as exc:
+        return str(exc)
+    us, vs = g.endpoint_arrays
+    return g.n, us.tobytes(), vs.tobytes(), g.probabilities.tobytes()
+
+
+class TestArrayParseMatchesLineLoop:
+    """load_graph's numpy pass reads what the line loop reads, or refuses and leaves it to it."""
+
+    @given(edge_list_texts(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_same_columns_or_same_error(self, tmp_path_factory, text, allow_zero):
+        path = tmp_path_factory.getbasetemp() / "parse.el"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(usparse.graph, "_parse_array", lambda path, text: None):
+            expected = load_outcome(path, allow_zero)
+        assert load_outcome(path, allow_zero) == expected
+
+    def test_plain_file_is_read_without_the_line_loop(self, tmp_path, monkeypatch):
+        g = random_graph(9, 14, seed=8)
+        path = tmp_path / "g.el"
+        save_graph(g, path)
+        header, *rows = path.read_text().splitlines()
+        text = "".join([header + "\r\n", *(row + " # note\r\n" for row in rows)])
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(usparse.graph, "_parse_lines", lambda *a: pytest.fail("line loop ran"))
+        assert load_graph(path).edges == g.edges
