@@ -15,29 +15,27 @@ import csv
 import sys
 
 from usparse import RunConfig, generate_synthetic, quality, sparsify
+from usparse.cli import _at_least, _comma_list
+from usparse.config import METHODS
 from usparse.evaluation import DEFAULT_N_CUTS, CutProfile
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--vertices", type=int, default=100)
-    parser.add_argument("--densities", default="0.15,0.3,0.5,0.9")
-    parser.add_argument("--methods", default="gdb,emd,ni,ss")
+    parser.add_argument("--densities", default="0.15,0.3,0.5,0.9", type=_comma_list(float))
+    parser.add_argument("--methods", default="gdb,emd,ni,ss", type=_comma_list(str, METHODS))
     parser.add_argument("--alpha", type=float, default=0.16)
-    parser.add_argument("--cut-samples", type=int, default=DEFAULT_N_CUTS)
+    parser.add_argument("--cut-samples", type=_at_least(1), default=DEFAULT_N_CUTS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", default="density_sweep.csv")
     args = parser.parse_args(argv)
-    if args.cut_samples < 1:
-        parser.error(f"argument --cut-samples: must be at least 1, got {args.cut_samples}")
 
-    densities = [float(d) for d in args.densities.split(",")]
-    methods = [m.strip() for m in args.methods.split(",")]
     rows = []
-    for density in densities:
+    for density in args.densities:
         g = generate_synthetic(args.vertices, density, seed=args.seed)
         cuts = CutProfile(g, args.cut_samples, args.seed)  # one draw for every method
-        for method in methods:
+        for method in args.methods:
             out, _ = sparsify(g, RunConfig(method=method, alpha=args.alpha, seed=args.seed))
             scores = quality(g, out)
             rows.append(

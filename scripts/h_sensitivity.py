@@ -16,23 +16,24 @@ import csv
 import sys
 
 from usparse import build_backbone, gdb_run, generate_synthetic, quality
+from usparse.cli import _comma_list
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--vertices", type=int, default=100)
     parser.add_argument("--density", type=float, default=0.25)
-    parser.add_argument("--alphas", default="0.1,0.2,0.4,0.6")
-    parser.add_argument("--hs", default="0,0.01,0.05,0.2,1")
+    parser.add_argument("--alphas", default="0.1,0.2,0.4,0.6", type=_comma_list(float))
+    parser.add_argument("--hs", default="0,0.01,0.05,0.2,1", type=_comma_list(float))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", default="h_sensitivity.csv")
     args = parser.parse_args(argv)
 
     g = generate_synthetic(args.vertices, args.density, seed=args.seed)
     rows = []
-    for alpha in (float(a) for a in args.alphas.split(",")):
+    for alpha in args.alphas:
         backbone = build_backbone(g, alpha, seed=args.seed)
-        for h in (float(x) for x in args.hs.split(",")):
+        for h in args.hs:
             out, info = gdb_run(g, backbone, h=h)
             scores = quality(g, out)
             rows.append(

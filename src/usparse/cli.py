@@ -50,12 +50,23 @@ def _write_json(path, payload) -> None:
 
 
 def _probability_sampler(spec: str):
-    """Parse --dist: uniform[:lo,hi] | beta:a,b | const:p."""
+    """Parse --dist: uniform[:lo,hi] | beta:a,b | const:p, refusing a bad spec before any draw."""
     name, _, args = spec.partition(":")
+    try:
+        values = tuple(float(x) for x in args.split(",")) if args else ()
+    except ValueError:
+        values = None
+    if name == "uniform" and values == ():
+        values = (0.0, 1.0)
+    if values is None or not (
+        (name == "uniform" and len(values) == 2 and 0.0 <= values[0] < values[1] <= 1.0)
+        or (name == "beta" and len(values) == 2 and all(0.0 < x < math.inf for x in values))
+        or (name == "const" and len(values) == 1 and 0.0 < values[0] <= 1.0)
+    ):
+        raise ValueError(f"--dist {spec!r} is not uniform[:lo,hi] | beta:a,b | const:p, with "
+                         "0 <= lo < hi <= 1, a and b finite and > 0, and 0 < p <= 1")
     if name == "uniform":
-        lo, hi = (float(x) for x in args.split(",")) if args else (0.0, 1.0)
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError("uniform bounds must satisfy 0 <= lo < hi <= 1")
+        lo, hi = values
 
         def sampler(rng, size):
             draw = lo + (hi - lo) * (1.0 - rng.random(size))
@@ -63,18 +74,9 @@ def _probability_sampler(spec: str):
 
         return sampler
     if name == "beta":
-        a, b = (float(x) for x in args.split(","))
-
-        def sampler(rng, size):
-            return np.clip(rng.beta(a, b, size), np.nextafter(0.0, 1.0), 1.0)
-
-        return sampler
-    if name == "const":
-        p = float(args)
-        if not 0.0 < p <= 1.0:
-            raise ValueError("const probability must be in (0, 1]")
-        return lambda rng, size: np.full(size, p)
-    raise ValueError(f"unknown probability distribution {spec!r}")
+        a, b = values
+        return lambda rng, size: np.clip(rng.beta(a, b, size), np.nextafter(0.0, 1.0), 1.0)
+    return lambda rng, size: np.full(size, values[0])
 
 
 def cmd_generate(args) -> int:

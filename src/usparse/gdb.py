@@ -13,16 +13,15 @@ vertex discrepancies.  The degree rule sweeps the backbone matching by
 matching: a greedy proper edge colouring splits it into classes of edges
 that share no vertex, and one numpy update of a class equals the sequential
 updates of its edges in any order (multicolour Gauss-Seidel).  The cut rules
-sweep edge by edge in canonical order, because every step reads the mass gap
-of other edges; each such pass works on list copies of the state's arrays
-and writes them back at its end.
+(the degree step plus c times the disjoint mass gap) sweep edge by edge in
+canonical order, because every step reads that gap; each such pass works on
+list copies of the state's arrays and writes them back at its end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -40,8 +39,9 @@ DEFAULT_TAU_FRACTION = 1e-6
 class Rule:
     """Which discrepancies a run minimizes: cuts of up to k vertices.
 
-    k=1 is the degree rule, k>=2 the k-cut rule and k=None the all-cuts
-    rule.  Only the degree rule has a relative mode; cut rules are absolute.
+    k=1 is the degree rule and k>=2 the k-cut rule; k=None, the all-cuts
+    rule, runs as k = n.  Only the degree rule has a relative mode; cut rules
+    are absolute.
     """
 
     k: int | None = 1
@@ -55,34 +55,29 @@ class Rule:
 
 
 def binomial_prefix_sum(n: int, k: int) -> int:
-    """Sum of C(n, i) for i = 0..k, as an exact integer; 0 when k < 0.
+    """Sum of C(n, i) for i = 0..k, as an exact integer.
 
-    k beyond n saturates at 2^n.  k = 0 gives 1, which is what makes the
-    k=1 cut rule collapse to the plain degree rule.
+    0 when n < 0 or k < 0, and 2^n once k >= n, with no sum.  k = 0 gives 1.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 0:
+    if n < 0 or k < 0:
         return 0
-    return sum(math.comb(n, i) for i in range(min(k, n) + 1))
+    if k >= n:
+        return 1 << n
+    return sum(math.comb(n, i) for i in range(k + 1))
 
 
-def cut_rule_coefficients(n: int, k: int) -> tuple[float, float]:
-    """Exact coefficients (on delta_u + delta_v, and on the disjoint mass gap).
+def cut_rule_coefficient(n: int, k: int | None) -> float:
+    """The k-cut step's coefficient c on the disjoint mass gap; k=None is k = n.
 
-    Computed with big-integer binomial sums and converted to float once, so
-    huge vertex counts cannot overflow intermediate arithmetic.
+    c = 2 S(n-4, k-2) / S(n-2, k-1), S the binomial prefix sum: 0 at k = 1
+    and for n < 4, 1/2 once k >= n - 1.  Exact integers divided once, with
+    correct rounding, so huge vertex counts cannot overflow.
     """
+    k = n if k is None else k
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k == 1:
-        return 0.5, 0.0
-    if n < 4:
-        raise ValueError(f"cut rule with k={k} needs at least 4 vertices, got n={n}")
-    den = 2 * binomial_prefix_sum(n - 2, k - 1)
-    c_deg = float(Fraction(binomial_prefix_sum(n - 3, k - 1), den))
-    c_gap = float(Fraction(4 * binomial_prefix_sum(n - 4, k - 2), den))
-    return c_deg, c_gap
+    numerator = 2 * binomial_prefix_sum(n - 4, k - 2)
+    return numerator / binomial_prefix_sum(n - 2, k - 1) if numerator else 0.0
 
 
 def degree_norms(g: UncertainGraph, mode: DiscrepancyMode) -> np.ndarray:
@@ -102,19 +97,13 @@ def degree_step(delta_u: float, delta_v: float, norm_u: float = 1.0, norm_v: flo
     return (norm_v * delta_u + norm_u * delta_v) / (norm_u + norm_v)
 
 
-def cut_step(delta_u: float, delta_v: float, disjoint_gap: float, c_deg: float, c_gap: float) -> float:
-    """Optimal unclamped step for the k-cut rule, given cut_rule_coefficients(n, k)."""
-    return c_deg * (delta_u + delta_v) + c_gap * disjoint_gap
+def cut_step(delta_u: float, delta_v: float, disjoint_gap: float, c: float) -> float:
+    """Exact unclamped k-cut step, c = cut_rule_coefficient(n, k); the degree step at k = 1.
 
-
-def cut_all_step(retained_gap: float, own_gap: float) -> float:
-    """Step for the all-cuts rule: the retained mass gap excluding the edge's own.
-
-    From a cold start (working probabilities equal to the originals) every
-    retained gap is zero, so this rule is a fixed point until clamping or
-    other rules perturb the state.
+    It minimizes the sum of D(S)^2 over 1 <= |S| <= k, D(S) the cut mass S
+    lost, in one edge's probability: the mean of D(S) over the sets it crosses.
     """
-    return retained_gap - own_gap
+    return degree_step(delta_u, delta_v) + c * disjoint_gap
 
 
 def apply_step(p_hat: float, step: float, h: float) -> float:
@@ -284,6 +273,20 @@ def degree_objective(state: SparsifierState, mode=DiscrepancyMode.ABSOLUTE) -> f
     return _weighted_sq_sum(_scratch_disc(state.g, state.probs), degree_norms(state.g, mode))
 
 
+def cut_objective(state: SparsifierState, c: float, degree_part: float) -> float:
+    """The objective cut_step minimizes at coefficient c, given degree_part = sum_v d_v^2.
+
+    degree_part + 2c (G^2 + Q - degree_part), G the total mass gap and Q the
+    sum of squared gaps: at c = cut_rule_coefficient(n, k), the sum of D(S)^2
+    over 1 <= |S| <= k divided by S(n-2, k-1); degree_part itself at c = 0.
+    """
+    if c == 0.0:
+        return degree_part
+    gaps = state.g.probabilities - state.probs
+    total = float(gaps.sum())
+    return degree_part + 2.0 * c * (total * total + float(np.dot(gaps, gaps)) - degree_part)
+
+
 def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | None = None) -> int:
     """One full pass over the backbone; returns updates made.
 
@@ -291,36 +294,28 @@ def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | No
     `classes` when the caller holds them.  The cut rules sweep edge by edge
     in canonical order, because every step reads the mass gap of edges at
     other vertices: the pass takes list copies of g's and the state's arrays,
-    sums the original, working and retained masses in index order at its
-    start, keeps them and the discrepancies in step with each update, and
+    sums the original and working masses in index order at its start, keeps
+    the working mass and the discrepancies in step with each update, and
     writes the state's arrays back at its end.
     """
     if rule.k == 1:
         return (classes if classes is not None else ClassSweep(state, rule.mode)).sweep(h)
     g = state.g
-    k = rule.k
-    if k is not None:
-        c_deg, c_gap = cut_rule_coefficients(g.n, k)
+    c = cut_rule_coefficient(g.n, rule.k)
     us, vs = g.endpoint_arrays
     orig = g.probabilities.tolist()
     probs = state.probs.tolist()
     disc = state.disc.tolist()
-    kept = state.in_backbone.tolist()
     total = sum(orig)
     mass = sum(probs)
-    retained = sum(compress(orig, kept))
+    kept = state.in_backbone.tolist()
     changed = 0
     for idx, u, v in compress(zip(range(g.m), us.tolist(), vs.tolist()), kept):
         p = probs[idx]
-        own = orig[idx] - p
-        if k is None:
-            step = cut_all_step(retained - mass, own)
-        else:
-            # mass gap over the edges sharing no endpoint with this one: the
-            # edge's own gap was taken off with both endpoints' discrepancies
-            disjoint_gap = total - mass - disc[u] - disc[v] + own
-            step = cut_step(disc[u], disc[v], disjoint_gap, c_deg, c_gap)
-        new_p = apply_step(p, step, h)
+        # mass gap over the edges sharing no endpoint with this one: the
+        # edge's own gap was taken off with both endpoints' discrepancies
+        disjoint_gap = total - mass - disc[u] - disc[v] + (orig[idx] - p)
+        new_p = apply_step(p, cut_step(disc[u], disc[v], disjoint_gap, c), h)
         if new_p != p:
             change = new_p - p
             probs[idx] = new_p
@@ -340,21 +335,20 @@ def descend(
     tau: float | None = None,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> dict:
-    """Sweep until the objective improves by at most tau (or the sweep cap).
+    """Sweep until the objective the rule's step minimizes improves by at most tau.
 
-    Resyncs the discrepancies from scratch at every sweep boundary, which both
-    bounds incremental drift and gives an honest convergence signal: each
-    sweep's objective is computed from those fresh discrepancies.  The degree
-    rule colours the backbone once (ClassSweep) for the whole descent.
+    Stops at the sweep cap otherwise.  Resyncs the discrepancies from scratch
+    at every sweep boundary, which bounds incremental drift and gives an
+    honest convergence signal: each sweep's objective is computed from those
+    fresh discrepancies.  The degree rule colours the backbone once.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("h must lie in [0, 1]")
     if tau is not None and tau < 0.0:
         raise ValueError("tau must be non-negative")
-    # Cut rules are absolute, so they track the exact absolute degree objective
-    # as the progress signal.
+    c = cut_rule_coefficient(state.g.n, rule.k)
     norms = degree_norms(state.g, rule.mode)
-    previous = degree_objective(state, rule.mode)
+    previous = cut_objective(state, c, degree_objective(state, rule.mode))
     history = [previous]
     tau_eff = tau if tau is not None else DEFAULT_TAU_FRACTION * previous
     classes = ClassSweep(state, rule.mode) if rule.k == 1 else None
@@ -363,7 +357,7 @@ def descend(
         sweep(state, rule, h, classes)
         sweeps += 1
         state.resync()
-        current = _weighted_sq_sum(state.disc, norms)
+        current = cut_objective(state, c, _weighted_sq_sum(state.disc, norms))
         history.append(current)
         if abs(previous - current) <= tau_eff:
             break

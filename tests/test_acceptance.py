@@ -36,7 +36,7 @@ from usparse.evaluation import (
     sample_masks,
     variance_protocol,
 )
-from usparse.gdb import cut_rule_coefficients, cut_step, degree_step, gdb_run
+from usparse.gdb import Rule, cut_rule_coefficient, cut_step, degree_step, gdb_run
 from usparse.graph import (
     UncertainGraph,
     derive_rng,
@@ -89,18 +89,25 @@ def test_criterion_02_cut_rule_specializes_to_degree_rule():
     for _ in range(10_000):
         du, dv, gap = (float(x) for x in rng.normal(size=3))
         n = int(rng.integers(4, 200))
-        step = cut_step(du, dv, gap, *cut_rule_coefficients(n, 1))
+        step = cut_step(du, dv, gap, cut_rule_coefficient(n, 1))
         assert abs(step - degree_step(du, dv, 1.0, 1.0)) <= 1e-12
     report(2, "cut rule at k=1 equals the degree rule on 10^4 inputs", time.perf_counter() - started)
 
 
-def test_criterion_03_gdb_monotone_objective(gdb_h_runs):
+def test_criterion_03_gdb_monotone_objective(suite_n100, gdb_h_runs):
+    # each rule tracks the objective its own step minimizes: the degree rule
+    # at three h, and the 2-cut, 3-cut and all-cuts rules at two
     started = time.perf_counter()
-    for h, runs in gdb_h_runs.items():
-        for _, info in runs:
-            hist = info["objective_history"]
-            assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:])), f"h={h}"
-    report(3, "objective non-increasing across every sweep (60 runs)", time.perf_counter() - started)
+    histories = [(f"h={h}", info["objective_history"])
+                 for h, runs in gdb_h_runs.items() for _, info in runs]
+    for rule in (Rule(2), Rule(3), Rule(None)):
+        for h in (0.05, 1.0):
+            histories += [(f"{rule} h={h}", gdb_run(g, bb, h=h, rule=rule)[1]["objective_history"])
+                          for g, bb in suite_n100]
+    for label, hist in histories:
+        assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:])), label
+    report(3, f"objective non-increasing across every sweep ({len(histories)} runs)",
+           time.perf_counter() - started)
 
 
 def test_criterion_04_lp_dominance():

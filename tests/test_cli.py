@@ -58,8 +58,16 @@ class TestGenerate:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINNED_GENERATE_SHA256[(n, density)]
 
-    def test_bad_distribution(self, tmp_path):
-        assert main(["generate", "-n", "10", "-d", "0.4", "--dist", "zeta:2", "-o", str(tmp_path / "x.el")]) == 1
+    def test_bad_distribution(self, tmp_path, capsys):
+        # each spec is refused before any draw, with one error line naming --dist and its form
+        out = tmp_path / "x.el"
+        for spec in ("zeta:2", "beta:1", "uniform:0.5", "const:abc", "beta:0,1", "beta:nan,1",
+                     "beta:1,inf", "uniform:0.5,0.2", "const:0"):
+            assert main(["generate", "-n", "10", "-d", "0.4", "--dist", spec, "-o", str(out)]) == 1, spec
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --dist {spec!r}") and err.count("\n") == 1, err
+            assert "uniform[:lo,hi] | beta:a,b | const:p" in err, err
+            assert not out.exists()
 
     def test_edge_cap_exits_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(usparse.graph, "MAX_GENERATED_EDGES", 100)
@@ -256,7 +264,10 @@ class TestSparsifyPinned:
     # --dist uniform --seed 1` graph, recorded at commit 6bcc60d (the Kruskal
     # backbone peel and the per-edge graph constructor); "gdbrel" recorded at
     # commit ba3971f; "ni" and "ss" recorded at commit 4553f7a (the graph's
-    # row tuples and ss's float rows).
+    # row tuples and ss's float rows); k2's manifest and both "kall" digests
+    # recorded at the commit that made the cut rules one exact family (the
+    # step's degree coefficient 1/2, each rule's own objective in the
+    # manifest's history, and -k all run as k = n).
     PINNED = {
         "gdb": (("-m", "gdb"), "386f0cad01bc5a7b4c652998c9a4160493667d79312f1a969785692f6eabfa41",
                 "7db05e7da5925c782cf1496ad54f9497364e828e7410b621b78ec7e3e269092f"),
@@ -272,10 +283,10 @@ class TestSparsifyPinned:
                "a6b720086c22ffd14a227dd571027249781e5093e72a61cfc3fd3c88a92bdfed"),
         "k2": (("-m", "gdb", "-k", "2"),
                "cc0e9be6a0c88c62c49884f1e679b28b54e000ccb9e73d4b749ce924648740d1",
-               "3e47f8b08ac5c85cf2b0f066a9dafdcccbb3e06b692012d2c1398b1c6cf3c029"),
+               "18e1bfd377927af47e003a22ebc547033fb890ec4a9106e61cfec0f3b0908298"),
         "kall": (("-m", "gdb", "-k", "all"),
-                 "67bcb1d83bbf5e38dec15f0615b4081db34c6e2ab855bf93939b62c11bd40f97",
-                 "0310da4b73555ce29c313d77455acbe2722eec3826145bfec654a3f4ae88fcc1"),
+                 "cc0e9be6a0c88c62c49884f1e679b28b54e000ccb9e73d4b749ce924648740d1",
+                 "70d86509709ef2ab8686a69588f5a4946673a99876b05d2cf2eef0ae1fa64db8"),
         "ni": (("-m", "ni"), "466b4446779cf9f35d70471584a5a05bf1a7c588c0642160beb31b8254cee282",
                "a1847d5a559c45b1fccf9782bad7882fdb7afaec5fc37c895a7f3bb1f66d5688"),
         "ss": (("-m", "ss"), "52f181f1a88d9ff4f992ee08e9a8ee72dcc32136b96d256a4c276084ca396abd",

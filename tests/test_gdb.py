@@ -1,17 +1,17 @@
 """Tests for the coordinate-descent probability assignment."""
 
 import math
-from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from usparse import gdb
+from usparse import RunConfig, gdb, sparsify
 from usparse.backbone import build_backbone
 from usparse.emd import e_phase, emd_run
-from usparse.evaluation import quality
+from usparse.evaluation import CutProfile, quality
 from usparse.gdb import (
     ClassSweep,
     Rule,
@@ -19,8 +19,8 @@ from usparse.gdb import (
     apply_step,
     apply_steps,
     binomial_prefix_sum,
-    cut_all_step,
-    cut_rule_coefficients,
+    cut_objective,
+    cut_rule_coefficient,
     cut_step,
     degree_norms,
     degree_objective,
@@ -107,6 +107,7 @@ class TestBinomialPrefixSum:
         assert binomial_prefix_sum(7, -1) == 0
         assert binomial_prefix_sum(4, 9) == 16  # saturates at 2^4
         assert binomial_prefix_sum(6, 0) == 1
+        assert binomial_prefix_sum(-1, 3) == 0
 
     @given(st.integers(0, 20), st.integers(-3, 25))
     def test_against_pascal_triangle(self, n, k):
@@ -124,45 +125,11 @@ class TestCutStep:
         for _ in range(200):
             du, dv, gap = rng.normal(size=3)
             n = int(rng.integers(4, 50))
-            assert cut_step(du, dv, gap, *cut_rule_coefficients(n, 1)) == degree_step(du, dv, 1.0, 1.0)
-
-    def test_k2_closed_form(self):
-        # (n-2)(du+dv) + 4*gap, all over 2n-2
-        rng = derive_rng(1)
-        for _ in range(200):
-            du, dv, gap = rng.normal(size=3)
-            n = int(rng.integers(4, 60))
-            expected = ((n - 2) * (du + dv) + 4 * gap) / (2 * n - 2)
-            got = cut_step(du, dv, gap, *cut_rule_coefficients(n, 2))
-            assert got == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_exact_rational_oracle(self, k):
-        def oracle(du, dv, gap, n, k):
-            def bsum(n_, k_):
-                if k_ < 0:
-                    return 0
-                return sum(math.comb(n_, i) for i in range(min(k_, n_) + 1))
-
-            num = Fraction(bsum(n - 3, k - 1)) * Fraction(du + dv) + Fraction(
-                4 * bsum(n - 4, k - 2)
-            ) * Fraction(gap)
-            return num / Fraction(2 * bsum(n - 2, k - 1))
-
-        rng = derive_rng(k)
-        for _ in range(100):
-            du, dv, gap = (float(x) for x in rng.normal(size=3))
-            n = int(rng.integers(5, 40))
-            got = cut_step(du, dv, gap, *cut_rule_coefficients(n, k))
-            assert got == pytest.approx(float(oracle(du, dv, gap, n, k)), abs=1e-12)
-
-    def test_small_n_rejected_for_k2(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            cut_rule_coefficients(3, 2)
+            assert cut_step(du, dv, gap, cut_rule_coefficient(n, 1)) == degree_step(du, dv, 1.0, 1.0)
 
     def test_coefficients_huge_n_do_not_overflow(self):
-        c_deg, c_gap = cut_rule_coefficients(5000, 2500)
-        assert 0.0 < c_deg < 1.0 and 0.0 < c_gap < 2.1
+        assert 0.49 < cut_rule_coefficient(5000, 2500) < 0.51
+        assert cut_rule_coefficient(5000, None) == 0.5
 
 
 class TestApplyStep:
@@ -235,7 +202,7 @@ def recorded_steps(monkeypatch, state, rule):
         calls.append(args)
         return 0.0
 
-    monkeypatch.setattr(gdb, "cut_all_step" if rule.k is None else "cut_step", record)
+    monkeypatch.setattr(gdb, "cut_step", record)
     assert sweep(state, rule, h=1.0) == 0
     assert len(calls) == np.count_nonzero(state.in_backbone)
     return calls
@@ -347,17 +314,12 @@ def reference_cut_sweep(state, rule, h):
     backbone = [i for i in range(g.m) if state.in_backbone[i]]
     total_orig = sum(orig)
     mass_in = sum(probs[i] for i in range(g.m))
-    retained_orig = sum(orig[i] for i in backbone)
-    if rule.k is not None:
-        c_deg, c_gap = cut_rule_coefficients(g.n, rule.k)
+    c = cut_rule_coefficient(g.n, rule.k)
     for idx in backbone:
         u, v, _ = edges[idx]
         own = orig[idx] - probs[idx]
-        if rule.k is None:
-            step = (retained_orig - mass_in) - own
-        else:
-            disjoint = (total_orig - mass_in) - disc[u] - disc[v] + own
-            step = c_deg * (disc[u] + disc[v]) + c_gap * disjoint
+        disjoint = (total_orig - mass_in) - disc[u] - disc[v] + own
+        step = (disc[u] + disc[v]) / 2 + c * disjoint
         new_p = apply_step(probs[idx], step, h)
         change = new_p - probs[idx]
         probs[idx] = new_p
@@ -415,7 +377,8 @@ class TestExactBookkeeping:
         state = SparsifierState(g, build_backbone(g, 0.3, seed=4))
         info = descend(state, rule, h=0.05)
         assert info["sweeps"] >= 2
-        assert info["objective_history"][-1] == degree_objective(state, rule.mode)
+        c = cut_rule_coefficient(g.n, rule.k)
+        assert info["objective_history"][-1] == cut_objective(state, c, degree_objective(state, rule.mode))
         assert info["objective_final"] == info["objective_history"][-1]
 
     def test_descend_rejects_negative_tau_accepts_zero(self):
@@ -426,39 +389,61 @@ class TestExactBookkeeping:
         assert descend(state, Rule(), h=0.05, tau=0.0, max_sweeps=3)["sweeps"] >= 1
 
 
-class TestCutAllStep:
-    def test_zero_gap_zero_step(self, monkeypatch):
-        g = UncertainGraph(4, [(0, 1, 0.5), (2, 3, 0.5)])
-        state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3)]))
-        calls = recorded_steps(monkeypatch, state, Rule(None))
-        assert [cut_all_step(*args) for args in calls] == [0.0, 0.0]
+def subset_prefix_count(n, k):
+    """Sum of C(n, i) for i = 0..k, counted from math.comb; 0 when n or k is negative."""
+    return sum(math.comb(n, i) for i in range(min(k, n) + 1)) if min(n, k) >= 0 else 0
 
-    def test_single_other_edge_short_by_03(self, monkeypatch):
-        g = UncertainGraph(4, [(0, 1, 0.5), (2, 3, 0.8)])
-        state = SparsifierState(g, pair_mask(g, [(0, 1), (2, 3)]))
-        state.probs[1] = 0.5  # edge (2,3) now 0.3 below its original mass
-        state.resync()
-        first = recorded_steps(monkeypatch, state, Rule(None))[0]
-        assert cut_all_step(*first) == pytest.approx(0.3, abs=1e-12)
 
-    def test_assorted_gaps_match_direct_sum(self, monkeypatch):
-        g = UncertainGraph(5, [(0, 1, 0.9), (1, 2, 0.7), (2, 3, 0.6), (3, 4, 0.5)])
-        state = random_probs(SparsifierState(g, full_backbone(g)), 2)
-        for idx, args in enumerate(recorded_steps(monkeypatch, state, Rule(None))):
-            direct = brute_gaps(state, lambda j, a, b: j != idx and state.in_backbone[j])
-            assert cut_all_step(*args) == pytest.approx(direct, abs=1e-12)
+class TestCutRuleOracle:
+    """The cut rules against every vertex set S with 1 <= |S| <= k, on small graphs.
 
-    def test_unclamped_update_moves_by_pre_update_gap(self):
-        g = UncertainGraph(6, [(0, 1, 0.4), (2, 3, 0.5), (4, 5, 0.6)])
-        state = SparsifierState(g, full_backbone(g))
-        state.probs[1:] = [0.45, 0.55]
-        state.resync()
-        gap_excl = brute_gaps(state, lambda j, a, b: j != 0)
-        before = state.probs[0]
-        sweep(state, Rule(None), h=1.0)  # first visited edge is index 0
-        # the first update moved edge 0 by exactly the pre-update gap (unclamped,
-        # and entropy at 0.5 would decrease when moving toward 0.5 from 0.4 + 0.1)
-        assert state.probs[0] == pytest.approx(before + gap_excl, abs=1e-12)
+    D(S) is S's cut mass gap: the original minus the working probability,
+    summed over the edges with one end in S.  The k-cut objective is the sum
+    of D(S)^2; its coordinate minimizer for edge e is the mean of D(S) over
+    the sets e crosses, and the objective descend reports is that sum
+    divided by S(n-2, k-1).
+    """
+
+    @staticmethod
+    def small_state(seed):
+        rng = derive_rng(seed, 6)
+        n = int(rng.integers(2, 9))
+        pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.6] or [(0, 1)]
+        probs = rng.uniform(0.05, 1.0, len(pairs)).tolist()
+        g = UncertainGraph(n, [(u, v, p) for (u, v), p in zip(pairs, probs)])
+        backbone = rng.random(g.m) < 0.7
+        backbone[int(rng.integers(g.m))] = True
+        return random_probs(SparsifierState(g, backbone), seed)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_step_and_objective_match_enumeration(self, seed, monkeypatch):
+        state = self.small_state(seed)
+        g = state.g
+        n = g.n
+        us, vs = (ends.tolist() for ends in g.endpoint_arrays)
+        gaps = (g.probabilities - state.probs).tolist()
+        backbone = np.flatnonzero(state.in_backbone).tolist()
+        for k in sorted({1, 2, 3, n - 1, n} - {0}):
+            subsets = [set(s) for size in range(1, k + 1) for s in combinations(range(n), size)]
+            cut_gap = [sum(gap for u, v, gap in zip(us, vs, gaps) if (u in s) != (v in s))
+                       for s in subsets]
+            expected_objective = sum(d * d for d in cut_gap) / subset_prefix_count(n - 2, k - 1)
+            exact_steps = []
+            for idx in backbone:
+                crossed = [d for s, d in zip(subsets, cut_gap) if (us[idx] in s) != (vs[idx] in s)]
+                assert len(crossed) == 2 * subset_prefix_count(n - 2, k - 1)
+                exact_steps.append(sum(crossed) / len(crossed))
+            for rule in [Rule(k), Rule(None)] if k == n else [Rule(k)]:
+                if rule.k == 1:  # the degree rule sweeps by classes, without cut_step
+                    calls = [(state.disc[us[i]], state.disc[vs[i]],
+                              brute_gaps(state, lambda j, a, b: not {a, b} & {us[i], vs[i]}),
+                              cut_rule_coefficient(n, 1)) for i in backbone]
+                else:
+                    calls = recorded_steps(monkeypatch, state, rule)
+                for args, exact in zip(calls, exact_steps):
+                    assert cut_step(*args) == pytest.approx(exact, rel=1e-12, abs=1e-12), (n, rule)
+                objective = descend(state, rule, h=0.05, max_sweeps=0)["objective_initial"]
+                assert objective == pytest.approx(expected_objective, rel=1e-12, abs=1e-12), (n, rule)
 
 
 class TestObjective:
@@ -540,14 +525,6 @@ class TestGdbRun:
         _, info = gdb_run(g, backbone, h=0.05, rule=Rule(1, DiscrepancyMode.RELATIVE))
         assert info["objective_final"] <= info["objective_initial"] + 1e-9
 
-    def test_cut_all_from_cold_start_is_fixed_point(self):
-        # retained-edge gaps start at zero, so the cut-all rule makes no change
-        g = generate_synthetic(15, 0.5, seed=14)
-        backbone = build_backbone(g, 0.5, seed=14)
-        out, _ = gdb_run(g, backbone, h=1.0, rule=Rule(None))
-        original = {(u, v): p for u, v, p in g.edges}
-        assert all(p == original[(u, v)] for u, v, p in out.edges)
-
     def test_cut2_run_respects_contracts(self):
         g = generate_synthetic(25, 0.5, seed=15)
         backbone = build_backbone(g, 0.4, seed=15)
@@ -555,6 +532,15 @@ class TestGdbRun:
         assert [(u, v) for u, v, _ in out.edges] == backbone_pairs(g, backbone)
         assert all(0.0 <= p <= 1.0 for _, _, p in out.edges)
         assert info["sweeps"] >= 1
+
+    def test_cut_rules_keep_sampled_cuts_on_the_readme_graph(self):
+        # at alpha 0.6 the all-cuts rule (k = n) keeps the sampled cuts within
+        # 10% of the degree rule, and the 2-cut rule keeps them no worse
+        g = generate_synthetic(100, 0.15, seed=1)
+        cuts = CutProfile(g, 200, 3)
+        mae = {rule: cuts.mae(sparsify(g, RunConfig(method="gdb", alpha=0.6, rule=rule, seed=7))[0])
+               for rule in ("1", "2", "all")}
+        assert mae["all"] <= 1.1 * mae["1"] and mae["2"] <= mae["1"], mae
 
     def test_invalid_backbone_rejected(self):
         # a pair list, a mask one entry past g's edges and a 0/1 int array

@@ -42,3 +42,19 @@ def test_density_sweep_refuses_cut_samples_below_one(value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "--cut-samples" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("density_sweep", "--methods", "gdb,foo"),
+    ("density_sweep", "--densities", "0.4,x"),
+    ("h_sensitivity", "--alphas", "0.3,y"),
+    ("h_sensitivity", "--hs", "0,z"),
+])
+def test_script_refuses_a_bad_list_before_any_work(name, flag, value, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        load_script(name).main(["--vertices", "20", flag, value, "-o", str(out)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and value in captured.err and captured.out == ""
+    assert not out.exists()
