@@ -3,7 +3,10 @@
 
 Generates random connected uncertain graphs at several densities, sparsifies
 each with the selected methods at a fixed ratio, and reports degree MAE,
-sampled cut MAE, and relative entropy per (density, method) cell.
+sampled cut MAE, and relative entropy per (density, method) cell.  A cell
+that meets a domain error (an alpha below the graph's connectivity floor,
+say) is written with blank metrics and the message in its `error` column,
+and the sweep goes on.
 
 Example:
     python3 scripts/density_sweep.py --vertices 100 --densities 0.15,0.3,0.5 \
@@ -18,6 +21,8 @@ from usparse import RunConfig, generate_synthetic, quality, sparsify
 from usparse.cli import _at_least, _comma_list
 from usparse.config import METHODS
 from usparse.evaluation import DEFAULT_N_CUTS, CutProfile
+
+FIELDS = ["density", "method", "edges", "mae_degree", "mae_cut_sampled", "relative_entropy", "error"]
 
 
 def main(argv=None):
@@ -36,22 +41,22 @@ def main(argv=None):
         g = generate_synthetic(args.vertices, density, seed=args.seed)
         cuts = CutProfile(g, args.cut_samples, args.seed)  # one draw for every method
         for method in args.methods:
-            out, _ = sparsify(g, RunConfig(method=method, alpha=args.alpha, seed=args.seed))
+            row = {**dict.fromkeys(FIELDS, ""), "density": density, "method": method, "edges": g.m}
+            rows.append(row)
+            try:
+                out, _ = sparsify(g, RunConfig(method=method, alpha=args.alpha, seed=args.seed))
+            except (ValueError, RuntimeError) as exc:  # domain errors: recorded, sweep goes on
+                row["error"] = str(exc)
+                print(f"density={density:g} {method}: error: {exc}", file=sys.stderr)
+                continue
             scores = quality(g, out)
-            rows.append(
-                {
-                    "density": density,
-                    "method": method,
-                    "edges": g.m,
-                    "mae_degree": scores["degree_mae"],
-                    "mae_cut_sampled": cuts.mae(out),
-                    "relative_entropy": scores["relative_entropy"],
-                }
-            )
-            print(f"density={density:g} {method}: degree MAE {rows[-1]['mae_degree']:.4g}, "
-                  f"relative entropy {rows[-1]['relative_entropy']:.4g}")
+            row["mae_degree"] = scores["degree_mae"]
+            row["mae_cut_sampled"] = cuts.mae(out)
+            row["relative_entropy"] = scores["relative_entropy"]
+            print(f"density={density:g} {method}: degree MAE {row['mae_degree']:.4g}, "
+                  f"relative entropy {row['relative_entropy']:.4g}")
     with open(args.output, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows -> {args.output}")

@@ -4,7 +4,9 @@
 For each h, sparsifies one synthetic graph over a range of ratios and prints
 degree MAE against relative entropy: h=1 ignores entropy growth entirely and
 gets the best accuracy, h=0 refuses any entropy increase, and intermediate
-values interpolate.
+values interpolate.  A cell that meets a domain error (an alpha below the
+graph's connectivity floor, say) is written with blank metrics and the
+message in its `error` column, and the sweep goes on.
 
 Example:
     python3 scripts/h_sensitivity.py --vertices 100 --density 0.25 \
@@ -17,6 +19,8 @@ import sys
 
 from usparse import build_backbone, gdb_run, generate_synthetic, quality
 from usparse.cli import _comma_list
+
+FIELDS = ["alpha", "h", "mae_degree", "relative_entropy", "sweeps", "error"]
 
 
 def main(argv=None):
@@ -32,23 +36,23 @@ def main(argv=None):
     g = generate_synthetic(args.vertices, args.density, seed=args.seed)
     rows = []
     for alpha in args.alphas:
-        backbone = build_backbone(g, alpha, seed=args.seed)
         for h in args.hs:
-            out, info = gdb_run(g, backbone, h=h)
+            row = {**dict.fromkeys(FIELDS, ""), "alpha": alpha, "h": h}
+            rows.append(row)
+            try:
+                out, info = gdb_run(g, build_backbone(g, alpha, seed=args.seed), h=h)
+            except (ValueError, RuntimeError) as exc:  # domain errors: recorded, sweep goes on
+                row["error"] = str(exc)
+                print(f"alpha={alpha:g} h={h:g}: error: {exc}", file=sys.stderr)
+                continue
             scores = quality(g, out)
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "h": h,
-                    "mae_degree": scores["degree_mae"],
-                    "relative_entropy": scores["relative_entropy"],
-                    "sweeps": info["sweeps"],
-                }
-            )
-            print(f"alpha={alpha:g} h={h:g}: MAE {rows[-1]['mae_degree']:.4g}, "
-                  f"relative entropy {rows[-1]['relative_entropy']:.4g}")
+            row["mae_degree"] = scores["degree_mae"]
+            row["relative_entropy"] = scores["relative_entropy"]
+            row["sweeps"] = info["sweeps"]
+            print(f"alpha={alpha:g} h={h:g}: MAE {row['mae_degree']:.4g}, "
+                  f"relative entropy {row['relative_entropy']:.4g}")
     with open(args.output, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows -> {args.output}")

@@ -9,11 +9,23 @@ the swap phase takes list copies of its arrays for the pass, keeps the
 probabilities, the backbone mask and the discrepancies in step inline, and
 writes them back at its end.  Only degree discrepancies are supported; the
 gain of an edge against all k-cuts would need exponential enumeration.
+
+Most swap steps need no per-candidate arithmetic.  A candidate whose two
+endpoint discrepancies are both at least 1 saturates at probability 1, where
+its gain is the top vertex's term at 1 plus a term of its other endpoint
+alone.  The swap phase caches that term per vertex (+inf where the
+discrepancy is below 1) and takes each step's best candidate as one C-level
+max over the cached terms of the top vertex's excluded neighbors, gathered by
+per-vertex itemgetters built once per run.  Steps with an unsaturated
+endpoint fall back to scoring every candidate.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -80,10 +92,33 @@ def gain_value(
     return gain_u + gain_v
 
 
+def _tuple_getter(ids: list[int]):
+    """itemgetter(*ids), except that it returns a tuple for any number of ids."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    if ids:
+        (i,) = ids
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def neighbor_gathers(g: UncertainGraph) -> list[tuple]:
+    """Per vertex t, two getters over g.neighbors(t), in its order.
+
+    The first maps a per-vertex list to its entries at t's neighbors, the
+    second a per-edge list to its entries at t's edges; both return tuples.
+    """
+    return [
+        (_tuple_getter([x for x, _ in pairs]), _tuple_getter([eidx for _, eidx in pairs]))
+        for pairs in map(g.neighbors, range(g.n))
+    ]
+
+
 def e_phase(
     state: SparsifierState,
     h: float,
     mode: DiscrepancyMode = DiscrepancyMode.ABSOLUTE,
+    gathers: list[tuple] | None = None,
 ) -> int:
     """One swap pass over the backbone; returns the number of actual swaps.
 
@@ -91,7 +126,8 @@ def e_phase(
     vertex off the heap, and insert the maximum-gain edge among the excluded
     edges incident to that vertex plus e itself at its prior probability.
     Gains tie toward keeping e, then toward the canonically smallest edge.
-    The backbone size is invariant across every step.
+    The backbone size is invariant across every step.  `gathers` is
+    neighbor_gathers(state.g), built here when the caller does not hold it.
 
     An excluded edge (a, b) competes at its rule-optimal probability
     apply_step(0.0, degree_step(disc[a], disc[b], norm_a, norm_b), h), and
@@ -100,9 +136,23 @@ def e_phase(
     which every probability strictly inside (0, 1) does, so the gate fires
     exactly on interior steps, where the damped h*step needs no clamp.  The
     candidate probability is therefore 0 for step <= 0, 1 for step >= 1 and
-    h*step in between.  The scan computes that closed form and both formulas inline,
-    with the same terms in the same order up to the commutativity of + and *,
-    so it picks the same winner with the same bits as the calls would.
+    h*step in between.  The scan computes that closed form and both formulas
+    inline, with the same terms in the same order up to the commutativity of
+    + and *, so it picks the same winner with the same bits as the calls would.
+
+    Saturated-key scan.  `sat[x]` caches x's gain term at probability 1,
+    (d_x**2 - (d_x - 1.0) ** 2) / norm_x**2, where disc[x] >= 1, and +inf
+    elsewhere; each step refreshes it at the (at most four) vertices whose
+    discrepancy it moves.  When the top vertex t has d_t >= 1 and every
+    excluded neighbor's key is finite, the scan is one max over those keys,
+    and the winner is the first excluded neighbor x, in g.neighbors order,
+    whose gain T + sat[x] equals T + max, T being t's term at 1.  Any other
+    step (d_t < 1, or a +inf key) scores every candidate as above.  The bits
+    are the same because IEEE rounding is monotone: with positive norms,
+    d_t >= 1 and d_x >= 1 make the computed step at least 1, so the
+    candidate's gain is exactly T + sat[x]; T + s rounds monotonically in s,
+    so the largest computed gain is T + max sat; and a strict > scan in
+    order keeps the first candidate reaching it.
     """
     g = state.g
     us, vs = (a.tolist() for a in g.endpoint_arrays)
@@ -110,7 +160,16 @@ def e_phase(
     sq_norms = [norm**2 for norm in norms]
     probs = state.probs.tolist()
     disc = state.disc.tolist()
-    in_backbone = state.in_backbone.tolist()
+    excluded = np.logical_not(state.in_backbone).tolist()
+    if gathers is None:
+        gathers = neighbor_gathers(g)
+    inf = math.inf
+
+    def saturated(x):
+        d = disc[x]
+        return (d**2 - (d - 1.0) ** 2) / sq_norms[x] if d >= 1.0 else inf
+
+    sat = [saturated(x) for x in range(g.n)]
     heap = VertexHeap(disc)
     swaps = 0
     for idx in np.flatnonzero(state.in_backbone).tolist():
@@ -118,9 +177,11 @@ def e_phase(
         u, v = us[idx], vs[idx]
         prior = probs[idx]
         probs[idx] = 0.0
-        in_backbone[idx] = False
+        excluded[idx] = True
         disc[u] += prior
         disc[v] += prior
+        sat[u] = saturated(u)
+        sat[v] = saturated(v)
         heap.update(u, disc[u])
         heap.update(v, disc[v])
         top = heap.top()
@@ -133,33 +194,51 @@ def e_phase(
         sq_d_t = d_t**2
         # Most candidates saturate at w = 1, where the top's gain term is fixed.
         top_gain_at_one = (sq_d_t - (d_t - 1.0) ** 2) / sq_t
-        for x, eidx in g.neighbors(top):
-            if in_backbone[eidx]:
-                continue
-            d_x = disc[x]
-            norm_x = norms[x]
-            step = (norm_x * d_t + norm_t * d_x) / (norm_t + norm_x)
-            if step >= 1.0:
-                w, top_gain = 1.0, top_gain_at_one
-            else:
-                w = 0.0 if step <= 0.0 else h * step
-                top_gain = (sq_d_t - (d_t - w) ** 2) / sq_t
-            gain = top_gain + (d_x**2 - (d_x - w) ** 2) / sq_norms[x]
-            if gain > best_gain:
-                best_gain, chosen, best_w = gain, eidx, w
+        # With d_t >= 1 and every candidate's key finite, all candidates
+        # saturate and gain top_gain_at_one + sat[x]: one max finds the best
+        # gain, and the first candidate reaching it wins (with none, e stays).
+        best_key = inf
+        if d_t >= 1.0:
+            keys_at, flags_at = gathers[top]
+            best_key = max(compress(keys_at(sat), flags_at(excluded)), default=-inf)
+        if best_key < inf:
+            best = top_gain_at_one + best_key
+            if best > best_gain:
+                for x, eidx in g.neighbors(top):
+                    if excluded[eidx] and top_gain_at_one + sat[x] == best:
+                        chosen, best_w = eidx, 1.0
+                        break
+        else:
+            # some candidate may enter below probability 1: score each one
+            for x, eidx in g.neighbors(top):
+                if not excluded[eidx]:
+                    continue
+                d_x = disc[x]
+                norm_x = norms[x]
+                step = (norm_x * d_t + norm_t * d_x) / (norm_t + norm_x)
+                if step >= 1.0:
+                    w, top_gain = 1.0, top_gain_at_one
+                else:
+                    w = 0.0 if step <= 0.0 else h * step
+                    top_gain = (sq_d_t - (d_t - w) ** 2) / sq_t
+                gain = top_gain + (d_x**2 - (d_x - w) ** 2) / sq_norms[x]
+                if gain > best_gain:
+                    best_gain, chosen, best_w = gain, eidx, w
 
         # put the winner in at best_w, off its endpoints' discrepancies
         a, b = us[chosen], vs[chosen]
         probs[chosen] = best_w
-        in_backbone[chosen] = True
+        excluded[chosen] = False
         disc[a] -= best_w
         disc[b] -= best_w
+        sat[a] = saturated(a)
+        sat[b] = saturated(b)
         heap.update(a, disc[a])
         heap.update(b, disc[b])
         if chosen != idx:
             swaps += 1
     state.probs[:] = probs
-    state.in_backbone[:] = in_backbone
+    np.logical_not(excluded, out=state.in_backbone)
     state.disc[:] = disc
     return swaps
 
@@ -190,8 +269,9 @@ def emd_run(
     history = [previous]
     swap_counts = []
     iterations = 0
+    gathers = neighbor_gathers(g)
     for _ in range(max_iters):
-        swap_counts.append(e_phase(state, h, mode))
+        swap_counts.append(e_phase(state, h, mode, gathers))
         state.resync()
         current = descend(state, rule, h, tau=tau_eff, max_sweeps=max_sweeps)["objective_final"]
         history.append(current)

@@ -287,7 +287,13 @@ def cut_objective(state: SparsifierState, c: float, degree_part: float) -> float
     return degree_part + 2.0 * c * (total * total + float(np.dot(gaps, gaps)) - degree_part)
 
 
-def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | None = None) -> int:
+def sweep(
+    state: SparsifierState,
+    rule: Rule,
+    h: float,
+    classes: ClassSweep | None = None,
+    c: float | None = None,
+) -> int:
     """One full pass over the backbone; returns updates made.
 
     The degree rule sweeps matching by matching (ClassSweep.sweep), on
@@ -296,12 +302,15 @@ def sweep(state: SparsifierState, rule: Rule, h: float, classes: ClassSweep | No
     other vertices: the pass takes list copies of g's and the state's arrays,
     sums the original and working masses in index order at its start, keeps
     the working mass and the discrepancies in step with each update, and
-    writes the state's arrays back at its end.
+    writes the state's arrays back at its end.  `c` is
+    cut_rule_coefficient(g.n, rule.k), computed here when the caller does
+    not hold it: at large k it costs far more than a sweep.
     """
     if rule.k == 1:
         return (classes if classes is not None else ClassSweep(state, rule.mode)).sweep(h)
     g = state.g
-    c = cut_rule_coefficient(g.n, rule.k)
+    if c is None:
+        c = cut_rule_coefficient(g.n, rule.k)
     us, vs = g.endpoint_arrays
     orig = g.probabilities.tolist()
     probs = state.probs.tolist()
@@ -340,7 +349,8 @@ def descend(
     Stops at the sweep cap otherwise.  Resyncs the discrepancies from scratch
     at every sweep boundary, which bounds incremental drift and gives an
     honest convergence signal: each sweep's objective is computed from those
-    fresh discrepancies.  The degree rule colours the backbone once.
+    fresh discrepancies.  The degree rule colours the backbone once, and
+    the cut rules' coefficient is computed once.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("h must lie in [0, 1]")
@@ -354,7 +364,7 @@ def descend(
     classes = ClassSweep(state, rule.mode) if rule.k == 1 else None
     sweeps = 0
     for _ in range(max_sweeps):
-        sweep(state, rule, h, classes)
+        sweep(state, rule, h, classes, c)
         sweeps += 1
         state.resync()
         current = cut_objective(state, c, _weighted_sq_sum(state.disc, norms))

@@ -1,6 +1,7 @@
 """Tests for the expectation-maximization sparsifier and its vertex heap."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -153,8 +154,12 @@ def reference_e_phase(state, h, mode):
     """The swap pass as its docstring states it: one call per candidate.
 
     Works on list copies of the state and writes them back.  Returns (swaps,
-    ties): ties counts candidates whose gain equalled the best entry's, so a
-    test can tell that the tie-break decided something.
+    counts).  counts["ties"] counts candidates whose gain equalled the best
+    entry's, so a test can tell that the tie-break decided something;
+    counts["saturated"] the steps whose top vertex and excluded neighbors all
+    have discrepancy >= 1 (e_phase's one-max steps), and counts["interior"]
+    the steps where some candidate competed at a probability below 1 (the 0
+    or h*step branch).
     """
     g = state.g
     norms = degree_norms(g, mode).tolist()
@@ -171,7 +176,8 @@ def reference_e_phase(state, h, mode):
         disc[v] -= change
 
     heap = VertexHeap(disc)
-    swaps = ties = 0
+    swaps = 0
+    counts = Counter()
     for idx in [i for i in range(g.m) if in_backbone[i]]:
         u, v = pairs[idx]
         prior = probs[idx]
@@ -181,14 +187,19 @@ def reference_e_phase(state, h, mode):
         heap.update(v, disc[v])
         top = heap.top()
         best = (-gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v]), 0, (u, v), idx, prior)
-        for _, eidx in g.neighbors(top):
+        saturated, interior = disc[top] >= 1.0, False
+        for x, eidx in g.neighbors(top):
             if in_backbone[eidx]:
                 continue
             a, b = pairs[eidx]
             w = apply_step(0.0, degree_step(disc[a], disc[b], norms[a], norms[b]), h)
             entry = (-gain_value(disc[a], disc[b], w, sq_norms[a], sq_norms[b]), 1, (a, b), eidx, w)
-            ties += entry[0] == best[0]
+            counts["ties"] += entry[0] == best[0]
             best = min(best, entry)
+            saturated = saturated and disc[x] >= 1.0
+            interior = interior or w < 1.0
+        counts["saturated"] += saturated
+        counts["interior"] += interior
         _, _, (a, b), chosen, w = best
         in_backbone[chosen] = True
         set_prob(chosen, w)
@@ -198,7 +209,7 @@ def reference_e_phase(state, h, mode):
     state.probs[:] = probs
     state.in_backbone[:] = in_backbone
     state.disc[:] = disc
-    return swaps, ties
+    return swaps, counts
 
 
 def objective_with(state, idx, w, mode=DiscrepancyMode.ABSOLUTE):
@@ -214,27 +225,30 @@ class TestEPhaseReference:
     """e_phase's inline scan picks the reference's winner with the same bits."""
 
     @staticmethod
-    def assert_same_passes(g, alpha, seed, h, mode, shuffle=False, passes=2):
-        backbone = build_backbone(g, alpha, seed=seed)
+    def assert_same_passes(g, alpha, seed, h, mode, shuffle=False, passes=2, backbone=None,
+                           probs=None):
+        if backbone is None:
+            backbone = build_backbone(g, alpha, seed=seed)
         fast = SparsifierState(g, backbone)
         slow = SparsifierState(g, backbone)
         if shuffle:
             # Random probabilities give discrepancies of both signs, so the
             # closed form's 0, h*step and 1 branches all win some slots.
-            p = derive_rng(seed, 1).random(np.count_nonzero(backbone))
+            probs = derive_rng(seed, 1).random(np.count_nonzero(backbone))
+        if probs is not None:
             for state in (fast, slow):
-                state.probs[backbone] = p
+                state.probs[backbone] = probs
                 state.resync()
-        total_ties = 0
+        total = Counter()
         for _ in range(passes):
             swaps = e_phase(fast, h, mode)
-            ref_swaps, ties = reference_e_phase(slow, h, mode)
-            total_ties += ties
+            ref_swaps, counts = reference_e_phase(slow, h, mode)
+            total += counts
             assert swaps == ref_swaps
             assert fast.in_backbone.tobytes() == slow.in_backbone.tobytes()
             assert fast.probs.tobytes() == slow.probs.tobytes()
             assert fast.disc.tobytes() == slow.disc.tobytes()
-        return total_ties
+        return total
 
     @pytest.mark.parametrize("start", ["backbone", "shuffled"])
     @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
@@ -245,15 +259,67 @@ class TestEPhaseReference:
         if start == "backbone":
             self.assert_same_passes(g, 0.3, seed, h, mode)
         else:
-            self.assert_same_passes(g, 0.6, seed, h, mode, shuffle=True)
+            counts = self.assert_same_passes(g, 0.6, seed, h, mode, shuffle=True)
+            # the per-candidate fallback decides steps where 0 or h*step competes
+            assert counts["interior"] > 0
+
+    @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
+    def test_readme_graph_saturated_steps(self, mode, h):
+        # the README graph at alpha 0.3: most steps are one max over the
+        # cached terms, since every candidate saturates at probability 1
+        g = generate_synthetic(100, 0.15, seed=1)
+        counts = self.assert_same_passes(g, 0.3, 7, h, mode)
+        assert counts["saturated"] > counts["interior"]
 
     @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
     @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
     def test_equal_probabilities_ties_decide(self, mode, h):
         edges = [(u, v, 0.5) for u, v, _ in generate_synthetic(30, 0.4, seed=3).edges]
         g = UncertainGraph(30, edges)
-        ties = self.assert_same_passes(g, 0.3, 3, h, mode)
-        assert ties > 0
+        counts = self.assert_same_passes(g, 0.3, 3, h, mode)
+        assert counts["ties"] > 0
+
+    def test_negative_top_is_scored_per_candidate(self):
+        # Vertex 2 keeps five edges at 0.9 against an original 0.1, so its
+        # discrepancy is -3.4 and it tops the heap once the first backbone
+        # edge, (0, 1) at 0.9, is taken out.  Its one excluded neighbor, 8,
+        # has discrepancy 1.2 and a finite cached term, but the step toward
+        # it is negative: the candidate competes at probability 0, with gain
+        # 0, and beats putting (0, 1) back (gain -1.26).
+        edges = [(0, 1, 0.1), (2, 8, 0.6), (8, 9, 0.6)]
+        edges += [(2, leaf, 0.1) for leaf in range(3, 8)]
+        g = UncertainGraph(10, edges)
+        backbone = np.array([p == 0.1 for _, _, p in g.edges])
+        probs = np.full(np.count_nonzero(backbone), 0.9)
+        counts = self.assert_same_passes(g, 0.0, 0, 0.05, DiscrepancyMode.ABSOLUTE,
+                                         backbone=backbone, probs=probs, passes=1)
+        assert counts["interior"] >= 1
+
+    def test_rounding_collapse_keeps_the_first_candidate(self):
+        # Vertex 0 loses 20 unit edges to leaves and two 0.75 edges, to 1 and
+        # 2; vertices 1 and 2 each lose a further edge, 2's heavier by two
+        # ulps of 0.75, so 2's discrepancy is one ulp above 1's 1.5.  The
+        # backbone is the one edge (3, 4).  With it taken out, vertex 0
+        # (discrepancy 21.5) tops the heap and every candidate saturates.
+        # Vertex 2's term at probability 1 is larger than 1's, but both sum
+        # with 0's term to one float, so the first candidate in canonical
+        # order, edge (0, 1), must win.
+        heavy = 0.75 + 2**-52
+        edges = [(0, 1, 0.75), (0, 2, 0.75), (1, 3, 0.75), (2, 4, heavy), (3, 4, 0.5)]
+        edges += [(0, leaf, 1.0) for leaf in range(5, 25)]
+        g = UncertainGraph(25, edges)
+        backbone = np.array([pair == (3, 4) for pair in g.edge_pairs])
+        state = SparsifierState(g, backbone)
+        disc = state.disc.tolist()
+        assert disc[:3] == [21.5, 1.5, math.nextafter(1.5, 2.0)]
+        top_term, term_1, term_2 = ((d**2 - (d - 1.0) ** 2) for d in disc[:3])
+        assert term_1 < term_2 and top_term + term_1 == top_term + term_2
+        counts = self.assert_same_passes(g, 0.0, 0, 0.05, DiscrepancyMode.ABSOLUTE,
+                                         backbone=backbone, passes=1)
+        assert counts["saturated"] == 1
+        e_phase(state, 0.05)
+        assert [pair for pair, kept in zip(g.edge_pairs, state.in_backbone) if kept] == [(0, 1)]
 
     @pytest.mark.parametrize(
         "step",

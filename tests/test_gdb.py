@@ -389,6 +389,27 @@ class TestExactBookkeeping:
         assert descend(state, Rule(), h=0.05, tau=0.0, max_sweeps=3)["sweeps"] >= 1
 
 
+    def test_descend_computes_the_cut_coefficient_once(self, monkeypatch):
+        # at k = n/2 the coefficient is the slow part: one pair of prefix sums
+        # per descent, however many sweeps it runs
+        calls = []
+
+        def counting_prefix_sum(n, k):
+            calls.append((n, k))
+            return binomial_prefix_sum(n, k)
+
+        monkeypatch.setattr(gdb, "binomial_prefix_sum", counting_prefix_sum)
+        g = generate_synthetic(60, 0.2, seed=5)
+        backbone = build_backbone(g, 0.7, seed=5)
+        counts = {}
+        for max_sweeps in (1, 6):
+            calls.clear()
+            info = descend(SparsifierState(g, backbone), Rule(30), h=0.05, tau=0.0,
+                           max_sweeps=max_sweeps)
+            assert info["sweeps"] == max_sweeps
+            counts[max_sweeps] = len(calls)
+        assert counts[6] == counts[1] == 2
+
 def subset_prefix_count(n, k):
     """Sum of C(n, i) for i = 0..k, counted from math.comb; 0 when n or k is negative."""
     return sum(math.comb(n, i) for i in range(min(k, n) + 1)) if min(n, k) >= 0 else 0
