@@ -6,7 +6,8 @@ each with the selected methods at a fixed ratio, and reports degree MAE,
 sampled cut MAE, and relative entropy per (density, method) cell.  A cell
 that meets a domain error (an alpha below the graph's connectivity floor,
 say) is written with blank metrics and the message in its `error` column,
-and the sweep goes on.
+and the sweep goes on; a density too low to generate a connected graph gives
+one such row per method.
 
 Example:
     python3 scripts/density_sweep.py --vertices 100 --densities 0.15,0.3,0.5 \
@@ -38,7 +39,14 @@ def main(argv=None):
 
     rows = []
     for density in args.densities:
-        g = generate_synthetic(args.vertices, density, seed=args.seed)
+        try:
+            g = generate_synthetic(args.vertices, density, seed=args.seed)
+        except ValueError as exc:  # no graph at this density: one error row per method
+            for method in args.methods:
+                rows.append({**dict.fromkeys(FIELDS, ""), "density": density, "method": method,
+                             "error": str(exc)})
+            print(f"density={density:g}: error: {exc}", file=sys.stderr)
+            continue
         cuts = CutProfile(g, args.cut_samples, args.seed)  # one draw for every method
         for method in args.methods:
             row = {**dict.fromkeys(FIELDS, ""), "density": density, "method": method, "edges": g.m}

@@ -6,7 +6,8 @@ degree MAE against relative entropy: h=1 ignores entropy growth entirely and
 gets the best accuracy, h=0 refuses any entropy increase, and intermediate
 values interpolate.  A cell that meets a domain error (an alpha below the
 graph's connectivity floor, say) is written with blank metrics and the
-message in its `error` column, and the sweep goes on.
+message in its `error` column, and the sweep goes on.  A density that
+generates no graph exits 1 with one error line.
 
 Example:
     python3 scripts/h_sensitivity.py --vertices 100 --density 0.25 \
@@ -33,7 +34,11 @@ def main(argv=None):
     parser.add_argument("-o", "--output", default="h_sensitivity.csv")
     args = parser.parse_args(argv)
 
-    g = generate_synthetic(args.vertices, args.density, seed=args.seed)
+    try:
+        g = generate_synthetic(args.vertices, args.density, seed=args.seed)
+    except ValueError as exc:  # every cell shares this graph: nothing to sweep
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows = []
     for alpha in args.alphas:
         for h in args.hs:

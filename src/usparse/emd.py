@@ -10,14 +10,20 @@ probabilities, the backbone mask and the discrepancies in step inline, and
 writes them back at its end.  Only degree discrepancies are supported; the
 gain of an edge against all k-cuts would need exponential enumeration.
 
+The heap is a plain heapq list of (-|discrepancy|, vertex) entries.  Each
+change to a discrepancy pushes an entry; an entry is stale exactly when its
+key is not its vertex's current one, and stale entries are popped when they
+surface.
+
 Most swap steps need no per-candidate arithmetic.  A candidate whose two
 endpoint discrepancies are both at least 1 saturates at probability 1, where
 its gain is the top vertex's term at 1 plus a term of its other endpoint
 alone.  The swap phase caches that term per vertex (+inf where the
 discrepancy is below 1) and takes each step's best candidate as one C-level
-max over the cached terms of the top vertex's excluded neighbors, gathered by
-per-vertex itemgetters built once per run.  Steps with an unsaturated
-endpoint fall back to scoring every candidate.
+max over the cached terms of the top vertex's excluded neighbors.  The one
+adjacency it reads is neighbor_gathers: per vertex, its edge ids and two
+itemgetters, built once per run from the endpoint columns by one numpy sort.
+Steps with an unsaturated endpoint fall back to scoring every candidate.
 """
 
 from __future__ import annotations
@@ -42,34 +48,6 @@ from usparse.gdb import (
 from usparse.graph import DiscrepancyMode, UncertainGraph
 
 DEFAULT_MAX_ITERS = 50
-
-
-class VertexHeap:
-    """Max-heap of vertices keyed by |discrepancy|, with lazy invalidation.
-
-    update() pushes a fresh entry stamped with a per-vertex version; stale
-    entries are discarded when they surface.  Ties break toward the smaller
-    vertex id, keeping the traversal deterministic.
-    """
-
-    __slots__ = ("_heap", "_version")
-
-    def __init__(self, keys):
-        self._version = [0] * len(keys)
-        self._heap = [(-abs(k), u, 0) for u, k in enumerate(keys)]
-        heapq.heapify(self._heap)
-
-    def update(self, u: int, key: float) -> None:
-        self._version[u] += 1
-        heapq.heappush(self._heap, (-abs(key), u, self._version[u]))
-
-    def top(self) -> int:
-        heap = self._heap
-        while heap and heap[0][2] != self._version[heap[0][1]]:
-            heapq.heappop(heap)
-        if not heap:
-            raise IndexError("heap is empty")
-        return heap[0][1]
 
 
 def gain_value(
@@ -103,15 +81,26 @@ def _tuple_getter(ids: list[int]):
 
 
 def neighbor_gathers(g: UncertainGraph) -> list[tuple]:
-    """Per vertex t, two getters over g.neighbors(t), in its order.
+    """Per vertex t, its edge ids in ascending order and two getters over them.
 
-    The first maps a per-vertex list to its entries at t's neighbors, the
-    second a per-edge list to its entries at t's edges; both return tuples.
+    The first getter maps a per-vertex list to its entries at t's neighbors,
+    the second a per-edge list to its entries at t's edges; both return
+    tuples.  One stable sort of the arc owners (every v, then every u) lists
+    t's edges (x, t) before its edges (t, y), and so in canonical order.
     """
-    return [
-        (_tuple_getter([x for x, _ in pairs]), _tuple_getter([eidx for _, eidx in pairs]))
-        for pairs in map(g.neighbors, range(g.n))
-    ]
+    us, vs = g.endpoint_arrays
+    ends = np.concatenate((us, vs))
+    order = np.argsort(np.concatenate((vs, us)), kind="stable")
+    others = ends[order].tolist()
+    edge_ids = np.tile(np.arange(g.m), 2)[order].tolist()
+    bounds = np.cumsum(np.bincount(ends, minlength=g.n)).tolist()
+    gathers = []
+    start = 0
+    for stop in bounds:
+        ids = edge_ids[start:stop]
+        gathers.append((tuple(ids), _tuple_getter(others[start:stop]), _tuple_getter(ids)))
+        start = stop
+    return gathers
 
 
 def e_phase(
@@ -145,7 +134,7 @@ def e_phase(
     elsewhere; each step refreshes it at the (at most four) vertices whose
     discrepancy it moves.  When the top vertex t has d_t >= 1 and every
     excluded neighbor's key is finite, the scan is one max over those keys,
-    and the winner is the first excluded neighbor x, in g.neighbors order,
+    and the winner is the first excluded neighbor x, in canonical edge order,
     whose gain T + sat[x] equals T + max, T being t's term at 1.  Any other
     step (d_t < 1, or a +inf key) scores every candidate as above.  The bits
     are the same because IEEE rounding is monotone: with positive norms,
@@ -170,7 +159,15 @@ def e_phase(
         return (d**2 - (d - 1.0) ** 2) / sq_norms[x] if d >= 1.0 else inf
 
     sat = [saturated(x) for x in range(g.n)]
-    heap = VertexHeap(disc)
+    # (-|d|, x) entries; an entry is stale once its key is not -|disc[x]|
+    heap = [(-abs(d), x) for x, d in enumerate(disc)]
+    heapq.heapify(heap)
+
+    def moved(x, change):
+        disc[x] += change
+        sat[x] = saturated(x)
+        heapq.heappush(heap, (-abs(disc[x]), x))
+
     swaps = 0
     for idx in np.flatnonzero(state.in_backbone).tolist():
         # take e out: its mass goes back to both endpoints' discrepancies
@@ -178,13 +175,11 @@ def e_phase(
         prior = probs[idx]
         probs[idx] = 0.0
         excluded[idx] = True
-        disc[u] += prior
-        disc[v] += prior
-        sat[u] = saturated(u)
-        sat[v] = saturated(v)
-        heap.update(u, disc[u])
-        heap.update(v, disc[v])
-        top = heap.top()
+        moved(u, prior)
+        moved(v, prior)
+        while heap[0][0] != -abs(disc[heap[0][1]]):
+            heapq.heappop(heap)
+        top = heap[0][1]
 
         # Candidates come in canonical order, so a strict > lets e win ties
         # and otherwise keeps the first (smallest) of equal-gain candidates.
@@ -194,25 +189,26 @@ def e_phase(
         sq_d_t = d_t**2
         # Most candidates saturate at w = 1, where the top's gain term is fixed.
         top_gain_at_one = (sq_d_t - (d_t - 1.0) ** 2) / sq_t
+        edge_ids, keys_at, flags_at = gathers[top]
+        flags = flags_at(excluded)
         # With d_t >= 1 and every candidate's key finite, all candidates
         # saturate and gain top_gain_at_one + sat[x]: one max finds the best
         # gain, and the first candidate reaching it wins (with none, e stays).
         best_key = inf
         if d_t >= 1.0:
-            keys_at, flags_at = gathers[top]
-            best_key = max(compress(keys_at(sat), flags_at(excluded)), default=-inf)
+            keys = keys_at(sat)
+            best_key = max(compress(keys, flags), default=-inf)
         if best_key < inf:
             best = top_gain_at_one + best_key
             if best > best_gain:
-                for x, eidx in g.neighbors(top):
-                    if excluded[eidx] and top_gain_at_one + sat[x] == best:
+                for eidx, key, flag in zip(edge_ids, keys, flags):
+                    if flag and top_gain_at_one + key == best:
                         chosen, best_w = eidx, 1.0
                         break
         else:
             # some candidate may enter below probability 1: score each one
-            for x, eidx in g.neighbors(top):
-                if not excluded[eidx]:
-                    continue
+            for eidx in compress(edge_ids, flags):
+                x = us[eidx] + vs[eidx] - top
                 d_x = disc[x]
                 norm_x = norms[x]
                 step = (norm_x * d_t + norm_t * d_x) / (norm_t + norm_x)
@@ -226,15 +222,10 @@ def e_phase(
                     best_gain, chosen, best_w = gain, eidx, w
 
         # put the winner in at best_w, off its endpoints' discrepancies
-        a, b = us[chosen], vs[chosen]
         probs[chosen] = best_w
         excluded[chosen] = False
-        disc[a] -= best_w
-        disc[b] -= best_w
-        sat[a] = saturated(a)
-        sat[b] = saturated(b)
-        heap.update(a, disc[a])
-        heap.update(b, disc[b])
+        moved(us[chosen], -best_w)
+        moved(vs[chosen], -best_w)
         if chosen != idx:
             swaps += 1
     state.probs[:] = probs

@@ -193,7 +193,7 @@ class UncertainGraph:
     construction and safe to share across threads for reading.
     """
 
-    __slots__ = ("n", "_us", "_vs", "_ps", "_adj", "_degrees")
+    __slots__ = ("n", "_us", "_vs", "_ps", "_degrees")
 
     def __init__(
         self,
@@ -222,7 +222,6 @@ class UncertainGraph:
         self._us, self._vs, self._ps = _canonical_edges(n, us, vs, ps, allow_zero)
         for a in (self._us, self._vs, self._ps):
             a.flags.writeable = False
-        self._adj = None
         self._degrees = None
 
     @property
@@ -244,16 +243,6 @@ class UncertainGraph:
     @property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self._us.tolist(), self._vs.tolist()))
-
-    def neighbors(self, u: int) -> list[tuple[int, int]]:
-        """(neighbor, edge index) pairs for vertex u."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for i, (a, b) in enumerate(zip(self._us.tolist(), self._vs.tolist())):
-                adj[a].append((b, i))
-                adj[b].append((a, i))
-            self._adj = adj
-        return self._adj[u]
 
     def degree_vector(self) -> np.ndarray:
         """Expected degree of every vertex (sum of incident probabilities)."""

@@ -1,4 +1,4 @@
-"""Tests for the expectation-maximization sparsifier and its vertex heap."""
+"""Tests for the expectation-maximization sparsifier and its swap pass."""
 
 import math
 from collections import Counter
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from usparse import emd
 from usparse.backbone import build_backbone
-from usparse.emd import VertexHeap, e_phase, emd_run, gain_value
+from usparse.emd import e_phase, emd_run, gain_value
 from usparse.evaluation import quality
 from usparse.gdb import (
     SparsifierState,
@@ -27,39 +27,6 @@ from test_backbone import pair_mask
 
 def full_backbone(g):
     return np.ones(g.m, dtype=bool)
-
-
-class TestVertexHeap:
-    def test_top_is_max_absolute_key(self):
-        heap = VertexHeap([0.1, -0.9, 0.4])
-        assert heap.top() == 1
-        heap.update(2, -1.5)
-        assert heap.top() == 2
-
-    def test_update_restores_order(self):
-        heap = VertexHeap([0.1, 0.9, 0.4])
-        heap.update(1, 0.0)
-        assert heap.top() == 2
-        heap.update(0, -2.0)
-        assert heap.top() == 0
-
-    def test_tie_breaks_to_smaller_id(self):
-        heap = VertexHeap([0.5, 0.5, 0.5])
-        assert heap.top() == 0
-
-    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=12), st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_top_matches_linear_scan_under_updates(self, keys, seed):
-        heap = VertexHeap(keys)
-        current = list(keys)
-        rng = derive_rng(seed)
-        for _ in range(20):
-            u = int(rng.integers(0, len(keys)))
-            value = float(rng.normal())
-            current[u] = value
-            heap.update(u, value)
-            top = heap.top()
-            assert abs(current[top]) == max(abs(k) for k in current)
 
 
 class TestGain:
@@ -157,9 +124,12 @@ def reference_e_phase(state, h, mode):
     counts).  counts["ties"] counts candidates whose gain equalled the best
     entry's, so a test can tell that the tie-break decided something;
     counts["saturated"] the steps whose top vertex and excluded neighbors all
-    have discrepancy >= 1 (e_phase's one-max steps), and counts["interior"]
-    the steps where some candidate competed at a probability below 1 (the 0
-    or h*step branch).
+    have discrepancy >= 1 (e_phase's one-max steps); counts["interior"] the
+    steps where some candidate competed at a probability below 1 (the 0 or
+    h*step branch); and counts["empty"] the steps whose top vertex has no
+    excluded edge, so that e goes back.  The top vertex comes from a linear
+    scan over every vertex, and its edges from lists built here in canonical
+    order, so the oracle shares no structure with e_phase.
     """
     g = state.g
     norms = degree_norms(g, mode).tolist()
@@ -167,6 +137,10 @@ def reference_e_phase(state, h, mode):
     probs, disc = state.probs.tolist(), state.disc.tolist()
     in_backbone = state.in_backbone.tolist()
     pairs = g.edge_pairs
+    incident = [[] for _ in range(g.n)]
+    for eidx, (a, b) in enumerate(pairs):
+        incident[a].append(eidx)
+        incident[b].append(eidx)
 
     def set_prob(idx, value):
         u, v = pairs[idx]
@@ -175,7 +149,6 @@ def reference_e_phase(state, h, mode):
         disc[u] -= change
         disc[v] -= change
 
-    heap = VertexHeap(disc)
     swaps = 0
     counts = Counter()
     for idx in [i for i in range(g.m) if in_backbone[i]]:
@@ -183,28 +156,28 @@ def reference_e_phase(state, h, mode):
         prior = probs[idx]
         set_prob(idx, 0.0)
         in_backbone[idx] = False
-        heap.update(u, disc[u])
-        heap.update(v, disc[v])
-        top = heap.top()
-        best = (-gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v]), 0, (u, v), idx, prior)
-        saturated, interior = disc[top] >= 1.0, False
-        for x, eidx in g.neighbors(top):
+        # the largest |discrepancy|, ties to the smallest vertex id
+        top = max(range(g.n), key=lambda x: (abs(disc[x]), -x))
+        best = (-gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v]), 0, idx, prior)
+        saturated, interior, empty = disc[top] >= 1.0, False, True
+        for eidx in incident[top]:
             if in_backbone[eidx]:
                 continue
             a, b = pairs[eidx]
+            x = b if a == top else a
             w = apply_step(0.0, degree_step(disc[a], disc[b], norms[a], norms[b]), h)
-            entry = (-gain_value(disc[a], disc[b], w, sq_norms[a], sq_norms[b]), 1, (a, b), eidx, w)
+            entry = (-gain_value(disc[a], disc[b], w, sq_norms[a], sq_norms[b]), 1, eidx, w)
             counts["ties"] += entry[0] == best[0]
             best = min(best, entry)
             saturated = saturated and disc[x] >= 1.0
             interior = interior or w < 1.0
+            empty = False
         counts["saturated"] += saturated
         counts["interior"] += interior
-        _, _, (a, b), chosen, w = best
+        counts["empty"] += empty
+        _, _, chosen, w = best
         in_backbone[chosen] = True
         set_prob(chosen, w)
-        heap.update(a, disc[a])
-        heap.update(b, disc[b])
         swaps += chosen != idx
     state.probs[:] = probs
     state.in_backbone[:] = in_backbone
@@ -320,6 +293,46 @@ class TestEPhaseReference:
         assert counts["saturated"] == 1
         e_phase(state, 0.05)
         assert [pair for pair, kept in zip(g.edge_pairs, state.in_backbone) if kept] == [(0, 1)]
+
+    @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
+    def test_trailing_isolated_vertices_and_a_top_with_no_excluded_edge(self, mode):
+        # The generated graph rebuilt with three more vertices, which have no
+        # edges, so the last adjacency slices are empty.  The backbone holds
+        # every edge of the busiest vertex, at probability 0.05, so that
+        # vertex tops the heap with no excluded edge while e lies elsewhere.
+        base = generate_synthetic(30, 0.3, seed=5)
+        us, vs = base.endpoint_arrays
+        g = UncertainGraph.from_columns(base.n + 3, us, vs, base.probabilities)
+        hub = int(np.argmax(np.bincount(np.concatenate((us, vs)))))
+        at_hub = (us == hub) | (vs == hub)
+        backbone = build_backbone(base, 0.3, seed=5) | at_hub
+        probs = np.where(at_hub, 0.05, g.probabilities)[backbone]
+        pairs = g.edge_pairs
+        for t, (ids, at_neighbors, at_edges) in enumerate(emd.neighbor_gathers(g)):
+            assert ids == tuple(i for i, pair in enumerate(pairs) if t in pair)
+            assert at_edges(range(g.m)) == ids
+            assert at_neighbors(range(g.n)) == tuple(sum(pairs[i]) - t for i in ids)
+        assert t == g.n - 1 and ids == ()
+        counts = self.assert_same_passes(g, 0.0, 0, 0.05, mode, backbone=backbone, probs=probs)
+        assert counts["empty"] > 0
+
+    @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_quarter_probabilities_recur_heap_keys(self, mode, data):
+        # Sums of quarters are exact, so |discrepancy| values recur and a
+        # stale heap entry's key becomes its vertex's current key again.
+        quarters = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+        n = data.draw(st.integers(3, 9), label="n")
+        all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True),
+                          label="pairs")
+        g = UncertainGraph(n, [(a, b, data.draw(quarters)) for a, b in pairs])
+        backbone = np.array(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)))
+        size = int(np.count_nonzero(backbone))
+        probs = np.array(data.draw(st.lists(quarters, min_size=size, max_size=size)), dtype=float)
+        h = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="h")
+        self.assert_same_passes(g, 0.0, 0, h, mode, backbone=backbone, probs=probs)
 
     @pytest.mark.parametrize(
         "step",

@@ -84,3 +84,35 @@ def test_script_records_a_domain_error_and_goes_on(name, argv, failed, rows, tmp
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.count("error: alpha=") == failed
     assert f"wrote {rows} rows" in captured.out
+
+
+def test_density_sweep_records_a_density_with_no_graph_and_goes_on(tmp_path, capsys):
+    # density 0.01 gives 2 of the 19 edges a connected n=20 graph needs: one
+    # error line and an error row per method, and density 0.4 still runs
+    out = tmp_path / "density_sweep.csv"
+    argv = ["--vertices", "20", "--densities", "0.01,0.4", "--methods", "gdb,ss",
+            "--alpha", "0.4", "--cut-samples", "5", "-o", str(out)]
+    assert load_script("density_sweep").main(argv) == 0
+    written = list(csv.DictReader(open(out)))
+    assert [(row["density"], row["method"]) for row in written] == [
+        ("0.01", "gdb"), ("0.01", "ss"), ("0.4", "gdb"), ("0.4", "ss")
+    ]
+    assert all("needed for connectivity" in row["error"] and row["edges"] == ""
+               and row["mae_degree"] == "" for row in written[:2])
+    assert all(row["error"] == "" and row["mae_degree"] != "" for row in written[2:])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.count("error: ") == 1
+    assert "wrote 4 rows" in captured.out
+
+
+def test_h_sensitivity_exits_1_on_a_density_with_no_graph(tmp_path, capsys):
+    # every cell shares the one graph, so there is nothing to sweep
+    out = tmp_path / "h_sensitivity.csv"
+    assert load_script("h_sensitivity").main(["--density", "0.01", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: density 0.01 gives 50 edges, below the 99 needed for connectivity"
+    ]
+    assert captured.out == ""
+    assert not out.exists()
