@@ -270,12 +270,25 @@ def to_ss_weights(g: UncertainGraph) -> np.ndarray:
     return np.array([-math.log(p) for p in g.probabilities.tolist()])
 
 
-def ss_core(n: int, us, vs, w, t: int, seed: int) -> np.ndarray:
+def ss_arcs(us, vs, w) -> tuple[np.ndarray, ...]:
+    """Both directions of every edge in lightness order (src, w, dst), as
+    the columns (src, dst, w, pos), pos being each arc's edge position."""
+    m = len(w)
+    src = np.concatenate((us, vs))
+    dst = np.concatenate((vs, us))
+    w = np.concatenate((w, w))
+    order = np.lexsort((dst, w, src))
+    return src[order], dst[order], w[order], order % m
+
+
+def ss_core(n: int, us, vs, w, t: int, seed: int, arcs=None) -> np.ndarray:
     """(2t-1)-spanner by randomized cluster growth, as positions in the edge columns.
 
-    Baswana-Sen in synchronous rounds over one arc array: both directions of
-    every edge, in lightness order (src, w, dst), with their edge positions.
-    Each of the t-1 rounds reads only the arcs and clusters it started with.
+    Baswana-Sen in synchronous rounds over one arc array, ss_arcs(us, vs, w):
+    both directions of every edge, in lightness order, with their edge
+    positions.  `arcs` is that array, built here when the caller does not
+    hold it; ss_sparsify builds it once for all its spanners.  Each of the
+    t-1 rounds reads only the arcs and clusters it started with.
     It samples the live clusters with probability n^(-1/t), one uniform per
     cluster id in ascending order.  A vertex in an unsampled cluster takes
     the lightest arc to each adjacent cluster.  If some such cluster is
@@ -293,11 +306,7 @@ def ss_core(n: int, us, vs, w, t: int, seed: int) -> np.ndarray:
     m = len(w)
     if t == 1:
         return np.arange(m)
-    src = np.concatenate((us, vs))
-    dst = np.concatenate((vs, us))
-    w = np.concatenate((w, w))
-    order = np.lexsort((dst, w, src))
-    src, dst, w, pos = src[order], dst[order], w[order], order % m
+    src, dst, w, pos = ss_arcs(us, vs, w) if arcs is None else arcs
     rng = derive_rng(seed)
     sample_p = n ** (-1.0 / t)
     cluster = np.arange(n)
@@ -374,11 +383,12 @@ def ss_sparsify(g: UncertainGraph, alpha: float, seed: int = 0) -> tuple[Uncerta
     t_last = t + MAX_CALIBRATION_STEPS
     step, attempts = 1, 0
     best_t = t
-    spanner = ss_core(g.n, us, vs, w, t, seed)
+    arcs = ss_arcs(us, vs, w)
+    spanner = ss_core(g.n, us, vs, w, t, seed, arcs)
     while len(spanner) > target and t < t_last:
         attempts += 1
         t = min(t + step, t_last)
-        trial = ss_core(g.n, us, vs, w, t, seed)
+        trial = ss_core(g.n, us, vs, w, t, seed, arcs)
         if len(trial) < len(spanner):
             best_t, spanner = t, trial
         else:

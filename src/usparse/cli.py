@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from usparse import evaluation
-from usparse.config import BACKBONES, METHODS, MODES, RunConfig
+from usparse.config import BACKBONES, METHODS, MODES, SEED_BOUND, RunConfig
 from usparse.dispatch import sparsify
 from usparse.graph import (
     GraphFormatError,
@@ -307,14 +307,19 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than `minimum`."""
+def _at_least(minimum: int, below: int | None = None):
+    """argparse type: an integer no smaller than `minimum` (and under `below` if given)."""
     def integer(text: str) -> int:  # argparse names it in "invalid integer value"
         if int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        if below is not None and int(text) >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {text}")
         return int(text)
 
     return integer
+
+
+_SEED = _at_least(0, SEED_BOUND)
 
 
 def _comma_list(item, choices=None):
@@ -341,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of the complete graph's edges")
     p_gen.add_argument("--dist", default="uniform",
                        help="edge probability distribution: uniform[:lo,hi] | beta:a,b | const:p")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_SEED, default=0)
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--pairs", type=_at_least(1), default=evaluation.DEFAULT_N_PAIRS)
     p_ev.add_argument("--no-variance", action="store_true",
                       help="skip the repeated-run variance protocol")
-    p_ev.add_argument("--seed", type=int, default=0)
+    p_ev.add_argument("--seed", type=_SEED, default=0)
     p_ev.add_argument("-o", "--output", required=True, help="prefix for .csv and .json")
     p_ev.set_defaults(func=cmd_eval)
 
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--pairs", type=_at_least(1), default=evaluation.DEFAULT_N_PAIRS)
     p_cmp.add_argument("--cut-samples", type=_at_least(1), default=evaluation.DEFAULT_N_CUTS,
                        help="sampled cuts per cardinality for the cut MAE column")
-    p_cmp.add_argument("--seed", type=int, default=defaults["seed"])
+    p_cmp.add_argument("--seed", type=_SEED, default=defaults["seed"])
     p_cmp.add_argument("-o", "--output", required=True, help="consolidated CSV path")
     p_cmp.set_defaults(func=cmd_compare)
 

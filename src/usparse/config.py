@@ -12,6 +12,7 @@ from usparse.graph import DiscrepancyMode
 METHODS = ("gdb", "emd", "lp", "ni", "ss")
 BACKBONES = ("spanning", "random")
 MODES = tuple(mode.value for mode in DiscrepancyMode)
+SEED_BOUND = 2**64  # seeds are 64-bit: 0 <= seed < SEED_BOUND
 # Accepted JSON types per field annotation; bool is rejected separately.
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
@@ -52,7 +53,7 @@ class RunConfig:
             raise ValueError("tau must be non-negative and finite")
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if self.seed < 0:
+        if not 0 <= self.seed < SEED_BOUND:
             raise ValueError("seed must be a non-negative 64-bit integer")
         for cap in ("max_sweeps", "max_iters"):
             if getattr(self, cap) < 0:

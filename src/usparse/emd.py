@@ -10,10 +10,16 @@ probabilities, the backbone mask and the discrepancies in step inline, and
 writes them back at its end.  Only degree discrepancies are supported; the
 gain of an edge against all k-cuts would need exponential enumeration.
 
-The heap is a plain heapq list of (-|discrepancy|, vertex) entries.  Each
-change to a discrepancy pushes an entry; an entry is stale exactly when its
-key is not its vertex's current one, and stale entries are popped when they
-surface.
+The heap is a plain heapq list of (-|discrepancy|, vertex) entries, and
+between steps every vertex has an entry equal to its current key.  An entry
+is stale exactly when its key is not its vertex's current one, and stale
+entries are popped when they surface.  A step pushes nothing when it takes
+an edge out: it weighs the heap's top against the two endpoints' own keys.
+At its end it pushes an entry only for a vertex whose discrepancy ended
+different from its pre-step value, or whose pre-step entry the lookup
+popped.  Most steps put the removed edge straight back at its prior p, and
+(d + p) - p mostly rounds back to d, so the endpoints' old entries and
+cached terms are current again and the step pushes nothing.
 
 Most swap steps need no per-candidate arithmetic.  A candidate whose two
 endpoint discrepancies are both at least 1 saturates at probability 1, where
@@ -142,6 +148,20 @@ def e_phase(
     candidate's gain is exactly T + sat[x]; T + s rounds monotonically in s,
     so the largest computed gain is T + max sat; and a strict > scan in
     order keeps the first candidate reaching it.
+
+    Heap.  Between steps every vertex x has an entry (-|disc[x]|, x), so once
+    the stale entries on top are popped, the heap's top is the least tuple
+    of every vertex but e's endpoints u and v, and the step's top vertex is
+    the least of that tuple, (-|d_u|, u) and (-|d_v|, v): ties still go to
+    the lowest vertex id.  If e goes back, at best_w (its own scan can win
+    the slot at a probability other than its prior), an endpoint whose
+    discrepancy compares equal to its pre-step value d0 takes its cached
+    term back, and its pre-step entry is current again; only if the lookup
+    popped an entry (-|d0|, x) is that entry pushed back.  Equal floats give
+    the same key and term even where 0.0 and -0.0 differ, and disc keeps the
+    computed value, so every stored bit is the plain step's.  Rounding can
+    keep (d0 + p) - p from equalling d0; that endpoint, and every vertex a
+    swap moves, gets an entry for its final key.
     """
     g = state.g
     us, vs = (a.tolist() for a in g.endpoint_arrays)
@@ -153,20 +173,12 @@ def e_phase(
     if gathers is None:
         gathers = neighbor_gathers(g)
     inf = math.inf
+    push, pop = heapq.heappush, heapq.heappop
 
-    def saturated(x):
-        d = disc[x]
-        return (d**2 - (d - 1.0) ** 2) / sq_norms[x] if d >= 1.0 else inf
-
-    sat = [saturated(x) for x in range(g.n)]
+    sat = [(d**2 - (d - 1.0) ** 2) / sq if d >= 1.0 else inf for d, sq in zip(disc, sq_norms)]
     # (-|d|, x) entries; an entry is stale once its key is not -|disc[x]|
     heap = [(-abs(d), x) for x, d in enumerate(disc)]
     heapq.heapify(heap)
-
-    def moved(x, change):
-        disc[x] += change
-        sat[x] = saturated(x)
-        heapq.heappush(heap, (-abs(disc[x]), x))
 
     swaps = 0
     for idx in np.flatnonzero(state.in_backbone).tolist():
@@ -175,15 +187,38 @@ def e_phase(
         prior = probs[idx]
         probs[idx] = 0.0
         excluded[idx] = True
-        moved(u, prior)
-        moved(v, prior)
-        while heap[0][0] != -abs(disc[heap[0][1]]):
-            heapq.heappop(heap)
-        top = heap[0][1]
+        d0_u, d0_v, sat0_u, sat0_v = disc[u], disc[v], sat[u], sat[v]
+        d_u = disc[u] = d0_u + prior
+        d_v = disc[v] = d0_v + prior
+        sat[u] = (d_u**2 - (d_u - 1.0) ** 2) / sq_norms[u] if d_u >= 1.0 else inf
+        sat[v] = (d_v**2 - (d_v - 1.0) ** 2) / sq_norms[v] if d_v >= 1.0 else inf
+
+        # Every vertex but u and v has a current entry: pop stale ones off
+        # the top, noting a pre-step entry of u or v among them, and weigh
+        # the top against u's and v's own keys.
+        lost_u = lost_v = False
+        while heap:
+            key, x = heap[0]
+            if key == -abs(disc[x]):
+                break
+            pop(heap)
+            if x == u:
+                lost_u = lost_u or key == -abs(d0_u)
+            elif x == v:
+                lost_v = lost_v or key == -abs(d0_v)
+        else:
+            key, x = inf, -1
+        key_u, key_v = -abs(d_u), -abs(d_v)
+        if key_u < key or key_u == key and u < x:
+            key, x = key_u, u
+        if key_v < key or key_v == key and v < x:
+            x = v
+        top = x
 
         # Candidates come in canonical order, so a strict > lets e win ties
         # and otherwise keeps the first (smallest) of equal-gain candidates.
-        best_gain = gain_value(disc[u], disc[v], prior, sq_norms[u], sq_norms[v])
+        best_gain = ((d_u**2 - (d_u - prior) ** 2) / sq_norms[u]
+                     + (d_v**2 - (d_v - prior) ** 2) / sq_norms[v])
         chosen, best_w = idx, prior
         d_t, norm_t, sq_t = disc[top], norms[top], sq_norms[top]
         sq_d_t = d_t**2
@@ -224,10 +259,34 @@ def e_phase(
         # put the winner in at best_w, off its endpoints' discrepancies
         probs[chosen] = best_w
         excluded[chosen] = False
-        moved(us[chosen], -best_w)
-        moved(vs[chosen], -best_w)
-        if chosen != idx:
+        if chosen == idx:
+            # e is back, at best_w (its own scan can move it off prior): an
+            # endpoint whose discrepancy returns to its pre-step value gets
+            # its old term back, and its old entry is current again
+            d = disc[u] = d_u - best_w
+            if d == d0_u:
+                sat[u] = sat0_u
+                if lost_u:
+                    push(heap, (-abs(d0_u), u))
+            else:
+                sat[u] = (d**2 - (d - 1.0) ** 2) / sq_norms[u] if d >= 1.0 else inf
+                push(heap, (-abs(d), u))
+            d = disc[v] = d_v - best_w
+            if d == d0_v:
+                sat[v] = sat0_v
+                if lost_v:
+                    push(heap, (-abs(d0_v), v))
+            else:
+                sat[v] = (d**2 - (d - 1.0) ** 2) / sq_norms[v] if d >= 1.0 else inf
+                push(heap, (-abs(d), v))
+        else:
             swaps += 1
+            a, b = us[chosen], vs[chosen]
+            for x in a, b:
+                d = disc[x] = disc[x] - best_w
+                sat[x] = (d**2 - (d - 1.0) ** 2) / sq_norms[x] if d >= 1.0 else inf
+            for x in {u, v, a, b}:
+                push(heap, (-abs(disc[x]), x))
     state.probs[:] = probs
     np.logical_not(excluded, out=state.in_backbone)
     state.disc[:] = disc

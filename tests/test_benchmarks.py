@@ -566,7 +566,7 @@ class TestSsScan:
         def spanner_at(t):
             return frozenset(np.roll(np.arange(g.m), -t)[: size_at(t - t0)].tolist())
 
-        def scripted(n, us, vs, w, t, seed):
+        def scripted(n, us, vs, w, t, seed, arcs=None):
             tried.append(t - t0)
             return np.array(sorted(spanner_at(t)), dtype=np.int64)
 
@@ -644,15 +644,25 @@ class TestSsPinned:
         built = []
         original = benchmarks.ss_core
 
-        def counted(n, us, vs, w, t, seed):
-            spanner = original(n, us, vs, w, t, seed)
+        def counted(n, us, vs, w, t, seed, arcs=None):
+            spanner = original(n, us, vs, w, t, seed, arcs)
             built.append((len(spanner), t))
             return spanner
 
+        sorts = []
+        original_arcs = benchmarks.ss_arcs
+
+        def counted_arcs(us, vs, w):
+            sorts.append(len(w))
+            return original_arcs(us, vs, w)
+
         monkeypatch.setattr(benchmarks, "ss_core", counted)
+        monkeypatch.setattr(benchmarks, "ss_arcs", counted_arcs)
         out, info = ss_sparsify(g, 0.3, seed=7)
         target = target_edge_count(g.m, 0.3)
         assert len(built) == 10
+        # the ten spanners share one sorted arc array
+        assert sorts == [g.m]
         assert (info["spanner_edges"], info["t"]) == min(built)
         assert info["spanner_edges"] - info["trimmed"] + info["topped_up"] == target
         assert out.m == target

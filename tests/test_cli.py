@@ -21,6 +21,20 @@ def graph_file(tmp_path):
     return path
 
 
+def assert_seed_refused_at_parse_time(argv, capsys, out):
+    """main(argv) stops in argparse: exit 2, one error line naming --seed, out unwritten."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "--seed" in errors[0]
+    assert not out.exists()
+
+
+# a negative seed and the smallest one above 64 bits
+BAD_SEEDS = ["-1", str(2**64)]
+
+
 def run_sparsify(graph_file, tmp_path, method, alpha="0.4", extra=(), name="out.el"):
     out = tmp_path / name
     code = main(
@@ -68,6 +82,12 @@ class TestGenerate:
             assert err.startswith(f"error: --dist {spec!r}") and err.count("\n") == 1, err
             assert "uniform[:lo,hi] | beta:a,b | const:p" in err, err
             assert not out.exists()
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_outside_64_bits_refused_at_parse_time(self, tmp_path, capsys, seed):
+        out = tmp_path / "g.el"
+        assert_seed_refused_at_parse_time(
+            ["generate", "-n", "10", "-d", "0.4", "--seed", seed, "-o", str(out)], capsys, out)
 
     def test_edge_cap_exits_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(usparse.graph, "MAX_GENERATED_EDGES", 100)
@@ -201,6 +221,18 @@ class TestSparsify:
         code = main(["sparsify", "-i", str(tmp_path / "nope.el"), "-o", str(tmp_path / "o.el"),
                      "-m", "gdb", "-a", "0.4"])
         assert code == 2
+
+    @pytest.mark.parametrize("seed", [*BAD_SEEDS, str(2**70)])
+    def test_seed_outside_64_bits_refused(self, graph_file, tmp_path, capsys, seed):
+        # sparsify's seed is checked with the rest of its run configuration
+        code, out = run_sparsify(graph_file, tmp_path, "gdb", extra=("--seed", seed))
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative 64-bit integer\n"
+        assert not out.exists()
+
+    def test_largest_64_bit_seed_runs(self, graph_file, tmp_path):
+        code, out = run_sparsify(graph_file, tmp_path, "gdb", extra=("--seed", str(2**64 - 1)))
+        assert code == 0 and out.exists()
 
     def test_tau_zero_runs_to_a_standstill(self, graph_file, tmp_path):
         out = tmp_path / "t.el"
@@ -459,6 +491,13 @@ class TestEval:
         assert "warning" not in err
         assert list(tmp_path.iterdir()) == [graph_file]
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_outside_64_bits_refused_at_parse_time(self, graph_file, tmp_path, capsys, seed):
+        out = tmp_path / "r.json"
+        assert_seed_refused_at_parse_time(
+            ["eval", "-i", str(graph_file), "-s", str(graph_file), "-q", "rl",
+             "--seed", seed, "-o", str(tmp_path / "r")], capsys, out)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_cut_samples_below_one_refused_at_parse_time(self, graph_file, tmp_path, capsys,
                                                          value):
@@ -497,6 +536,13 @@ class TestCompare:
     # relative_variance score each cell's answers against the original
     # graph's, sampled once per query.
     PINNED_SWEEP_SHA256 = "44069f465b2c94d485897dbecdf2e38100c935e2e79a284788108a69ecfe24a0"
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_outside_64_bits_refused_at_parse_time(self, graph_file, tmp_path, capsys, seed):
+        out = tmp_path / "c.csv"
+        assert_seed_refused_at_parse_time(
+            ["compare", "-i", str(graph_file), "--methods", "gdb", "--alphas", "0.5",
+             "--queries", "rl", "--seed", seed, "-o", str(out)], capsys, out)
 
     def test_sweep_keeps_pinned_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -670,6 +716,7 @@ class TestRunConfig:
     def test_validation_matrix(self):
         ok = RunConfig(input="a", output="b", method="gdb", alpha=0.3)
         ok.validate()
+        RunConfig(input="a", output="b", method="gdb", alpha=0.3, seed=2**64 - 1).validate()
         bad = [
             RunConfig(input="a", output="b", method="zz", alpha=0.3),
             RunConfig(input="a", output="b", method="gdb", alpha=1.5),
@@ -678,6 +725,7 @@ class TestRunConfig:
             RunConfig(input="a", output="b", method="ss", alpha=0.3, theta=1.2),
             RunConfig(input="a", output="b", method="gdb", alpha=0.3, h=2.0),
             RunConfig(input="a", output="b", method="gdb", alpha=0.3, seed=-1),
+            RunConfig(input="a", output="b", method="gdb", alpha=0.3, seed=2**64),
             RunConfig(input="a", output="b", method="ni", alpha=0.3, mode="rel"),
             RunConfig(input="a", output="b", method="gdb", alpha=0.3, rule="all", mode="rel"),
             RunConfig(input="a", output="b", method="lp", alpha=0.3, mode="rel"),

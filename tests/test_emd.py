@@ -1,5 +1,6 @@
 """Tests for the expectation-maximization sparsifier and its swap pass."""
 
+import heapq
 import math
 from collections import Counter
 
@@ -126,8 +127,12 @@ def reference_e_phase(state, h, mode):
     counts["saturated"] the steps whose top vertex and excluded neighbors all
     have discrepancy >= 1 (e_phase's one-max steps); counts["interior"] the
     steps where some candidate competed at a probability below 1 (the 0 or
-    h*step branch); and counts["empty"] the steps whose top vertex has no
-    excluded edge, so that e goes back.  The top vertex comes from a linear
+    h*step branch); counts["empty"] the steps whose top vertex has no
+    excluded edge, so that e goes back; counts["reentered"] the steps where e
+    wins its own slot at a probability other than its prior; and
+    counts["inexact"] the endpoints whose discrepancy, with e put back at its
+    prior, does not compare equal to its value before the step, because
+    (d + p) - p rounded.  The top vertex comes from a linear
     scan over every vertex, and its edges from lists built here in canonical
     order, so the oracle shares no structure with e_phase.
     """
@@ -154,6 +159,7 @@ def reference_e_phase(state, h, mode):
     for idx in [i for i in range(g.m) if in_backbone[i]]:
         u, v = pairs[idx]
         prior = probs[idx]
+        before = disc[u], disc[v]
         set_prob(idx, 0.0)
         in_backbone[idx] = False
         # the largest |discrepancy|, ties to the smallest vertex id
@@ -179,6 +185,10 @@ def reference_e_phase(state, h, mode):
         in_backbone[chosen] = True
         set_prob(chosen, w)
         swaps += chosen != idx
+        if chosen == idx:
+            counts["reentered"] += w != prior
+            if w == prior:
+                counts["inexact"] += (disc[u] != before[0]) + (disc[v] != before[1])
     state.probs[:] = probs
     state.in_backbone[:] = in_backbone
     state.disc[:] = disc
@@ -244,6 +254,9 @@ class TestEPhaseReference:
         g = generate_synthetic(100, 0.15, seed=1)
         counts = self.assert_same_passes(g, 0.3, 7, h, mode)
         assert counts["saturated"] > counts["interior"]
+        # e's own scan wins its slot back off its prior, and a put-back at
+        # the prior fails to round-trip: both push a final key
+        assert counts["reentered"] > 0 and counts["inexact"] > 0
 
     @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
     @pytest.mark.parametrize("mode", list(DiscrepancyMode), ids=lambda m: m.value)
@@ -321,9 +334,10 @@ class TestEPhaseReference:
     @settings(max_examples=150, deadline=None)
     def test_quarter_probabilities_recur_heap_keys(self, mode, data):
         # Sums of quarters are exact, so |discrepancy| values recur and a
-        # stale heap entry's key becomes its vertex's current key again.
+        # stale heap entry's key becomes its vertex's current key again.  At
+        # n = 2 the lookup can pop both endpoints' entries and empty the heap.
         quarters = st.sampled_from([0.25, 0.5, 0.75, 1.0])
-        n = data.draw(st.integers(3, 9), label="n")
+        n = data.draw(st.integers(2, 9), label="n")
         all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         pairs = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True),
                           label="pairs")
@@ -344,6 +358,49 @@ class TestEPhaseReference:
         # is 0 and positive inside (0, 1), so only interior steps are damped.
         closed = 0.0 if step <= 0.0 else 1.0 if step >= 1.0 else h * step
         assert closed.hex() == apply_step(0.0, step, h).hex()
+
+
+class CountingHeapq:
+    """heapq with its pushes and pops counted, to stand in for usparse.emd.heapq."""
+
+    heapify = staticmethod(heapq.heapify)
+
+    def __init__(self):
+        self.pushes = self.pops = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+class TestHeapTraffic:
+    """A step pushes entries only for vertices it leaves changed or whose entry it popped."""
+
+    def test_fixed_point_pushes_back_only_what_the_lookup_popped(self, monkeypatch):
+        # Every removed edge goes straight back and every discrepancy returns
+        # to 0, so the only pushes reinstate pre-step entries that surfaced
+        # as stale while the edge was out.
+        counter = CountingHeapq()
+        monkeypatch.setattr(emd, "heapq", counter)
+        g = generate_synthetic(12, 0.5, seed=1)
+        state = SparsifierState(g, full_backbone(g))
+        assert e_phase(state, h=0.05) == 0
+        assert counter.pops > 0
+        assert counter.pushes == counter.pops
+
+    def test_readme_graph_second_pass_pushes_fewer_entries_than_steps(self, monkeypatch):
+        g = generate_synthetic(100, 0.15, seed=1)
+        state = SparsifierState(g, build_backbone(g, 0.3, seed=7))
+        e_phase(state, h=0.05)
+        counter = CountingHeapq()
+        monkeypatch.setattr(emd, "heapq", counter)
+        steps = int(np.count_nonzero(state.in_backbone))
+        e_phase(state, h=0.05)
+        assert 0 < counter.pushes < steps
 
 
 class TestEmdRun:
